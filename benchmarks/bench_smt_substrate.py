@@ -22,7 +22,7 @@ from repro.smt import (
     mk_ult,
     mk_var,
 )
-from repro.smt.sat import SatSolver
+from repro.smt.sat import ArenaSolver
 
 RESULTS = {}
 
@@ -73,7 +73,7 @@ def test_factoring_32(benchmark):
 
 
 def _pigeonhole(n):
-    solver = SatSolver()
+    solver = ArenaSolver()
     holes = n - 1
     pigeon = {(i, j): solver.new_var() for i in range(n) for j in range(holes)}
     for i in range(n):

@@ -1,23 +1,19 @@
 #!/usr/bin/env python3
 """CI perf-regression gate: compare a fresh grid run to the committed baseline.
 
-Usage: check_bench.py CURRENT.json BASELINE.json
-           [--max-wall-regression 0.25] [--max-prop-growth 0.10]
+Usage: check_bench.py CURRENT.json BASELINE.json [--max-prop-growth 0.10]
        check_bench.py --serve BENCH_serve.json BENCH_serve_baseline.json
            [--max-throughput-drop 0.25] [--min-speedup 2.0]
        check_bench.py --certs BENCH_with_certs.json BENCH_no_certs.json
            [--max-cert-overhead 0.10]
        check_bench.py --remote BENCH_remote.json [--min-hit-rate 0.9]
 
-Default mode fails (nonzero exit) when the current quick-grid artifact
-regresses past the committed ``BENCH_baseline.json``:
-
-  * wall time more than ``--max-wall-regression`` (default 25%) above
-    the baseline's — generous enough to absorb CI machine variance,
-    tight enough to catch a hot-loop regression;
-  * ``sat.propagations`` more than ``--max-prop-growth`` (default 10%)
-    above the baseline's — propagation counts are deterministic per
-    query set, so this threshold can be much tighter than wall time.
+Default mode fails (nonzero exit) when the current quick-grid artifact's
+``sat.propagations`` grows more than ``--max-prop-growth`` (default
+10%) above the committed ``BENCH_baseline.json``.  Propagation counts
+depend on the query set and the solver, not on the host, so the gate
+is machine-independent; wall time is left to the ``bench/`` harness,
+which scales it by measured host speed.
 
 Both artifacts must carry an ``obs.counters`` section (run the
 benchmark with ``--trace``); a missing section is a hard failure so a
@@ -238,7 +234,6 @@ def main() -> int:
         nargs="?",
         help="committed BENCH_baseline.json (not used by --remote)",
     )
-    parser.add_argument("--max-wall-regression", type=float, default=0.25)
     parser.add_argument("--max-prop-growth", type=float, default=0.10)
     parser.add_argument(
         "--serve",
@@ -276,7 +271,6 @@ def main() -> int:
     if args.certs:
         return check_certs(current, baseline, args)
 
-    failures = []
     for name, path, doc in (
         ("current", args.current, current),
         ("baseline", args.baseline, baseline),
@@ -290,37 +284,16 @@ def main() -> int:
             )
             return 3
 
-    cur_wall = current.get("wall_s", 0.0)
-    base_wall = baseline.get("wall_s", 0.0)
-    wall_ceiling = base_wall * (1.0 + args.max_wall_regression)
-    if base_wall and cur_wall > wall_ceiling:
-        failures.append(
-            f"wall time regressed: {cur_wall:.2f}s > {wall_ceiling:.2f}s "
-            f"(baseline {base_wall:.2f}s + {args.max_wall_regression:.0%})"
-        )
-
     cur_props = current["obs"]["counters"].get("sat.propagations", 0)
     base_props = baseline["obs"]["counters"].get("sat.propagations", 0)
     prop_ceiling = base_props * (1.0 + args.max_prop_growth)
+    print(f"sat.propagations: {cur_props} vs baseline {base_props} (ceiling {prop_ceiling:.0f})")
     if base_props and cur_props > prop_ceiling:
-        failures.append(
-            f"sat.propagations grew: {cur_props} > {prop_ceiling:.0f} "
-            f"(baseline {base_props} + {args.max_prop_growth:.0%})"
-        )
-
-    print(
-        f"wall: {cur_wall:.2f}s vs baseline {base_wall:.2f}s "
-        f"({base_wall / cur_wall:.2f}x)" if cur_wall else "wall: n/a"
-    )
-    if cur_props and base_props:
         print(
-            f"sat.propagations: {cur_props} vs baseline {base_props} "
-            f"({base_props / cur_props:.2f}x)"
+            f"FAIL: sat.propagations grew: {cur_props} > {prop_ceiling:.0f} "
+            f"(baseline {base_props} + {args.max_prop_growth:.0%})",
+            file=sys.stderr,
         )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print("perf gate holds")
     return 0

@@ -50,8 +50,9 @@ else
 fi
 
 # -- sat-stress ------------------------------------------------------
-# DIMACS corpus agreement (arena / arena-nochrono / legacy) plus
-# incremental-vs-fresh obligation verdict equality.
+# DIMACS corpus verdicts (arena / arena-nochrono vs `c expect`), equal
+# obligation verdicts on a shared session, a per-obligation reset
+# session and the scheduler, plus the certificate audit.
 run_job sat-stress python scripts/sat_stress.py
 
 # -- grid-cold / grid-warm -------------------------------------------

@@ -1,30 +1,32 @@
 #!/usr/bin/env python3
-"""SAT stress gate: corpus agreement across solver implementations and modes.
+"""SAT stress gate: corpus answers, shared-vs-reset sessions, and certificates.
 
-Usage: sat_stress.py [--corpus-only] [--obligations]
+Usage: sat_stress.py [--corpus-only]
 
-Two layers of checking, mirroring the ``sat-stress`` CI job:
+Three layers of checking, mirroring the ``sat-stress`` CI job:
 
   * **DIMACS corpus** (``tests/data/*.cnf``): every instance is solved
-    by the arena solver (chronological backtracking on and off) and the
-    legacy reference solver; all verdicts must agree with each other
-    and with the ``c expect`` header, and every SAT model is checked
-    against the clauses.
-  * **Obligation modes**: a small verification grid runs in two child
-    processes — one with ``REPRO_NO_INCREMENTAL=1`` (fresh solver per
-    check), one in the default incremental mode — and the per-
-    obligation verdict lists must be identical.
+    by the arena solver with chronological backtracking on and off;
+    both verdicts must match the instance's ``c expect`` header, and
+    every SAT model is checked against the clauses.
+  * **Session and dispatch modes**: a small verification grid runs
+    in-process on one shared incremental session, then with the session
+    reset before every obligation (which behaves exactly like a fresh
+    solver), then through the work-stealing scheduler with two workers.
+    The per-obligation verdict lists must be identical.
+  * **Certificates**: the grid runs cache-backed once, and the
+    independent checker audits the store in a child process
+    (``python -m repro.smt.checkproof --store --require-certs``).
 
-Exits nonzero on any disagreement.  ``--obligations`` is the child-
-process entry point (prints a verdict JSON line; not for direct use).
+Exits nonzero on any disagreement.
 """
 
 import argparse
 import glob
-import json
 import os
 import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -50,27 +52,27 @@ def load_dimacs(path):
 
 
 def check_corpus() -> int:
-    from repro.smt.sat import SAT, ArenaSolver, SatSolver, UNSAT
+    from repro.smt.sat import SAT, ArenaSolver, UNSAT
 
     paths = sorted(glob.glob(os.path.join(REPO, "tests", "data", "*.cnf")))
     if not paths:
         print("FAIL: no .cnf files under tests/data/", file=sys.stderr)
         return 1
 
-    failures = 0
-    variants = [
-        ("arena", lambda: ArenaSolver()),
-        ("arena-nochrono", lambda: _no_chrono()),
-        ("legacy", lambda: SatSolver()),
-    ]
-
     def _no_chrono():
         solver = ArenaSolver()
         solver.chrono_threshold = None
         return solver
 
+    variants = [("arena", ArenaSolver), ("arena-nochrono", _no_chrono)]
+    failures = 0
     for path in paths:
+        name = os.path.basename(path)
         num_vars, clauses, expect = load_dimacs(path)
+        if expect is None:
+            print(f"FAIL: {name}: no 'c expect' header", file=sys.stderr)
+            failures += 1
+            continue
         verdicts = {}
         for label, make in variants:
             solver = make()
@@ -84,114 +86,79 @@ def check_corpus() -> int:
                 for clause in clauses:
                     if not any(solver.value(lit) for lit in clause):
                         print(
-                            f"FAIL: {os.path.basename(path)} [{label}]: "
-                            f"model falsifies clause {clause}",
+                            f"FAIL: {name} [{label}]: model falsifies clause {clause}",
                             file=sys.stderr,
                         )
                         failures += 1
-        agreed = len(set(verdicts.values())) == 1
-        expected_ok = expect is None or all(v == expect for v in verdicts.values())
-        status = "ok" if agreed and expected_ok else "FAIL"
-        print(f"{status}: {os.path.basename(path):24s} {verdicts}")
-        if not agreed:
-            print(
-                f"FAIL: {os.path.basename(path)}: implementations disagree: {verdicts}",
-                file=sys.stderr,
-            )
-            failures += 1
-        elif not expected_ok:
-            print(
-                f"FAIL: {os.path.basename(path)}: expected {expect}, got {verdicts}",
-                file=sys.stderr,
-            )
+        expected_ok = all(v == expect for v in verdicts.values())
+        print(f"{'ok' if expected_ok else 'FAIL'}: {name:24s} {verdicts}")
+        if not expected_ok:
+            print(f"FAIL: {name}: expected {expect}, got {verdicts}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0
 
 
-def obligation_verdicts() -> list[str]:
-    """The child-process payload: solve a small grid, return verdicts."""
-    from repro.core.runner import Obligation, run_obligations
+def stress_grid(prefix: str):
+    """A small obligation grid: valid identities plus invalid goals."""
+    from repro.core.runner import Obligation
     from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
 
     obligations = []
     for i in range(10):
-        x = fresh_var("sx", bv_sort(8))
-        y = fresh_var("sy", bv_sort(8))
+        x = fresh_var(f"{prefix}x", bv_sort(8))
+        y = fresh_var(f"{prefix}y", bv_sort(8))
         if i % 4 == 3:
             goal = mk_eq(mk_bvmul(x, y), mk_bv(91, 8))  # not valid
         elif i % 2:
             goal = mk_ule(mk_bvand(x, mk_bv(0x3F, 8)), mk_bv(0x3F, 8))
         else:
             goal = mk_eq(mk_bvxor(mk_bvxor(x, y), y), mk_bvand(x, mk_bv(0xFF, 8)))
-        obligations.append(Obligation.from_terms(f"stress{i}", [goal]))
-    results, _ = run_obligations(obligations, jobs=1)
-    return [r.status for r in results]
+        obligations.append(Obligation.from_terms(f"{prefix}{i}", [goal]))
+    return obligations
 
 
 def check_modes() -> int:
+    from repro.core.runner import run_obligations
+    from repro.core.scheduler import shutdown_scheduler
+    from repro.smt.solver import reset_incremental_session
+
+    obligations = stress_grid("stress")
+
+    def statuses(results):
+        return [r.status for r in results]
+
     verdicts = {}
-    for mode, env_val in (("incremental", "0"), ("fresh", "1")):
-        env = dict(os.environ)
-        env["REPRO_NO_INCREMENTAL"] = env_val
-        env["PYTHONPATH"] = os.path.join(REPO, "src")
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--obligations"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO,
-        )
-        if proc.returncode != 0:
-            print(f"FAIL: {mode} child exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
-            return 1
-        verdicts[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"{mode:12s} {verdicts[mode]}")
-    if verdicts["incremental"] != verdicts["fresh"]:
-        print(
-            "FAIL: incremental and fresh-solver verdicts differ:\n"
-            f"  incremental: {verdicts['incremental']}\n"
-            f"  fresh:       {verdicts['fresh']}",
-            file=sys.stderr,
-        )
+    reset_incremental_session()
+    verdicts["shared"] = statuses(run_obligations(obligations, jobs=1)[0])
+    verdicts["reset"] = []
+    for ob in obligations:
+        reset_incremental_session()
+        verdicts["reset"] += statuses(run_obligations([ob], jobs=1)[0])
+    try:
+        verdicts["jobs=2"] = statuses(run_obligations(obligations, jobs=2)[0])
+    finally:
+        shutdown_scheduler()
+    for mode, got in verdicts.items():
+        print(f"{mode:8s} {got}")
+    if any(got != verdicts["shared"] for got in verdicts.values()):
+        print(f"FAIL: verdicts differ across modes: {verdicts}", file=sys.stderr)
         return 1
     print("mode agreement holds")
     return 0
 
 
 def check_certificates() -> int:
-    """Run the stress grid cache-backed in both solver modes, then audit
-    every stored verdict with the independent proof checker.
+    """Run the stress grid cache-backed, then audit every stored verdict
+    with the independent proof checker.
 
     The audit runs ``python -m repro.smt.checkproof --store`` in a child
     process, exactly as a third party would — nothing from this
     process's solver state can leak into the check.
     """
-    import tempfile
-
     from repro.core.runner import run_obligations
 
     with tempfile.TemporaryDirectory(prefix="stress_certs_") as store:
-        for mode, env_val in (("incremental", "0"), ("fresh", "1")):
-            os.environ["REPRO_NO_INCREMENTAL"] = env_val
-            try:
-                from repro.core.runner import Obligation
-                from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
-
-                obligations = []
-                for i in range(10):
-                    x = fresh_var(f"c{mode}x", bv_sort(8))
-                    y = fresh_var(f"c{mode}y", bv_sort(8))
-                    if i % 4 == 3:
-                        goal = mk_eq(mk_bvmul(x, y), mk_bv(91, 8))
-                    elif i % 2:
-                        goal = mk_ule(mk_bvand(x, mk_bv(0x3F, 8)), mk_bv(0x3F, 8))
-                    else:
-                        goal = mk_eq(mk_bvxor(mk_bvxor(x, y), y), mk_bvand(x, mk_bv(0xFF, 8)))
-                    obligations.append(Obligation.from_terms(f"cert-{mode}-{i}", [goal]))
-                run_obligations(obligations, jobs=1, cache_dir=store)
-            finally:
-                os.environ.pop("REPRO_NO_INCREMENTAL", None)
-
+        run_obligations(stress_grid("cert"), jobs=1, cache_dir=store)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO, "src")
         proc = subprocess.run(
@@ -213,12 +180,7 @@ def check_certificates() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus-only", action="store_true")
-    parser.add_argument("--obligations", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-
-    if args.obligations:
-        print(json.dumps(obligation_verdicts()))
-        return 0
 
     rc = check_corpus()
     if not args.corpus_only:

@@ -14,9 +14,9 @@ This module makes those units explicit:
   * :class:`Obligation` — a self-contained query (serialized term DAG
     for the goal formulas plus assumptions) that can be shipped to a
     worker process or hashed for the cache;
-  * :func:`run_obligations` — dispatches obligations across worker
-    processes via ``multiprocessing`` and reduces results
-    deterministically (input order, first failure wins);
+  * :func:`run_obligations` — dispatches obligations in-process or
+    across worker processes and reduces results deterministically
+    (input order, first failure wins);
   * the persistent cache (``repro.smt.SolverCache``) keyed by the
     canonical hash-consed DAG digest, so alpha-equivalent queries hit
     across runs and across worker processes.
@@ -25,29 +25,22 @@ Everything above the solver boundary (``repro.sym.check_batch``,
 ``Refinement.prove(jobs=...)``, the verifiers' ``jobs``/``cache_dir``
 knobs) funnels through here.
 
-Since PR 3, parallel dispatch defaults to the **process-wide
+There are exactly two dispatch modes.  ``jobs=1`` runs in-process,
+the sequential baseline; ``jobs > 1`` feeds the **process-wide
 work-stealing scheduler** (``repro.core.scheduler``): one persistent
 pool shared by every ``run_obligations`` call, with per-obligation
 timeout + bounded retry and verdicts memoized in the sharded
-content-addressed store (``repro.core.store.VerdictStore``).  The PR 2
-per-call pool remains as a fallback (``REPRO_NO_SCHEDULER=1``), and
-``jobs=1`` stays the in-process sequential baseline.
+content-addressed store (``repro.core.store.VerdictStore``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import multiprocessing
 import os
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..obs import (
-    enabled as _obs_enabled,
-    get_collector as _obs_collector,
-    observe as _obs_observe,
-    span as _obs_span,
-)
+from ..obs import observe as _obs_observe, span as _obs_span
 from ..smt import (
     SolverTimeout,
     Term,
@@ -254,28 +247,10 @@ def _check_obligation(
     cache_dir: str | None,
     max_conflicts: int | None,
     timeout_s: float | None,
-    trace: bool = False,
 ) -> ObligationResult:
-    """Discharge one obligation in the current process.
-
-    Top-level (not a closure) so worker processes can receive it via
-    pickling under any multiprocessing start method.
-
-    With ``trace`` the check runs inside its own tracing session plus
-    symbolic profiler and the snapshot is embedded as
-    ``result.stats["obs"]`` — the envelope the PR 2 fallback pool ships
-    back to the parent (the work-stealing scheduler has its own,
-    richer, envelope path through the outbox).
+    """Discharge one obligation in the current process (the scheduler's
+    workers call this too; their trace envelope lives in the scheduler).
     """
-    if trace:
-        from ..obs import tracing
-        from ..sym.profiler import profile
-
-        with tracing(absorb=False) as col, profile() as prof:
-            result = _check_obligation(obligation, cache_dir, max_conflicts, timeout_s)
-        col.merge_regions(prof.snapshot())
-        result.stats["obs"] = col.snapshot()
-        return result
     start = time.perf_counter()
     roots = deserialize_terms(obligation.payload)
     goals = roots[: obligation.num_goals]
@@ -308,26 +283,8 @@ def _check_obligation(
     return ObligationResult(obligation.name, UNKNOWN, stats=stats)
 
 
-def _worker(job: tuple) -> ObligationResult:
-    obligation, cache_dir, max_conflicts, timeout_s, trace = job
-    return _check_obligation(obligation, cache_dir, max_conflicts, timeout_s, trace=trace)
-
-
-def _pool_context():
-    """Prefer fork (workers inherit the interned DAG for free); fall
-    back to spawn where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 # ---------------------------------------------------------------------------
-# Scheduler
-
-def _pool_fallback() -> bool:
-    """True when ``REPRO_NO_SCHEDULER=1`` opts out of the shared
-    scheduler, restoring the PR 2 per-call pool."""
-    return os.environ.get("REPRO_NO_SCHEDULER") == "1"
-
+# Dispatch
 
 def run_obligations(
     obligations: Sequence[Obligation],
@@ -345,8 +302,7 @@ def run_obligations(
     scheduler (``repro.core.scheduler``): one persistent pool shared by
     every concurrent caller, per-obligation ``timeout_s`` with
     ``retries`` bounded re-runs, and the sharded verdict store at
-    ``cache_dir``.  Set ``REPRO_NO_SCHEDULER=1`` to fall back to the
-    PR 2 per-call pool.
+    ``cache_dir``.
 
     The reduction is deterministic regardless of worker scheduling:
     results come back in input order, so "first failing obligation"
@@ -359,55 +315,7 @@ def run_obligations(
         jobs = default_jobs()
     if in_worker():
         jobs = 1
-    start = time.perf_counter()
-    tracing_on = _obs_enabled()
-    if jobs <= 1 or len(obligations) <= 1:
-        # In-process: solver/sym events already record straight into the
-        # caller's collector; only the per-obligation scheduler-layer
-        # span needs adding.
-        results = []
-        for ob in obligations:
-            ob_start = time.perf_counter()
-            with _obs_span(ob.name, cat="scheduler") as sargs:
-                result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s)
-            _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
-            if sargs is not None:
-                sargs["status"] = result.status
-            results.append(result)
-        effective_jobs = 1
-    elif _pool_fallback():
-        # PR 2 fallback: a pool scoped to this one call.  Workers embed
-        # their trace snapshot in ``stats["obs"]``; reassemble here.
-        from ..sym.profiler import active_profiler
-
-        trace = tracing_on or active_profiler() is not None
-        effective_jobs = min(jobs, len(obligations))
-        jobs_args = [(ob, cache_dir, max_conflicts, timeout_s, trace) for ob in obligations]
-        ctx = _pool_context()
-        with ctx.Pool(processes=effective_jobs) as pool:
-            results = pool.map(_worker, jobs_args, chunksize=1)
-        if trace:
-            col = _obs_collector()
-            prof = active_profiler()
-            for result in results:
-                snap = result.stats.pop("obs", None)
-                if snap is None:
-                    continue
-                if prof is not None:
-                    prof.merge_from(snap.get("regions", {}))
-                if col is not None:
-                    if prof is not None:
-                        snap = {**snap, "regions": {}}
-                    col.absorb(snap, tid="worker")
-                    col.add_span(
-                        result.name,
-                        "scheduler",
-                        "worker",
-                        snap["t0"],
-                        result.stats.get("time_s", 0.0),
-                        {"status": result.status},
-                    )
-    else:
+    if jobs > 1 and len(obligations) > 1:
         from .scheduler import get_scheduler
 
         return get_scheduler(jobs).run(
@@ -418,9 +326,22 @@ def run_obligations(
             retries=retries,
             jobs_hint=jobs,
         )
+    # In-process: solver/sym events already record straight into the
+    # caller's collector; only the per-obligation scheduler-layer span
+    # needs adding.
+    start = time.perf_counter()
+    results = []
+    for ob in obligations:
+        ob_start = time.perf_counter()
+        with _obs_span(ob.name, cat="scheduler") as sargs:
+            result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s)
+        _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
+        if sargs is not None:
+            sargs["status"] = result.status
+        results.append(result)
     stats = RunnerStats(
         obligations=len(obligations),
-        jobs=effective_jobs,
+        jobs=1,
         wall_time_s=time.perf_counter() - start,
         cache_queries=sum(1 for r in results if r.stats.get("cached")),
         cache_hits=sum(1 for r in results if r.stats.get("cache_hit")),
@@ -438,8 +359,7 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
 
     With ``jobs > 1`` the items ride the same shared work-stealing pool
     as proof obligations, so a JIT sweep and a refinement proof can
-    interleave on the same workers (``REPRO_NO_SCHEDULER=1`` restores
-    the per-call pool).
+    interleave on the same workers.
     """
     from .scheduler import in_worker
 
@@ -448,10 +368,6 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
         jobs = default_jobs()
     if jobs <= 1 or len(items) <= 1 or in_worker():
         return [fn(item) for item in items]
-    if _pool_fallback():
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(items))) as pool:
-            return pool.map(fn, items, chunksize=1)
     from .scheduler import get_scheduler
 
     return get_scheduler(jobs).map(fn, items)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import atexit
 from collections import deque
 from dataclasses import dataclass
+import multiprocessing
 import os
 import queue as queue_mod
 import random
@@ -52,7 +53,6 @@ from .runner import (
     RunnerStats,
     UNKNOWN,
     _check_obligation,
-    _pool_context,
     default_jobs,
 )
 
@@ -197,6 +197,13 @@ class _Ticket:
             "timeouts": self.timeouts,
             "busy_s": self.busy_s,
         }
+
+
+def _pool_context():
+    """Prefer fork (workers inherit the interned DAG for free); fall
+    back to spawn where fork is unavailable."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _run_task(kind: str, payload) -> object:

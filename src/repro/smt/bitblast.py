@@ -15,7 +15,7 @@ the same symbol.
 from __future__ import annotations
 
 from ..obs import enabled as _obs_enabled
-from .sat import new_solver
+from .sat import ArenaSolver
 from .sorts import BOOL
 from .terms import Term
 
@@ -144,7 +144,7 @@ class BitBlaster:
     """
 
     def __init__(self, sat=None):
-        self.sat = sat if sat is not None else new_solver()
+        self.sat = sat if sat is not None else ArenaSolver()
         self.cnf = CnfBuilder(self.sat)
         self._bool_cache: dict[int, int] = {}
         self._bv_cache: dict[int, list[int]] = {}
@@ -165,12 +165,6 @@ class BitBlaster:
         self._frames: list[list] = []
 
     # -- public API ----------------------------------------------------------
-
-    def assert_term(self, term: Term) -> None:
-        if term.sort is not BOOL:
-            raise TypeError("assertions must be boolean terms")
-        lit = self.bool_lit(term)
-        self.sat.add_clause([lit])
 
     def bool_lit(self, term: Term) -> int:
         lit = self._bool_cache.get(term.tid)
@@ -507,17 +501,17 @@ class BitBlaster:
 
     # -- model extraction ----------------------------------------------------------
 
-    def extract_model(self, names=None) -> dict[str, int | bool]:
+    def extract_model(self, names) -> dict[str, int | bool]:
         """Read variable values out of a satisfying assignment.
 
-        ``names`` restricts the model to those variables; a shared
-        incremental blaster passes the current query's variable set so
-        the model does not leak bindings from unrelated queries (whose
-        bits are unconstrained — possibly unassigned — here).
+        ``names`` restricts the model to those variables: the blaster is
+        shared by every query of the incremental session, and the model
+        must not leak bindings from unrelated queries (whose bits are
+        unconstrained — possibly unassigned — here).
         """
         model: dict[str, int | bool] = {}
         for name, bits in self.var_bits.items():
-            if names is not None and name not in names:
+            if name not in names:
                 continue
             if isinstance(bits, int):
                 model[name] = bool(self.sat.value(bits))

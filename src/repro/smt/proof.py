@@ -61,9 +61,9 @@ class CertificateError(RuntimeError):
 
 
 class ProofLog:
-    """Clause-proof sink for one SAT solver (one per session/solve).
+    """Clause-proof sink for one SAT solver (one per incremental session).
 
-    The solver drives it through five hooks, all O(clause) and only on
+    The solver drives it through four hooks, all O(clause) and only on
     the cold paths (clause addition, conflict analysis, deletion,
     UNSAT exit):
 
@@ -71,25 +71,21 @@ class ProofLog:
         an input clause reduced to a unit and asserted at level 0;
     ``learned(lits, ants, zeros, key=None)``
         a learned clause with the keys of the clauses its resolution
-        consumed (``key`` identifies stored clauses — the arena offset
-        or ``id()`` of the clause object — units pass ``None``) and
-        ``zeros``, the root-level-false literals the analysis silently
-        dropped (their negations are the unit clauses the RUP check of
-        this line relies on; recording them *at learn time* keeps the
-        dependency graph acyclic — a unit derived later from this very
-        clause must never become its prerequisite);
+        consumed (``key`` is a stored clause's arena offset; units pass
+        ``None``) and ``zeros``, the root-level-false literals the
+        analysis silently dropped (their negations are the unit clauses
+        the RUP check of this line relies on; recording them *at learn
+        time* keeps the dependency graph acyclic — a unit derived later
+        from this very clause must never become its prerequisite);
     ``deleted_clause(key)``
         a learned clause detached by DB reduction;
     ``capture_final(sat, lits=None, key=None)``
         the UNSAT moment: walk the conflict's reason chain *now*,
         before backtracking unassigns it (level-0 justifications are
-        permanent and stay deferred to emission time);
-    ``note_clause(key, clause)``
-        (legacy solver only) pin a clause object so its ``id()`` stays
-        a stable key for the session.
+        permanent and stay deferred to emission time).
     """
 
-    __slots__ = ("events", "key2event", "input_units", "deleted", "final", "pinned")
+    __slots__ = ("events", "key2event", "input_units", "deleted", "final")
 
     def __init__(self) -> None:
         self.events: list[tuple[tuple[int, ...], tuple, tuple[int, ...], int | None]] = []
@@ -97,9 +93,8 @@ class ProofLog:
         self.input_units: set[int] = set()
         self.deleted: list = []
         self.final: dict | None = None
-        self.pinned: dict = {}
 
-    # -- recording hooks (called by the solvers) -------------------------
+    # -- recording hooks (called by the solver) --------------------------
 
     def input_unit(self, lit: int) -> None:
         self.input_units.add(lit)
@@ -117,9 +112,6 @@ class ProofLog:
 
     def deleted_clause(self, key) -> None:
         self.deleted.append(key)
-
-    def note_clause(self, key, clause) -> None:
-        self.pinned.setdefault(key, clause)
 
     def capture_final(self, sat, lits=None, key=None) -> None:
         """Record the refutation's support at the UNSAT decision point.
@@ -186,13 +178,13 @@ def canonical_query_payload(terms, var_map: dict[str, str], data: dict | None = 
     return {"nodes": nodes, "roots": list(data["roots"])}
 
 
-def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, serialized=None) -> dict:
+def build_unsat_certificate(sat, terms, digest, var_map, assumptions, serialized=None) -> dict:
     """Trim the session proof log to this query's refutation.
 
-    ``assumptions`` are the query's root literals on the incremental
-    path (empty on the fresh path, where roots were asserted as input
-    units).  Raises :class:`CertificateError` when the log carries no
-    final core — an UNSAT answer the hooks did not see.
+    ``assumptions`` are the query's root literals (the session solves
+    each query under assumptions, never asserting its roots).  Raises
+    :class:`CertificateError` when the log carries no final core — an
+    UNSAT answer the hooks did not see.
     """
     p = sat.proof
     if p is None or p.final is None:
@@ -334,7 +326,7 @@ def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, seri
         "version": CERT_VERSION,
         "kind": "drat",
         "digest": digest,
-        "mode": mode,
+        "mode": "incremental",
         "num_vars": num_vars,
         "query": canonical_query_payload(terms, var_map, serialized),
         "assumptions": list(assumptions),
@@ -344,7 +336,7 @@ def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, seri
 
 
 def build_model_certificate(
-    sat, blaster, terms, digest, var_map, model_values, mode, serialized=None
+    sat, blaster, terms, digest, var_map, model_values, serialized=None
 ) -> dict:
     """Package a SAT answer as a replayable bit-level model.
 
@@ -402,7 +394,7 @@ def build_model_certificate(
         "version": CERT_VERSION,
         "kind": "model",
         "digest": digest,
-        "mode": mode,
+        "mode": "incremental",
         "query": canonical_query_payload(terms, var_map, serialized),
         "model": {
             var_map[name]: (int(value) if not isinstance(value, bool) else bool(value))

@@ -1,42 +1,7 @@
-"""CDCL SAT solver core.
+"""CDCL SAT core: :class:`ArenaSolver` (flat clause arena, flat watch
+lists, two-tier VSIDS order, cone-restricted search under assumptions)
+plus the verdict constants and DIMACS export."""
 
-Two interchangeable implementations live here:
+from .arena import SAT, UNKNOWN, UNSAT, ArenaSolver, luby, to_dimacs
 
-* :class:`ArenaSolver` (default) — flat clause arena, flat watch
-  lists, indexed VSIDS heap; the fast path.
-* :class:`SatSolver` — the reference implementation with per-clause
-  Python lists; kept as the semantic oracle and selectable with
-  ``REPRO_SAT_IMPL=legacy``.
-
-Use :func:`new_solver` to construct whichever the environment asks
-for; both expose the same API (``new_var``/``add_clause``/``solve``/
-``solve_with``/``value``/``model``/``stats``/``iter_problem_clauses``).
-"""
-
-import os
-
-from .arena import ArenaSolver
-from .solver import SAT, SatSolver, UNKNOWN, UNSAT, luby, to_dimacs
-
-__all__ = [
-    "ArenaSolver",
-    "SatSolver",
-    "SAT",
-    "UNSAT",
-    "UNKNOWN",
-    "luby",
-    "to_dimacs",
-    "new_solver",
-]
-
-
-def new_solver():
-    """Construct a SAT solver per ``REPRO_SAT_IMPL``.
-
-    ``REPRO_SAT_IMPL=legacy`` selects the reference list-of-lists
-    solver (which also disables incremental sessions upstream — see
-    ``repro.smt.solver``); anything else gets the arena solver.
-    """
-    if os.environ.get("REPRO_SAT_IMPL", "").lower() == "legacy":
-        return SatSolver()
-    return ArenaSolver()
+__all__ = ["ArenaSolver", "SAT", "UNSAT", "UNKNOWN", "luby", "to_dimacs"]

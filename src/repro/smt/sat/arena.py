@@ -1,10 +1,13 @@
-"""CDCL on a flat clause arena — the fast path of the SAT core.
+"""CDCL on a flat clause arena — the SAT core (bottom of Figure 1).
 
-The reference solver (``repro.smt.sat.solver.SatSolver``) stores every
-clause as its own Python list and keeps watch lists in a
-``dict[int, list[list[int]]]``; at Figure-11 scale the propagation loop
-spends most of its time chasing those per-clause objects.  This module
-rebuilds the hot loop on flat integer buffers:
+The paper discharges verification conditions with Z3; offline we
+substitute this from-scratch conflict-driven clause-learning solver
+(two-watched-literal propagation, first-UIP learning with clause
+minimization, EVSIDS with phase saving, Luby restarts, learned-clause
+deletion, solving under assumptions).  Storing every clause as its own
+Python list, with watch lists in a ``dict[int, list[list[int]]]``,
+leaves the propagation loop chasing per-clause objects at Figure-11
+scale, so the hot loop runs on flat integer buffers:
 
   * **clause arena** — one flat int buffer holding every clause as
     ``[size, lit0, lit1, ...]``; a clause is identified by the integer
@@ -31,12 +34,8 @@ rebuilds the hot loop on flat integer buffers:
     ``repro.smt.solver`` for the soundness argument: everything outside
     the cone is definitional and extendable).
 
-The external contract is identical to :class:`SatSolver` (same methods,
-same counters, same assumption semantics), so the bit-blaster and the
-solver frontend can swap implementations via ``repro.smt.sat.new_solver``
-(``REPRO_SAT_IMPL=legacy`` restores the reference solver).
-
-Literals are non-zero ints in the DIMACS convention throughout.
+Literals are non-zero ints in the DIMACS convention throughout: ``v``
+for the positive literal of variable ``v`` and ``-v`` for its negation.
 """
 
 from __future__ import annotations
@@ -44,15 +43,47 @@ from __future__ import annotations
 import time
 from heapq import heapify, heappop, heappush
 
-from .solver import SAT, UNKNOWN, UNSAT, luby
+__all__ = ["ArenaSolver", "SAT", "UNSAT", "UNKNOWN", "luby", "to_dimacs"]
 
-__all__ = ["ArenaSolver"]
+SAT = "sat"
+UNSAT = "unsat"
+UNKNOWN = "unknown"
+
+
+def luby(i: int) -> int:
+    """The Luby restart sequence (0-indexed): 1 1 2 1 1 2 4 1 1 2 ...
+
+    MiniSat's formulation: find the finite subsequence containing
+    index ``i`` and recurse into it.
+    """
+    if i < 0:
+        raise ValueError("luby sequence is 0-indexed")
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i = i % size
+    return 1 << seq
+
+
+def to_dimacs(solver) -> str:
+    """Render the problem clauses in DIMACS CNF format.
+
+    Lets the CNF be cross-checked with an external SAT solver when one
+    is available; learned clauses are excluded (they are implied).
+    """
+    clauses = list(solver.iter_problem_clauses())
+    lines = [f"p cnf {solver.num_vars} {len(clauses)}"]
+    for clause in clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 class ArenaSolver:
-    """CDCL over int literals, clauses in one flat ``array('i')``.
-
-    Drop-in replacement for :class:`repro.smt.sat.solver.SatSolver`::
+    """CDCL over int literals, clauses in one flat int list::
 
         s = ArenaSolver()
         a, b = s.new_var(), s.new_var()
@@ -580,9 +611,11 @@ class ArenaSolver:
         """Search for a model consistent with ``assumptions``.
 
         Returns "sat", "unsat", or "unknown" (budget exhausted).  After
-        "sat", use :meth:`value` to read the model.  ``max_conflicts``
-        and ``timeout_s`` bound the search exactly as in the reference
-        solver; ``self.timed_out`` records which budget fired.
+        "sat", use :meth:`value` to read the model.  Two budgets bound
+        the search: ``max_conflicts`` (deterministic) and ``timeout_s``,
+        a wall-clock deadline checked every few conflicts so a hung
+        obligation returns to its scheduler instead of pinning a worker
+        forever.  ``self.timed_out`` records which budget fired.
 
         ``relevant`` restricts decisions to a variable cone: with it,
         "sat" means the cone is fully assigned and propagation
@@ -774,8 +807,14 @@ class ArenaSolver:
         self._reduce_learned()
 
     def stats(self) -> dict:
-        """Counters for the most recent ``solve()`` call (same keys and
-        semantics as the reference solver's)."""
+        """Counters for the most recent ``solve()`` call.
+
+        Search counters are per-solve so they describe one query, not
+        the solver's lifetime; ``vars``/``clauses`` describe the loaded
+        problem.  ``avg_learned_len`` is the conflict-literal rate —
+        long learned clauses are the classic symptom of a poorly
+        decomposed query.
+        """
         return {
             "vars": self.num_vars,
             "clauses": self.added_clauses,

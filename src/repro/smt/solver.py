@@ -11,7 +11,7 @@ term DAG, so re-running a verification — or running an equivalent
 obligation produced by a different harness — replays the verdict and
 counterexample from disk instead of re-solving.
 
-Checks are incremental by default: one long-lived arena solver plus
+Checks are incremental: one long-lived arena solver plus
 bit-blaster pair per process (the :class:`IncrementalSession`) absorbs
 every query.  Tseitin definitions and Ackermann constraints blast once
 per term node and stay loaded; each obligation is discharged under
@@ -36,11 +36,11 @@ stay exactly what a standalone solve would produce.  Why this is sound:
   function values consistently), so no resolution proof can refute a
   satisfiable query: UNSAT answers are never an artifact of sharing.
 
-``REPRO_NO_INCREMENTAL=1`` restores a fresh solver per check, and
-``REPRO_SAT_IMPL=legacy`` additionally swaps in the reference SAT
-core (which has no assumption-cone support).  Crash recovery: callers
-that catch a worker-level failure should call
-:func:`reset_incremental_session` so a possibly-inconsistent session
+This is the only solve path.  A check that must not see any earlier
+query (a reference run, say) calls :func:`reset_incremental_session`
+first: a session recycled after one query behaves exactly like a fresh
+solver.  Crash recovery uses the same call: callers that catch a
+worker-level failure reset the session so a possibly-inconsistent one
 is rebuilt rather than reused.
 """
 
@@ -61,8 +61,7 @@ from ..obs import (
 from .bitblast import BitBlaster
 from .model import Model
 from .proof import CertificateError, ProofLog, build_model_certificate, build_unsat_certificate
-from .sat import new_solver
-from .sat.solver import SAT, UNKNOWN, UNSAT
+from .sat import SAT, UNKNOWN, UNSAT, ArenaSolver
 from .sorts import BOOL
 from .terms import Term, canonicalize_nodes, mk_bool, serialize_terms
 
@@ -74,7 +73,6 @@ __all__ = [
     "IncrementalSession",
     "get_incremental_session",
     "reset_incremental_session",
-    "incremental_enabled",
     "certs_enabled",
     "SAT",
     "UNSAT",
@@ -95,25 +93,12 @@ def certs_enabled() -> bool:
     return os.environ.get("REPRO_NO_CERTS", "") != "1"
 
 
-def incremental_enabled() -> bool:
-    """Whether checks share the per-process incremental session.
-
-    ``REPRO_NO_INCREMENTAL=1`` opts out; ``REPRO_SAT_IMPL=legacy``
-    opts out implicitly because the reference solver cannot restrict
-    decisions to a cone.  Read per call so tests can flip the
-    environment without reimporting.
-    """
-    if os.environ.get("REPRO_NO_INCREMENTAL", "") == "1":
-        return False
-    return os.environ.get("REPRO_SAT_IMPL", "").lower() != "legacy"
-
-
 class IncrementalSession:
     """A long-lived solver + blaster pair shared by all checks in a
     process (one per scheduler worker, since workers are processes)."""
 
     def __init__(self) -> None:
-        self.sat = new_solver()
+        self.sat = ArenaSolver()
         if certs_enabled():
             # Attached before the first clause so input units are never
             # missed; must be present from session birth because any
@@ -125,19 +110,16 @@ class IncrementalSession:
 
 _session: IncrementalSession | None = None
 
-
-def _session_max_vars() -> int:
-    try:
-        return int(os.environ.get("REPRO_INCREMENTAL_MAX_VARS", "500000"))
-    except ValueError:
-        return 500_000
+# Recycle the session once its solver holds this many variables, so a
+# long-lived worker's clause database stays bounded.
+_SESSION_MAX_VARS = 500_000
 
 
 def get_incremental_session() -> IncrementalSession:
     """The process-wide session, created on first use and recycled when
-    it outgrows ``REPRO_INCREMENTAL_MAX_VARS`` solver variables."""
+    it outgrows ``_SESSION_MAX_VARS`` solver variables."""
     global _session
-    if _session is not None and _session.sat.num_vars > _session_max_vars():
+    if _session is not None and _session.sat.num_vars > _SESSION_MAX_VARS:
         _session = None
     if _session is None:
         _session = IncrementalSession()
@@ -252,7 +234,8 @@ class SolverCache:
                 pass
             return
         # Two runs of the same digest may disagree on compression (the
-        # certificate is mode-dependent); never leave both variants.
+        # certificate depends on the session's history); never leave
+        # both variants.
         try:
             os.unlink(stale)
         except OSError:
@@ -365,14 +348,12 @@ class SolverCache:
 class Solver:
     """Assertion stack plus check-sat.
 
-    By default each ``check`` discharges into the process-wide
-    incremental session (see module docstring): the query's roots
-    become assumption literals over a shared clause arena, so CNF for
-    shared structure is emitted once and learned clauses survive
-    across checks.  ``REPRO_NO_INCREMENTAL=1`` (or
-    ``REPRO_SAT_IMPL=legacy``) restores the one-shot path — a fresh
-    CNF per check.  An optional ``cache`` memoizes verdicts across
-    checks, processes, and runs.
+    Each ``check`` discharges into the process-wide incremental session
+    (see module docstring): the query's roots become assumption
+    literals over a shared clause arena, so CNF for shared structure is
+    emitted once and learned clauses survive across checks.  An
+    optional ``cache`` memoizes verdicts across checks, processes, and
+    runs.
     """
 
     def __init__(
@@ -444,20 +425,18 @@ class Solver:
                 return cached
             obs_count("solver.cache.misses")
 
-        if incremental_enabled():
-            try:
-                return self._check_incremental(terms, digest, var_map, start)
-            except SolverTimeout:
-                raise  # the session is backtracked and still consistent
-            except BaseException:
-                # Anything else may have interrupted the session mid
-                # mutation; rebuild it on the next query.
-                reset_incremental_session()
-                raise
-        return self._check_fresh(terms, digest, var_map, start)
+        try:
+            return self._check_incremental(terms, digest, var_map, start)
+        except SolverTimeout:
+            raise  # the session is backtracked and still consistent
+        except BaseException:
+            # Anything else may have interrupted the session mid
+            # mutation; rebuild it on the next query.
+            reset_incremental_session()
+            raise
 
     def _emit_certificate(
-        self, sat, blaster, terms, digest, var_map, status, model_values, assumptions, mode
+        self, sat, blaster, terms, digest, var_map, status, model_values, assumptions
     ) -> None:
         """Assemble and store this query's certificate (cache-backed
         checks only).  Must run while the solver still holds the
@@ -472,11 +451,11 @@ class Solver:
             with obs_span("cert.build", cat="solver-cache"):
                 if status == UNSAT:
                     cert = build_unsat_certificate(
-                        sat, terms, digest, var_map, assumptions, mode, serialized
+                        sat, terms, digest, var_map, assumptions, serialized
                     )
                 elif status == SAT:
                     cert = build_model_certificate(
-                        sat, blaster, terms, digest, var_map, model_values, mode, serialized
+                        sat, blaster, terms, digest, var_map, model_values, serialized
                     )
                 else:
                     return
@@ -492,72 +471,6 @@ class Solver:
             # into a failure; the store audit surfaces the gap instead.
             obs_count("solver.cert_errors")
             self.last_stats["cert_error"] = True
-
-    def _check_fresh(self, terms, digest, var_map, start) -> CheckResult:
-        """One-shot path: fresh solver and blaster for this query."""
-        sat = new_solver()
-        if digest is not None and certs_enabled():
-            sat.proof = ProofLog()
-        blaster = BitBlaster(sat)
-        with obs_span("bitblast", cat="bitblast") as bargs:
-            for t in terms:
-                blaster.assert_term(t)
-        blast_time = time.perf_counter() - start
-        if bargs is not None:
-            bargs.update(vars=sat.num_vars, clauses=sat.added_clauses)
-            obs_count("bitblast.queries")
-            obs_count("bitblast.vars", sat.num_vars)
-            obs_count("bitblast.clauses", sat.added_clauses)
-            for label, (aux_vars, clauses) in sorted(blaster.emitted.items()):
-                obs_count(f"bitblast.aux_vars.{label}", aux_vars)
-                obs_count(f"bitblast.clauses.{label}", clauses)
-
-        sat_budget_s = None
-        if self.timeout_s is not None:
-            # Hand the SAT core whatever wall-clock budget blasting left
-            # over, so a hung search stops *during* the solve.
-            sat_budget_s = max(self.timeout_s - blast_time, 0.0)
-        with obs_span("sat.solve", cat="sat") as sargs:
-            status = sat.solve(max_conflicts=self.max_conflicts, timeout_s=sat_budget_s)
-        elapsed = time.perf_counter() - start
-        obs_observe("bitblast.seconds", blast_time)
-        obs_observe("sat.solve_seconds", max(0.0, elapsed - blast_time))
-        sat_stats = sat.stats()
-        if sargs is not None:
-            sargs["status"] = status
-            sargs.update(sat_stats)
-        self._note_sat_counters(sat_stats)
-        self.last_stats = {
-            "time_s": elapsed,
-            "blast_time_s": blast_time,
-            "sat_vars": sat.num_vars,
-            "sat_clauses": sat.added_clauses,
-            "conflicts": sat.conflicts,
-            "decisions": sat.decisions,
-            "propagations": sat.propagations,
-            "restarts": sat.restarts,
-            "learned_clauses": sat.learned_clauses,
-            "conflict_literals": sat.conflict_literals,
-            "max_decision_level": sat.max_decision_level,
-        }
-        if digest is not None:
-            self.last_stats["digest"] = digest
-        if sat.timed_out or (self.timeout_s is not None and elapsed > self.timeout_s):
-            self.last_stats["timed_out"] = True
-            raise SolverTimeout(f"check exceeded {self.timeout_s}s (took {elapsed:.2f}s)")
-        model_values = blaster.extract_model() if status == SAT else None
-        self._emit_certificate(
-            sat, blaster, terms, digest, var_map, status, model_values, [], "fresh"
-        )
-        if status == SAT:
-            result = CheckResult(SAT, Model(model_values), stats=self.last_stats)
-        elif status == UNSAT:
-            result = CheckResult(UNSAT, stats=self.last_stats)
-        else:
-            result = CheckResult(UNKNOWN, stats=self.last_stats)
-        if self.cache is not None:
-            self.cache.store(digest, var_map, result)
-        return result
 
     def _check_incremental(self, terms, digest, var_map, start) -> CheckResult:
         """Session path: blast into the shared context, solve the query
@@ -646,9 +559,7 @@ class Solver:
         # Certificates read the live assignment (model bits) and the
         # root-level trail (unit justifications), so they must be built
         # before maintain() backtracks the session.
-        self._emit_certificate(
-            sat, blaster, terms, digest, var_map, status, model_values, roots, "incremental"
-        )
+        self._emit_certificate(sat, blaster, terms, digest, var_map, status, model_values, roots)
         if status == SAT:
             result = CheckResult(SAT, Model(model_values), stats=self.last_stats)
         elif status == UNSAT:

@@ -143,21 +143,34 @@ class TestCheckerAccepts:
         assert cached_solver.last_stats.get("cache_hit")
         check_certificate(cached_solver.cache.load_certificate(digest_b))
 
-    def test_incremental_and_fresh_certificates_both_check(self, tmp_path, monkeypatch):
-        certs = {}
-        for mode, env_val in (("incremental", "0"), ("fresh", "1")):
-            monkeypatch.setenv("REPRO_NO_INCREMENTAL", env_val)
-            solver = Solver(cache=SolverCache(str(tmp_path / mode)))
-            for query in (_unsat_query(f"ifc_{mode}_u"), _sat_query(f"ifc_{mode}_s")):
-                _, digest = _check(solver, query)
-                cert = solver.cache.load_certificate(digest)
-                assert cert is not None, f"{mode}: no certificate emitted"
-                assert cert["mode"] == mode
-                check_certificate(cert)
-                certs.setdefault(cert["kind"], []).append(mode)
-        # Both kinds seen in both modes.
-        assert sorted(certs["drat"]) == ["fresh", "incremental"]
-        assert sorted(certs["model"]) == ["fresh", "incremental"]
+    def test_incremental_and_fresh_certificates_both_check(self, tmp_path):
+        """Certificates check both on a session's first query right after
+        a reset (what a fresh solver would see) and on a warm session
+        that has already absorbed other queries."""
+        from repro.smt.solver import get_incremental_session, reset_incremental_session
+
+        def emit(label, kind, make) -> dict:
+            # One store per query: the rounds' queries are alpha-equivalent
+            # and would otherwise replay the first round's certificates.
+            solver = Solver(cache=SolverCache(str(tmp_path / f"{label}_{kind}")))
+            _, digest = _check(solver, make(f"ifc_{label}_{kind}"))
+            assert not solver.last_stats.get("cache_hit")
+            cert = solver.cache.load_certificate(digest)
+            assert cert is not None, f"{label}: no {kind} certificate emitted"
+            assert cert["kind"] == kind and cert["mode"] == "incremental"
+            return cert
+
+        queries = (("drat", _hard_unsat_query), ("model", _sat_query))
+        for kind, make in queries:
+            reset_incremental_session()
+            check_certificate(emit("fresh", kind, make))
+            assert get_incremental_session().checks == 1
+        # Other queries warm the session before the second round.
+        Solver().check(*_unsat_query("ifc_filler_u"))
+        Solver().check(*_sat_query("ifc_filler_s"))
+        for kind, make in queries:
+            check_certificate(emit("warm", kind, make))
+        assert get_incremental_session().checks == 5
 
 
 class TestTampering:

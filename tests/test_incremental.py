@@ -13,12 +13,13 @@ import pytest
 
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler
+from repro.smt import solver as solver_mod
+from repro.smt.evaluator import eval_term
 from repro.smt.sat import SAT, ArenaSolver, UNSAT
 from repro.smt.solver import (
     Solver,
     SolverCache,
     get_incremental_session,
-    incremental_enabled,
     reset_incremental_session,
 )
 from repro.smt.terms import fresh_var, mk_bv, mk_bvadd, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule, mk_var
@@ -101,33 +102,18 @@ class TestSessionLifecycle:
         assert r.status == SAT
 
     def test_session_recycled_past_var_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_VARS", "8")
+        monkeypatch.setattr(solver_mod, "_SESSION_MAX_VARS", 8)
         first = get_incremental_session()
         Solver().check(mk_eq(mk_var("r", bv_sort(16)), mk_bv(77, 16)))
         assert first.sat.num_vars > 8
         assert get_incremental_session() is not first
 
-    def test_escape_hatch_disables_incremental(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INCREMENTAL", "1")
-        assert not incremental_enabled()
-        s = Solver()
-        r = s.check(mk_eq(mk_var("s", bv_sort(8)), mk_bv(9, 8)))
-        assert r.status == SAT
-        assert "incremental" not in s.last_stats
-        sess = get_incremental_session()
-        assert sess.checks == 0  # untouched
-
-    def test_legacy_impl_disables_incremental(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_IMPL", "legacy")
-        assert not incremental_enabled()
-
 
 class TestDeterminismIncremental:
     def test_verdicts_and_first_failure_stable_across_steal_seeds(self):
-        """With incremental solving ON (the default), ten different
-        work-stealing interleavings still reproduce the sequential
-        verdicts in order, including the same first failure."""
-        assert incremental_enabled()
+        """With every worker sharing one incremental session, ten
+        different work-stealing interleavings still reproduce the
+        sequential verdicts in order, including the same first failure."""
         obligations = []
         for i in range(8):
             x = fresh_var("x", bv_sort(8))
@@ -157,9 +143,11 @@ class TestDeterminismIncremental:
             first = reduce_results(results)
             assert first is not None and first.name == "inc2", f"seed {seed}"
 
-    def test_incremental_matches_fresh_on_random_queries(self, monkeypatch):
-        """Property check: every query answers identically with and
-        without the shared session."""
+    def test_incremental_matches_fresh_on_random_queries(self):
+        """Property check: every query answers identically on a session
+        shared by all of them and on a session reset before each one
+        (which behaves exactly like a fresh solver), and every SAT model
+        satisfies its query."""
         rng = random.Random(4242)
         queries = []
         for i in range(20):
@@ -168,10 +156,23 @@ class TestDeterminismIncremental:
             k = mk_bv(rng.randrange(256), 8)
             op = rng.choice([mk_bvadd, mk_bvmul, mk_bvxor, mk_bvand])
             queries.append(mk_eq(op(x, y), k))
-        incr = [Solver().check(q).status for q in queries]
-        monkeypatch.setenv("REPRO_NO_INCREMENTAL", "1")
-        fresh = [Solver().check(q).status for q in queries]
-        assert incr == fresh
+            if i % 4 == 3:
+                # No 8-bit square is 3 mod 8: UNSAT after real search.
+                queries.append(mk_eq(mk_bvmul(x, x), mk_bv(8 * rng.randrange(32) + 3, 8)))
+
+        def check(query):
+            result = Solver().check(query)
+            if result.is_sat:
+                assert eval_term(query, dict(result.model.items())) is True, query
+            return result.status
+
+        shared = [check(q) for q in queries]
+        fresh = []
+        for q in queries:
+            reset_incremental_session()
+            fresh.append(check(q))
+        assert shared == fresh
+        assert SAT in shared and UNSAT in shared
 
 
 class TestCacheKeys:

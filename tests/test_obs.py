@@ -7,7 +7,6 @@ Chrome trace schema validity, the near-zero disabled fast path, SAT
 counter reset between solves, and profiler exclusive-time accounting.
 """
 
-import os
 import time
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.runner import Obligation, run_obligations
 from repro.smt import manager, mk_bv, mk_bvadd, mk_bvmul, mk_eq, mk_ult, mk_var
-from repro.smt.sat.solver import SatSolver
+from repro.smt.sat import ArenaSolver
 from repro.smt.solver import Solver
 from repro.smt.sorts import bv_sort
 from repro.sym.merge import get_merge_hook
@@ -176,19 +175,6 @@ class TestWorkerReassembly:
         assert [e.name for e in sched] == [r.name for r in results]
         assert all(e.args["status"] == "proved" for e in sched)
 
-    def test_fallback_pool_trace_reassembly(self):
-        os.environ["REPRO_NO_SCHEDULER"] = "1"
-        try:
-            with obs.tracing() as col:
-                results, _ = run_obligations(_obligations("fbtrace", 4), jobs=2)
-        finally:
-            del os.environ["REPRO_NO_SCHEDULER"]
-        assert all(r.proved for r in results)
-        assert len([e for e in col.spans if e.cat == "scheduler"]) == 4
-        assert col.counters["solver.queries"] == 4
-        # The envelope is consumed during reassembly, not left in stats.
-        assert all("obs" not in r.stats for r in results)
-
 
 class TestExport:
     def test_chrome_trace_schema(self):
@@ -256,7 +242,7 @@ class TestDisabledOverhead:
 
 class TestSatCounterReset:
     def test_stats_reset_between_solves(self):
-        solver = SatSolver()
+        solver = ArenaSolver()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clause([a, b])
         solver.add_clause([-a, b])
@@ -276,7 +262,7 @@ class TestSatCounterReset:
         assert second["decisions"] < 2 * first["decisions"]
 
     def test_stats_keys(self):
-        solver = SatSolver()
+        solver = ArenaSolver()
         a = solver.new_var()
         solver.add_clause([a])
         solver.solve()

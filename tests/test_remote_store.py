@@ -509,12 +509,15 @@ class TestMidRunKill:
         """run_obligations with REPRO_REMOTE_STORE pointing at a dead
         server: every obligation completes via open_store's remote tier
         degrading, across worker processes."""
+        from repro.core.scheduler import shutdown_scheduler
+        from repro.sym import fresh_bv
+
+        # Workers inherit the environment when they fork: restart the
+        # persistent pool after setting it, and drop that pool after the
+        # run so later tests don't inherit the dead remote.
         monkeypatch.setenv("REPRO_REMOTE_STORE", "http://127.0.0.1:1")
         monkeypatch.setenv("REPRO_REMOTE_TIMEOUT_S", "0.5")
-        # The persistent scheduler pool pre-dates this env; use the
-        # per-call pool so workers inherit it.
-        monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-        from repro.sym import fresh_bv
+        shutdown_scheduler()
 
         x = fresh_bv("fd.x", 32)
         y = fresh_bv("fd.y", 32)
@@ -524,9 +527,12 @@ class TestMidRunKill:
             Obligation.from_terms("fd-absorb", [((x | y) & x == x).term]),
             Obligation.from_terms("fd-or", [((x | x) == x).term]),
         ]
-        results, stats = run_obligations(
-            obligations, jobs=2, cache_dir=str(tmp_path / "cache")
-        )
+        try:
+            results, stats = run_obligations(
+                obligations, jobs=2, cache_dir=str(tmp_path / "cache")
+            )
+        finally:
+            shutdown_scheduler()
         assert all(r.status == "proved" for r in results)
 
 

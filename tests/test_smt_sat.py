@@ -1,8 +1,9 @@
 """Unit and property tests for the CDCL SAT core.
 
-Every test runs against both implementations — the reference
-``SatSolver`` and the flat-arena ``ArenaSolver`` — via the
-``solver_cls`` fixture, keeping the two semantically interchangeable.
+Every ``solver_cls`` test runs the arena solver twice: with
+chronological backtracking (the default) and with it off, so both
+backjump paths stay covered.  The oracle for random instances is
+brute-force enumeration, not a second solver.
 """
 
 import itertools
@@ -12,12 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt.sat import SAT, ArenaSolver, SatSolver, UNSAT, luby
-
-IMPLS = [SatSolver, ArenaSolver]
+from repro.smt.sat import SAT, ArenaSolver, UNSAT, luby
 
 
-@pytest.fixture(params=IMPLS, ids=["legacy", "arena"])
+def _no_chrono() -> ArenaSolver:
+    solver = ArenaSolver()
+    solver.chrono_threshold = None
+    return solver
+
+
+IMPLS = [ArenaSolver, _no_chrono]
+IDS = ["arena", "arena-nochrono"]
+
+
+@pytest.fixture(params=IMPLS, ids=IDS)
 def solver_cls(request):
     return request.param
 
@@ -146,7 +155,7 @@ class TestLuby:
         assert [luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=["legacy", "arena"])
+@pytest.mark.parametrize("impl", IMPLS, ids=IDS)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     num_vars=st.integers(min_value=1, max_value=8),
@@ -173,16 +182,19 @@ def test_random_3sat_matches_brute_force(impl, seed, num_vars):
 
 
 def test_implementations_agree_on_random_instances():
-    # Direct cross-check: both cores must agree clause-for-clause,
-    # including through assumption solves on the same instance.
+    # Both search configurations must match brute force, including
+    # through an assumption solve on the same instance.
     rng = random.Random(99)
     for _ in range(25):
-        n = rng.randint(4, 20)
+        n = rng.randint(4, 12)
         clauses = []
         for _ in range(rng.randint(n, 4 * n)):
             lits = rng.sample(range(1, n + 1), min(3, n))
             clauses.append([v if rng.random() < 0.5 else -v for v in lits])
-        verdicts = []
+        expected = (
+            brute_force(n, clauses),
+            brute_force(n, clauses + [[1], [-2]]),
+        )
         for impl in IMPLS:
             s = impl()
             s.ensure_vars(n)
@@ -190,9 +202,12 @@ def test_implementations_agree_on_random_instances():
             for c in clauses:
                 ok = s.add_clause(list(c)) and ok
             base = s.solve() if ok else UNSAT
+            if base == SAT:
+                check_model(s, clauses)
             assumed = s.solve_with([1, -2]) if ok else UNSAT
-            verdicts.append((base, assumed))
-        assert verdicts[0] == verdicts[1], clauses
+            if assumed == SAT:
+                check_model(s, clauses + [[1], [-2]])
+            assert (base == SAT, assumed == SAT) == expected, clauses
 
 
 def test_large_random_instance_completes(solver_cls):
