@@ -3,7 +3,7 @@
 
 Usage: sat_stress.py [--corpus-only]
 
-Three layers of checking, mirroring the ``sat-stress`` CI job:
+Four layers of checking, mirroring the ``sat-stress`` CI job:
 
   * **DIMACS corpus** (``tests/data/*.cnf``): every instance is solved
     by the arena solver with chronological backtracking on and off;
@@ -17,6 +17,11 @@ Three layers of checking, mirroring the ``sat-stress`` CI job:
   * **Certificates**: the grid runs cache-backed once, and the
     independent checker audits the store in a child process
     (``python -m repro.smt.checkproof --store --require-certs``).
+  * **Long pole**: CertiKOS ``invalid`` at O1 is proved on two workers
+    into a fresh store, which is audited the same way; its slowest
+    obligation is refuted one conjunct at a time, so the audit covers
+    conjunct-lemma proof lines.  The pole's propagation count is
+    printed.
 
 Exits nonzero on any disagreement.
 """
@@ -159,21 +164,56 @@ def check_certificates() -> int:
 
     with tempfile.TemporaryDirectory(prefix="stress_certs_") as store:
         run_obligations(stress_grid("cert"), jobs=1, cache_dir=store)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.smt.checkproof", "--store", store, "--require-certs"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO,
-        )
-        sys.stdout.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        if proc.returncode != 0:
-            print(f"FAIL: checkproof audit exited {proc.returncode}", file=sys.stderr)
+        rc = audit_store(store)
+        if rc != 0:
+            print(f"FAIL: checkproof audit exited {rc}", file=sys.stderr)
             return 1
     print("certificate audit holds")
+    return 0
+
+
+def audit_store(store: str) -> int:
+    """``checkproof --store --require-certs`` in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.smt.checkproof", "--store", store, "--require-certs"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO,
+    )
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    return proc.returncode
+
+
+def check_longpole() -> int:
+    """Prove CertiKOS ``invalid`` at O1 on two workers into a fresh store
+    and audit it: the long-pole refinement obligation is refuted one
+    conjunct at a time, so its certificate carries lemma lines."""
+    from repro.certikos import CertikosVerifier
+    from repro.core.scheduler import shutdown_scheduler
+
+    with tempfile.TemporaryDirectory(prefix="stress_pole_") as store:
+        try:
+            result = CertikosVerifier(opt=1, jobs=2, cache_dir=store, trace=True).prove_op("invalid")
+        finally:
+            shutdown_scheduler()
+        if not result.proved:
+            print("FAIL: certikos.invalid.O1 not proved", file=sys.stderr)
+            return 1
+        solves = [row[5] or {} for row in result.stats["obs"]["spans"] if row[0] == "sat.solve"]
+        pole = max(solves, key=lambda args: args.get("propagations", 0))
+        print(
+            "pole: {propagations} propagations, {conflicts} conflicts, "
+            "{lemmas}/{conjuncts} conjunct lemmas".format(**pole)
+        )
+        rc = audit_store(store)
+        if rc != 0:
+            print(f"FAIL: checkproof audit of the pole store exited {rc}", file=sys.stderr)
+            return 1
+    print("long-pole audit holds")
     return 0
 
 
@@ -186,6 +226,7 @@ def main() -> int:
     if not args.corpus_only:
         rc = check_modes() or rc
         rc = check_certificates() or rc
+        rc = check_longpole() or rc
     return rc
 
 

@@ -245,7 +245,8 @@ class ArenaSolver:
         return (a > 0) == (lit > 0)
 
     def value(self, lit: int) -> bool | None:
-        """Model value of ``lit`` after a SAT answer."""
+        """Model value of ``lit`` after a SAT answer; between solves, its
+        root-level value (``None`` when open)."""
         return self._value(lit)
 
     def _enqueue(self, lit: int, reason: int, level: int | None = None) -> None:
@@ -570,14 +571,9 @@ class ArenaSolver:
         # Safety sweep: an activity rescale can orphan hot entries
         # (their keys no longer match), so never trust an empty heap
         # alone to mean "fully assigned".
-        if self._rel is None:
-            for v in range(1, self.num_vars + 1):
-                if assign[v] == 0:
-                    return v if self._phase[v] else -v
-        else:
-            for v in sorted(self._rel):
-                if assign[v] == 0:
-                    return v if self._phase[v] else -v
+        for v in range(1, self.num_vars + 1) if cold is None else cold:
+            if assign[v] == 0:
+                return v if self._phase[v] else -v
         return 0
 
     def _reduce_learned(self) -> None:
@@ -796,6 +792,57 @@ class ArenaSolver:
             )
         finally:
             self._assumed_count = 0
+
+    def add_lemma(self, lits: list[int]) -> bool:
+        """Keep the refutation ``solve_with`` just returned as a clause.
+
+        Call right after an "unsat" answer with ``lits`` holding the
+        negation of every assumption of that solve, optionally weakened
+        by extra literals.  The clause then follows from the final core
+        by reverse unit propagation, so it is a consequence of the
+        clause database exactly like a learned clause: it is stored and
+        watched as one (never as a trusted input clause, never as a
+        level-0 unit), and with a proof log attached it is logged with
+        the final core as its antecedents.
+
+        Returns whether the lemma was stored.  It is not when it is a
+        tautology or already satisfied at the root, when fewer than two
+        of its literals are open at the root (it would be a unit fact),
+        or when the proof log holds no final core to justify it.
+        """
+        self._backtrack(0)
+        if not self._ok:
+            return False
+        clause = list(dict.fromkeys(lits))
+        present = set(clause)
+        if any(-lit in present for lit in clause):
+            return False
+        open_lits, false_lits = [], []
+        for lit in clause:
+            val = self._value(lit)
+            if val is True:
+                return False
+            (open_lits if val is None else false_lits).append(lit)
+        if len(open_lits) < 2:
+            return False
+        proof = self.proof
+        if proof is not None:
+            final = proof.final
+            if final is None:
+                return False
+            # Root-level-false literals the final core leans on: their
+            # negated units make the lemma's RUP check go through.
+            zeros = set()
+            for core in (final["lits"], *map(self.proof_clause, final["keys"])):
+                for q in core:
+                    if self._value(q) is False:
+                        zeros.add(q)
+        off = self._store(open_lits + false_lits)
+        if proof is not None:
+            proof.learned(clause, final["keys"], sorted(zeros), key=off)
+        self._learned.append(off)
+        self._cla_act[off] = self._cla_inc
+        return True
 
     def maintain(self) -> None:
         """Between-solve housekeeping for long-lived (session) solvers:

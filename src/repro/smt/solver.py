@@ -21,10 +21,12 @@ obligation to the next while verdicts, models, and per-query counters
 stay exactly what a standalone solve would produce.  Why this is sound:
 
 * permanent clauses are only Tseitin gate definitions, Ackermann
-  consistency constraints, and learned clauses (pure resolution
+  consistency constraints, learned clauses (pure resolution
   consequences of the former two — assumption literals are never
-  resolved away, they surface as literals of the learned clause), so
-  the clause database is satisfiable and semantically equivalent to
+  resolved away, they surface as literals of the learned clause), and
+  conjunct lemmas (see below: the negated assumptions of an UNSAT
+  piece, a consequence of the definitions in the same way), so the
+  clause database is satisfiable and semantically equivalent to
   "definitions + Ackermann" no matter how many queries it absorbed;
 * every variable blasted for a node of the query's DAG is in the cone
   (the blaster records per-tid variable ranges), so when the cone is
@@ -35,6 +37,15 @@ stay exactly what a standalone solve would produce.  Why this is sound:
   database (other queries' inputs are free; pick uninterpreted
   function values consistently), so no resolution proof can refute a
   satisfiable query: UNSAT answers are never an artifact of sharing.
+
+A goal root of the form ``not(and(c1..cn))`` (n >= 2) is first refuted
+one conjunct at a time (:meth:`Solver._lemma_phase`): each piece solves
+the other roots plus ``¬ci`` in the shared session, and every UNSAT
+piece leaves a lemma clause that makes the whole-query solve after it
+pure propagation.  A lemma is reverse-unit-propagation derivable from
+the piece's final core, so it is a consequence of the definitions like
+any learned clause; it is stored and logged as one, never as a trusted
+input clause, and certificates check it as an ordinary proof line.
 
 This is the only solve path.  A check that must not see any earlier
 query (a reference run, say) calls :func:`reset_incremental_session`
@@ -151,6 +162,25 @@ def _walk_query(terms: list[Term]) -> tuple[set[int], set[str]]:
             names.add(t.payload)
         stack.extend(t.args)
     return seen, names
+
+
+def _goal_conjuncts(goal: Term) -> tuple[Term, ...]:
+    """``c1..cn`` when ``goal`` is ``not(and(c1..cn))`` with n >= 2 (a
+    refinement or assertion goal), else empty: no lemma phase."""
+    if goal.op == "not" and goal.args[0].op == "and" and len(goal.args[0].args) >= 2:
+        return goal.args[0].args
+    return ()
+
+
+# Per-solve search counters; a check reports their sum over its solves.
+_SEARCH_COUNTERS = (
+    "conflicts",
+    "decisions",
+    "propagations",
+    "restarts",
+    "learned_clauses",
+    "conflict_literals",
+)
 
 
 class SolverTimeout(Exception):
@@ -398,11 +428,13 @@ class Solver:
         # Fast path: syntactic trivialities.
         if any(t is mk_bool(False) for t in terms):
             obs_count("solver.trivial")
-            return CheckResult(UNSAT, stats={"trivial": True, "time_s": 0.0})
+            self.last_stats = {"trivial": True, "time_s": 0.0}
+            return CheckResult(UNSAT, stats=self.last_stats)
         terms = [t for t in terms if t is not mk_bool(True)]
         if not terms:
             obs_count("solver.trivial")
-            return CheckResult(SAT, Model({}), stats={"trivial": True, "time_s": 0.0})
+            self.last_stats = {"trivial": True, "time_s": 0.0}
+            return CheckResult(SAT, Model({}), stats=self.last_stats)
 
         digest = var_map = None
         if self.cache is not None:
@@ -513,25 +545,34 @@ class Solver:
                     obs_count(f"bitblast.clauses.{label}", d_clauses)
 
         cone = blaster.cone_vars(tids)
-        sat_budget_s = None
-        if self.timeout_s is not None:
-            sat_budget_s = max(self.timeout_s - blast_time, 0.0)
+        conjuncts = _goal_conjuncts(terms[-1])
+        deadline = start + self.timeout_s if self.timeout_s is not None else None
+        totals = dict.fromkeys(_SEARCH_COUNTERS, 0)
+        totals.update(max_decision_level=0, timed_out=False)
         with obs_span("sat.solve", cat="sat") as sargs:
-            status = sat.solve_with(
-                roots,
-                max_conflicts=self.max_conflicts,
-                timeout_s=sat_budget_s,
-                relevant=cone,
-            )
+            lemmas = 0
+            if conjuncts:
+                lemmas = self._lemma_phase(sat, blaster, terms, roots, conjuncts, deadline, totals)
+            status = self._budgeted_solve(sat, roots, cone, deadline, totals)
         elapsed = time.perf_counter() - start
         obs_observe("bitblast.seconds", blast_time)
         obs_observe("sat.solve_seconds", max(0.0, elapsed - blast_time))
+        timed_out = totals.pop("timed_out")
         sat_stats = sat.stats()
+        sat_stats.update(totals)
+        sat_stats["avg_learned_len"] = (
+            totals["conflict_literals"] / totals["learned_clauses"]
+            if totals["learned_clauses"]
+            else 0.0
+        )
         if sargs is not None:
             sargs["status"] = status
             sargs.update(sat_stats)
             sargs["cone_vars"] = len(cone)
+            sargs["conjuncts"] = len(conjuncts)
+            sargs["lemmas"] = lemmas
         self._note_sat_counters(sat_stats)
+        obs_count("sat.lemmas", lemmas)
         self.last_stats = {
             "time_s": elapsed,
             "blast_time_s": blast_time,
@@ -542,17 +583,13 @@ class Solver:
             "blasted_clauses": new_clauses,
             "reused_clauses": reused_clauses,
             "cone_vars": len(cone),
-            "conflicts": sat.conflicts,
-            "decisions": sat.decisions,
-            "propagations": sat.propagations,
-            "restarts": sat.restarts,
-            "learned_clauses": sat.learned_clauses,
-            "conflict_literals": sat.conflict_literals,
-            "max_decision_level": sat.max_decision_level,
+            "lemmas": lemmas,
+            **{key: totals[key] for key in _SEARCH_COUNTERS},
+            "max_decision_level": totals["max_decision_level"],
         }
         if digest is not None:
             self.last_stats["digest"] = digest
-        if sat.timed_out or (self.timeout_s is not None and elapsed > self.timeout_s):
+        if timed_out or (self.timeout_s is not None and elapsed > self.timeout_s):
             self.last_stats["timed_out"] = True
             raise SolverTimeout(f"check exceeded {self.timeout_s}s (took {elapsed:.2f}s)")
         model_values = blaster.extract_model(names) if status == SAT else None
@@ -573,16 +610,62 @@ class Solver:
             self.cache.store(digest, var_map, result)
         return result
 
+    def _budgeted_solve(self, sat, assumptions, relevant, deadline, totals) -> str:
+        """One ``solve_with`` under what is left of the check's budgets.
+
+        ``max_conflicts`` and the ``timeout_s`` deadline belong to the
+        whole check, so every solve it makes draws on them; the solve's
+        search counters are added into ``totals``.
+        """
+        budget = None
+        if self.max_conflicts is not None:
+            budget = max(self.max_conflicts - totals["conflicts"], 0)
+        timeout = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+        status = sat.solve_with(
+            assumptions, max_conflicts=budget, timeout_s=timeout, relevant=relevant
+        )
+        for key in _SEARCH_COUNTERS:
+            totals[key] += getattr(sat, key)
+        totals["max_decision_level"] = max(totals["max_decision_level"], sat.max_decision_level)
+        totals["timed_out"] = totals["timed_out"] or sat.timed_out
+        return status
+
+    def _lemma_phase(self, sat, blaster, terms, roots, conjuncts, deadline, totals) -> int:
+        """Refute a ``not(and(c1..cn))`` goal one conjunct at a time.
+
+        With the other roots ``r1..rk`` and ``G`` the goal's ``and``
+        literal, each conjunct ``ci`` is solved under ``[r1..rk, ¬ci]``
+        with decisions restricted to the cone of those terms (unless
+        ``ci`` is already true at the root or is ``G`` itself).  An UNSAT
+        piece leaves the lemma ``(¬r1 ∨ … ∨ ¬rk ∨ G ∨ ci)`` behind; the
+        first SAT or UNKNOWN piece ends the phase.  With every lemma in,
+        the whole-query solve that follows is pure propagation, and the
+        pieces share learned clauses through the session.  Returns the
+        number of lemmas stored.
+        """
+        others = roots[:-1]
+        negated = [-r for r in others]
+        goal = -roots[-1]
+        other_tids, _ = _walk_query(terms[:-1])
+        other_cone = blaster.cone_vars(other_tids)
+        lemmas = 0
+        for conjunct in conjuncts:
+            ci = blaster.bool_lit(conjunct)
+            if ci == goal or sat.value(ci):
+                # A root-level fact needs no piece; a conjunct blasted to
+                # the goal's own literal is the whole query, which the
+                # final solve refutes.
+                continue
+            piece_tids, _ = _walk_query([conjunct])
+            piece_cone = other_cone | blaster.cone_vars(piece_tids)
+            if self._budgeted_solve(sat, others + [-ci], piece_cone, deadline, totals) != UNSAT:
+                break
+            lemmas += sat.add_lemma(negated + [goal, ci])
+        return lemmas
+
     @staticmethod
     def _note_sat_counters(sat_stats: dict) -> None:
-        for key in (
-            "conflicts",
-            "decisions",
-            "propagations",
-            "restarts",
-            "learned_clauses",
-            "conflict_literals",
-        ):
+        for key in _SEARCH_COUNTERS:
             obs_count(f"sat.{key}", sat_stats[key])
 
 

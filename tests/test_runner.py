@@ -19,7 +19,7 @@ from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
 from repro.core.runner import Obligation, obligations_from_context, reduce_results, run_obligations
-from repro.smt import SolverCache, query_digest
+from repro.smt import SolverCache, mk_bool, query_digest
 from repro.sym import check_batch, fresh_bv, new_context, verify_vcs
 
 
@@ -140,6 +140,16 @@ class TestCache:
         second, stats = run_obligations(hard, cache_dir=cache_dir, max_conflicts=1)
         assert second[0].status == "unknown"
         assert stats.cache_hits == 0
+
+    def test_trivial_obligation_is_not_a_cache_query(self, tmp_path):
+        # The goal folds to a constant, so the solver answers without
+        # touching the cache; stale stats from nowhere must not say
+        # otherwise.
+        trivial = [Obligation.from_terms("t", [mk_bool(True)])]
+        results, stats = run_obligations(trivial, jobs=1, cache_dir=str(tmp_path / "cache"))
+        assert results[0].status == "proved"
+        assert results[0].stats["trivial"]
+        assert stats.cache_queries == 0 and stats.cache_hits == 0
 
 
 class TestInvalidation:
