@@ -52,7 +52,8 @@ fi
 # -- sat-stress ------------------------------------------------------
 # DIMACS corpus verdicts (arena / arena-nochrono vs `c expect`), equal
 # obligation verdicts on a shared session, a per-obligation reset
-# session and the scheduler, plus the certificate audit.
+# session and the scheduler, equal JIT verdicts with and without the
+# session's verdict memo, plus the certificate and long-pole audits.
 run_job sat-stress python scripts/sat_stress.py
 
 # -- grid-cold / grid-warm -------------------------------------------

@@ -3,7 +3,7 @@
 
 Usage: sat_stress.py [--corpus-only]
 
-Four layers of checking, mirroring the ``sat-stress`` CI job:
+Five layers of checking, mirroring the ``sat-stress`` CI job:
 
   * **DIMACS corpus** (``tests/data/*.cnf``): every instance is solved
     by the arena solver with chronological backtracking on and off;
@@ -13,7 +13,15 @@ Four layers of checking, mirroring the ``sat-stress`` CI job:
     in-process on one shared incremental session, then with the session
     reset before every obligation (which behaves exactly like a fresh
     solver), then through the work-stealing scheduler with two workers.
-    The per-obligation verdict lists must be identical.
+    The per-obligation verdict lists must be identical, and the shared
+    run must answer at least one obligation from the session's verdict
+    memo (the grid repeats three goal shapes over fresh variables).
+  * **JIT verdict memo**: a seeded battery of register-redrawn BPF
+    instructions over both fixed JITs, plus the 15 bug witnesses (each
+    also moved to other registers) on their buggy JITs, runs on one
+    shared session and again with the session reset before every
+    check.  Verdicts must be identical, every witness must be a
+    violation with a counterexample, and the memo hits are printed.
   * **Certificates**: the grid runs cache-backed once, and the
     independent checker audits the store in a child process
     (``python -m repro.smt.checkproof --store --require-certs``).
@@ -123,6 +131,7 @@ def stress_grid(prefix: str):
 
 
 def check_modes() -> int:
+    from repro import obs
     from repro.core.runner import run_obligations
     from repro.core.scheduler import shutdown_scheduler
     from repro.smt.solver import reset_incremental_session
@@ -134,7 +143,13 @@ def check_modes() -> int:
 
     verdicts = {}
     reset_incremental_session()
-    verdicts["shared"] = statuses(run_obligations(obligations, jobs=1)[0])
+    with obs.tracing() as col:
+        verdicts["shared"] = statuses(run_obligations(obligations, jobs=1)[0])
+    memo_hits = col.counters.get("solver.memo.hits", 0)
+    print(f"shared session: {memo_hits}/{len(obligations)} obligations answered from the memo")
+    if not memo_hits:
+        print("FAIL: the shared session never hit its verdict memo", file=sys.stderr)
+        return 1
     verdicts["reset"] = []
     for ob in obligations:
         reset_incremental_session()
@@ -149,6 +164,102 @@ def check_modes() -> int:
         print(f"FAIL: verdicts differ across modes: {verdicts}", file=sys.stderr)
         return 1
     print("mode agreement holds")
+    return 0
+
+
+def jit_memo_battery(seed: int = 14, size: int = 120):
+    """``size`` fixed-JIT checks, two RISC-V to one x86-32: templates from
+    each JIT's test battery with their registers redrawn, so many checks
+    are alpha-equivalent to an earlier one."""
+    import dataclasses
+    import random
+
+    from repro.bpf_jit import (
+        RvJit,
+        X86Jit,
+        check_rv_insn,
+        check_x86_insn,
+        rv_alu_test_insns,
+        x86_alu_test_insns,
+    )
+
+    rng = random.Random(seed)
+    regs = range(10)  # every register the JITs map but the frame pointer
+    battery = []
+    for check, jit, templates, n in (
+        (check_rv_insn, RvJit(), rv_alu_test_insns(), size * 2 // 3),
+        (check_x86_insn, X86Jit(), x86_alu_test_insns(), size - size * 2 // 3),
+    ):
+        for insn in rng.choices(templates, k=n):
+            fields = {"dst": rng.choice(regs)}
+            if insn.src_is_reg:
+                fields["src"] = rng.choice(regs)
+            battery.append((check, jit, dataclasses.replace(insn, **fields)))
+    return battery
+
+
+def jit_witnesses():
+    """The 15 bug witnesses on their buggy JITs, each followed by the
+    same instruction moved to r4 (and r6 for a register source)."""
+    import dataclasses
+
+    from repro.bpf_jit import RV_BUGS, X86_BUGS, RvJit, X86Jit, check_rv_insn, check_x86_insn
+
+    checks = []
+    targets = ((RV_BUGS, check_rv_insn, RvJit), (X86_BUGS, check_x86_insn, X86Jit))
+    for bugs, check, make_jit in targets:
+        for bug in bugs:
+            jit = make_jit(bugs={bug.id})
+            fields = {"dst": 4, "src": 6} if bug.witness.src_is_reg else {"dst": 4}
+            checks.append((check, jit, bug.witness))
+            checks.append((check, jit, dataclasses.replace(bug.witness, **fields)))
+    return checks
+
+
+def check_jit_memo() -> int:
+    """The JIT battery and witnesses on one shared session, then with the
+    session reset before every check: identical verdicts, and every
+    witness a violation with a counterexample."""
+    from repro import obs
+    from repro.smt.solver import reset_incremental_session
+
+    battery = jit_memo_battery()
+    witnesses = jit_witnesses()
+
+    def verdict(check, jit, insn):
+        result = check(insn, jit)
+        if result.ok:
+            return "ok"
+        return "violation" if result.counterexample is not None else "unknown"
+
+    reset_incremental_session()
+    with obs.tracing() as col:
+        shared = [verdict(*item) for item in battery + witnesses]
+    fresh = []
+    for item in battery + witnesses:
+        reset_incremental_session()
+        fresh.append(verdict(*item))
+    counters = col.counters
+    solved = counters.get("solver.queries", 0) - counters.get("solver.trivial", 0)
+    print(
+        f"jit memo: {len(battery)} battery checks + {len(witnesses)} witness checks, "
+        f"{counters.get('solver.memo.hits', 0)}/{solved} non-trivial checks answered from the memo"
+    )
+    failures = 0
+    if shared != fresh:
+        diff = [i for i, (a, b) in enumerate(zip(shared, fresh)) if a != b]
+        print(f"FAIL: shared and reset sessions disagree at checks {diff}", file=sys.stderr)
+        failures += 1
+    if shared[: len(battery)] != ["ok"] * len(battery):
+        print("FAIL: a fixed-JIT check is not ok", file=sys.stderr)
+        failures += 1
+    for mode, got in (("shared", shared), ("reset", fresh)):
+        if got[len(battery):] != ["violation"] * len(witnesses):
+            print(f"FAIL: a witness lacks a counterexample ({mode} session)", file=sys.stderr)
+            failures += 1
+    if failures:
+        return 1
+    print("jit memo agreement holds")
     return 0
 
 
@@ -225,6 +336,7 @@ def main() -> int:
     rc = check_corpus()
     if not args.corpus_only:
         rc = check_modes() or rc
+        rc = check_jit_memo() or rc
         rc = check_certificates() or rc
         rc = check_longpole() or rc
     return rc

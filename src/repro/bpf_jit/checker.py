@@ -176,6 +176,10 @@ def sweep(checker, jit, insns, jobs: int = 1, trace: bool | str = False) -> list
     work-stealing pool (``repro.core.scheduler``), so a JIT sweep and
     a monitor refinement proof submitted by the same process interleave
     on the same workers instead of fighting over separate pools.
+    Checks in one process share verdicts through its session verdict
+    memo (``repro.smt.solver``), so an instruction whose registers were
+    redrawn is answered without a solve when its query, up to variable
+    names, was already checked there.
 
     ``trace`` opens a ``repro.obs`` tracing session around the sweep (a
     path string writes a Chrome trace there); with scheduler dispatch

@@ -150,6 +150,9 @@ def render_report(doc: dict, top: int = 15) -> str:
     cert_line = _cert_summary(doc, counters)
     if cert_line:
         lines.append(f"\n{cert_line}")
+    memo_line = _memo_summary(counters)
+    if memo_line:
+        lines.append(f"\n{memo_line}")
     if obs.get("dropped_spans"):
         lines.append(f"\n({obs['dropped_spans']} spans dropped past the buffer cap)")
     return "\n".join(lines)
@@ -179,6 +182,21 @@ def _cert_summary(doc: dict, counters: dict) -> str | None:
     if not parts:
         return None
     return "certificates: " + ", ".join(parts) + " (audit: python -m repro.smt.checkproof --store)"
+
+
+def _memo_summary(counters: dict) -> str | None:
+    """One line on the session verdict memo of cache-less checks, when
+    its counters are present (tolerant of junk like the cert line)."""
+    hits = counters.get("solver.memo.hits", 0)
+    misses = counters.get("solver.memo.misses", 0)
+    if not isinstance(hits, (int, float)) or not isinstance(misses, (int, float)):
+        return None
+    if not hits and not misses:
+        return None
+    return (
+        f"verdict memo: {int(hits)}/{int(hits + misses)} cache-less checks "
+        "answered from the session memo"
+    )
 
 
 def _report_json(doc: dict, top: int) -> dict:

@@ -7,12 +7,13 @@ and CI can diff them byte-for-byte.
 
 Symbolic evaluation builds terms in the global hash-consing
 ``TermManager``, which is not safe under concurrent mutation from
-multiple daemon threads; ``_EVAL_LOCK`` therefore serializes the
-*evaluation* of each operation.  Solving still overlaps: every op's
-proof obligations fan out to the process-wide work-stealing pool, and
-all concurrent jobs share the one content-addressed verdict store —
-which is exactly why a warm daemon answers the same grid an order of
-magnitude faster.
+multiple daemon threads, so ``_EVAL_LOCK`` serializes each operation.
+The lock is held across the whole ``verifier.prove_op(op)`` call,
+including its wait on the pool, so concurrent grid jobs take turns op
+by op and never overlap.  Within one op the proof obligations still fan
+out across the process-wide work-stealing pool, and all jobs share the
+one content-addressed verdict store — which is why a warm daemon
+answers the same grid an order of magnitude faster.
 """
 
 from __future__ import annotations

@@ -36,7 +36,13 @@ stay exactly what a standalone solve would produce.  Why this is sound:
 * any model of the query alone extends to a model of the whole
   database (other queries' inputs are free; pick uninterpreted
   function values consistently), so no resolution proof can refute a
-  satisfiable query: UNSAT answers are never an artifact of sharing.
+  satisfiable query: UNSAT answers are never an artifact of sharing;
+* a verdict-memo hit (see below) replays the verdict of a query with
+  the same canonical digest, i.e. the same DAG up to variable names,
+  solved earlier in the same session — exactly the trust a store hit
+  already places in the digest — and its model is renamed to the
+  hitting query's variables, so it satisfies that query; like every
+  cache-less answer, it carries no certificate.
 
 A goal root of the form ``not(and(c1..cn))`` (n >= 2) is first refuted
 one conjunct at a time (:meth:`Solver._lemma_phase`): each piece solves
@@ -47,12 +53,21 @@ the piece's final core, so it is a consequence of the definitions like
 any learned clause; it is stored and logged as one, never as a trusted
 input clause, and certificates check it as an ordinary proof line.
 
+A check without a cache first consults the session's *verdict memo*
+(``IncrementalSession.memo``), keyed by the canonical digest the store
+uses and holding entries in the store's format.  Only SAT and UNSAT are
+recorded: verdicts do not depend on the budget, so a hit answers
+whatever the caller's ``max_conflicts`` or ``timeout_s``, while UNKNOWN
+and timeouts are never recorded.  Cache-backed checks never consult
+it: the store stays their only verdict tier, so every entry and
+certificate is still written.
+
 This is the only solve path.  A check that must not see any earlier
 query (a reference run, say) calls :func:`reset_incremental_session`
-first: a session recycled after one query behaves exactly like a fresh
-solver.  Crash recovery uses the same call: callers that catch a
-worker-level failure reset the session so a possibly-inconsistent one
-is rebuilt rather than reused.
+first: a session recycled after one query — memo included — behaves
+exactly like a fresh solver.  Crash recovery uses the same call:
+callers that catch a worker-level failure reset the session so a
+possibly-inconsistent one is rebuilt rather than reused.
 """
 
 from __future__ import annotations
@@ -106,7 +121,9 @@ def certs_enabled() -> bool:
 
 class IncrementalSession:
     """A long-lived solver + blaster pair shared by all checks in a
-    process (one per scheduler worker, since workers are processes)."""
+    process (one per scheduler worker, since workers are processes),
+    plus the verdict memo of its cache-less checks: canonical digest ->
+    store-form entry (see :meth:`SolverCache._result_to_entry`)."""
 
     def __init__(self) -> None:
         self.sat = ArenaSolver()
@@ -117,6 +134,7 @@ class IncrementalSession:
             self.sat.proof = ProofLog()
         self.blaster = BitBlaster(self.sat)
         self.checks = 0
+        self.memo: dict[str, dict] = {}
 
 
 _session: IncrementalSession | None = None
@@ -305,13 +323,16 @@ class SolverCache:
         return self._entry_to_result(entry, var_map)
 
     @staticmethod
-    def _entry_to_result(entry: dict, var_map: dict[str, str]) -> "CheckResult":
+    def _entry_to_result(
+        entry: dict, var_map: dict[str, str], hit: str = "cache_hit"
+    ) -> "CheckResult":
         """Materialize a stored entry as a :class:`CheckResult` for the
         hitting query: models come back from canonical variable names to
         the query's own names via ``var_map``.  Shared with the remote
         read-through tier, which adopts entries from other machines and
-        must replay them identically."""
-        stats = {"cache_hit": True, "time_s": 0.0}
+        must replay them identically, and with the session's verdict
+        memo (``hit="memo_hit"``)."""
+        stats = {hit: True, "time_s": 0.0}
         if entry["status"] == SAT:
             canon_to_name = {canon: name for name, canon in var_map.items()}
             values = {
@@ -322,9 +343,11 @@ class SolverCache:
             return CheckResult(SAT, Model(values), stats=stats)
         return CheckResult(UNSAT, stats=stats)
 
-    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> None:
-        if result.status not in (SAT, UNSAT):
-            return
+    @staticmethod
+    def _result_to_entry(result: "CheckResult", var_map: dict[str, str]) -> dict:
+        """The entry :meth:`_entry_to_result` replays: the verdict, and
+        for SAT the model under canonical variable names.  Callers
+        record SAT and UNSAT results only."""
         entry: dict = {"status": result.status}
         if result.status == SAT:
             entry["model"] = {
@@ -332,6 +355,12 @@ class SolverCache:
                 for name, value in result.model.items()
                 if name in var_map
             }
+        return entry
+
+    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> None:
+        if result.status not in (SAT, UNSAT):
+            return
+        entry = self._result_to_entry(result, var_map)
         target = self._entry_path(digest)
         os.makedirs(os.path.dirname(target), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
@@ -383,7 +412,8 @@ class Solver:
     literals over a shared clause arena, so CNF for shared structure is
     emitted once and learned clauses survive across checks.  An
     optional ``cache`` memoizes verdicts across checks, processes, and
-    runs.
+    runs; without one, the session's verdict memo answers repeats of
+    an alpha-equivalent query for as long as the session lives.
     """
 
     def __init__(
@@ -436,15 +466,22 @@ class Solver:
             self.last_stats = {"trivial": True, "time_s": 0.0}
             return CheckResult(SAT, Model({}), stats=self.last_stats)
 
-        digest = var_map = None
-        if self.cache is not None:
-            with obs_span("canonicalize", cat="solver-cache") as cargs:
-                # Serialize once: the node list feeds both the digest
-                # and (on a miss) the certificate's query payload.
-                self._serialized_query = serialize_terms(terms)
-                digest, var_map = canonicalize_nodes(self._serialized_query)
-            if cargs is not None:
-                cargs["vars"] = len(var_map)
+        with obs_span("canonicalize", cat="solver-cache") as cargs:
+            # Serialize once: the node list feeds both the digest and
+            # (on a store miss) the certificate's query payload.
+            self._serialized_query = serialize_terms(terms)
+            digest, var_map = canonicalize_nodes(self._serialized_query)
+        if cargs is not None:
+            cargs["vars"] = len(var_map)
+        if self.cache is None:
+            entry = get_incremental_session().memo.get(digest)
+            if entry is not None:
+                obs_count("solver.memo.hits")
+                result = SolverCache._entry_to_result(entry, var_map, hit="memo_hit")
+                self.last_stats = result.stats
+                return result
+            obs_count("solver.memo.misses")
+        else:
             with obs_span("cache.lookup", cat="solver-cache") as largs:
                 cached = self.cache.lookup(digest, var_map)
             if largs is not None:
@@ -473,7 +510,7 @@ class Solver:
         """Assemble and store this query's certificate (cache-backed
         checks only).  Must run while the solver still holds the
         answer's assignment — before any maintain()/backtrack."""
-        if digest is None or self.cache is None or sat.proof is None or not certs_enabled():
+        if self.cache is None or sat.proof is None or not certs_enabled():
             return
         serialized = getattr(self, "_serialized_query", None)
         # CPU time, not wall: with more workers than cores, wall inside
@@ -587,7 +624,7 @@ class Solver:
             **{key: totals[key] for key in _SEARCH_COUNTERS},
             "max_decision_level": totals["max_decision_level"],
         }
-        if digest is not None:
+        if self.cache is not None:
             self.last_stats["digest"] = digest
         if timed_out or (self.timeout_s is not None and elapsed > self.timeout_s):
             self.last_stats["timed_out"] = True
@@ -608,6 +645,8 @@ class Solver:
         sat.maintain()
         if self.cache is not None:
             self.cache.store(digest, var_map, result)
+        elif status != UNKNOWN:
+            session.memo[digest] = SolverCache._result_to_entry(result, var_map)
         return result
 
     def _budgeted_solve(self, sat, assumptions, relevant, deadline, totals) -> str:

@@ -1,10 +1,15 @@
 """Tests for the BPF JIT checker (§7): fixed JITs verify; every
 cataloged bug is found on its witness instruction."""
 
+import dataclasses
+
 import pytest
 
 from repro.bpf.insn import alu, jmp
 from repro.bpf_jit import RV_BUGS, RvJit, X86Jit, X86_BUGS, check_rv_insn, check_x86_insn
+from repro.smt import solver as solver_mod
+from repro.smt.evaluator import eval_term
+from repro.smt.solver import Solver, get_incremental_session, reset_incremental_session
 
 # The full monitor/JIT suites take minutes; CI runs them in a
 # separate job after the fast tier passes.
@@ -95,3 +100,59 @@ class TestBugCatalog:
         model = result.counterexample
         # The witness operates on r1/r2; the model binds their symbols.
         assert any("r1" in name or "r2" in name for name, _ in model.items())
+
+
+def _bug(bugs, bug_id):
+    return next(bug for bug in bugs if bug.id == bug_id)
+
+
+class TestMemoReplay:
+    """A register-redrawn check is alpha-equivalent to its witness, so
+    the session's verdict memo answers it; the replayed counterexample
+    must be as actionable as a solved one."""
+
+    @pytest.mark.parametrize(
+        "check, make_jit, bug",
+        [
+            (check_rv_insn, RvJit, _bug(RV_BUGS, "alu32-add-no-zext")),
+            (check_x86_insn, X86Jit, _bug(X86_BUGS, "rsh64-imm-ge32")),
+        ],
+        ids=["riscv", "x86-32"],
+    )
+    def test_memo_counterexample_is_actionable(self, monkeypatch, check, make_jit, bug):
+        calls = []
+        real_check = Solver.check
+
+        def spy(solver, *extra):
+            calls.append((solver, list(solver.assertions) + list(extra)))
+            return real_check(solver, *extra)
+
+        monkeypatch.setattr(Solver, "check", spy)
+        reset_incremental_session()
+        buggy = make_jit(bugs={bug.id})
+        fields = {"dst": 4, "src": 6} if bug.witness.src_is_reg else {"dst": 4}
+        moved = dataclasses.replace(bug.witness, **fields)
+
+        first = check(bug.witness, buggy)
+        assert not first.ok and first.counterexample is not None
+        session = get_incremental_session()
+        vars_before = session.sat.num_vars
+        second = check(moved, buggy)
+        solver, query = calls[-1]
+        assert solver.last_stats == {"memo_hit": True, "time_s": 0.0}
+        assert get_incremental_session() is session
+        assert session.sat.num_vars == vars_before
+
+        assert not second.ok and second.counterexample is not None
+        env = dict(second.counterexample.items())
+        _, own_names = solver_mod._walk_query(query)
+        _, first_names = solver_mod._walk_query(calls[0][1])
+        assert set(env) <= own_names and set(env).isdisjoint(first_names)
+        prefix = "chk.r4!" if make_jit is RvJit else "chk86.r4!"
+        assert any(name.startswith(prefix) for name in env)
+        # The replayed model is a genuine counterexample of the moved
+        # instruction's own query.
+        assert all(eval_term(term, env) is True for term in query)
+
+        assert check(bug.witness, make_jit()).ok
+        assert check(moved, make_jit()).ok

@@ -3,26 +3,41 @@ crash recovery, determinism, and cache-key hygiene.
 
 These pin the contracts the incremental rebuild must not bend:
 verdicts and the first failing obligation match the sequential
-baseline, sessions recover from crashes, and the verdict cache never
-confuses queries that differ only in their assumption sets.
+baseline, sessions recover from crashes, the verdict cache never
+confuses queries that differ only in their assumption sets, and the
+session's verdict memo answers only alpha-equivalent cache-less repeats
+for as long as the session lives.
 """
 
 import random
 
 import pytest
 
+from repro import obs
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler
 from repro.smt import solver as solver_mod
 from repro.smt.evaluator import eval_term
-from repro.smt.sat import SAT, ArenaSolver, UNSAT
+from repro.smt.sat import SAT, UNKNOWN, UNSAT, ArenaSolver
 from repro.smt.solver import (
     Solver,
     SolverCache,
+    SolverTimeout,
     get_incremental_session,
     reset_incremental_session,
 )
-from repro.smt.terms import fresh_var, mk_bv, mk_bvadd, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule, mk_var
+from repro.smt.terms import (
+    fresh_var,
+    mk_bv,
+    mk_bvadd,
+    mk_bvand,
+    mk_bvmul,
+    mk_bvxor,
+    mk_eq,
+    mk_ule,
+    mk_ult,
+    mk_var,
+)
 from repro.smt.sorts import bv_sort
 
 
@@ -147,30 +162,42 @@ class TestDeterminismIncremental:
         """Property check: every query answers identically on a session
         shared by all of them and on a session reset before each one
         (which behaves exactly like a fresh solver), and every SAT model
-        satisfies its query."""
-        rng = random.Random(4242)
-        queries = []
-        for i in range(20):
-            x = mk_var(f"rx{i % 5}", bv_sort(8))
-            y = mk_var(f"ry{i % 3}", bv_sort(8))
-            k = mk_bv(rng.randrange(256), 8)
-            op = rng.choice([mk_bvadd, mk_bvmul, mk_bvxor, mk_bvand])
-            queries.append(mk_eq(op(x, y), k))
-            if i % 4 == 3:
-                # No 8-bit square is 3 mod 8: UNSAT after real search.
-                queries.append(mk_eq(mk_bvmul(x, x), mk_bv(8 * rng.randrange(32) + 3, 8)))
+        satisfies its query.  Alpha-renamed repeats ride along, so the
+        shared session answers some queries from its verdict memo."""
+
+        def build(prefix):
+            rng = random.Random(4242)
+            queries = []
+            for i in range(20):
+                x = mk_var(f"{prefix}x{i % 5}", bv_sort(8))
+                y = mk_var(f"{prefix}y{i % 3}", bv_sort(8))
+                k = mk_bv(rng.randrange(256), 8)
+                op = rng.choice([mk_bvadd, mk_bvmul, mk_bvxor, mk_bvand])
+                queries.append(mk_eq(op(x, y), k))
+                if i % 4 == 3:
+                    # No 8-bit square is 3 mod 8: UNSAT after real search.
+                    queries.append(mk_eq(mk_bvmul(x, x), mk_bv(8 * rng.randrange(32) + 3, 8)))
+            return queries
+
+        queries = build("r") + build("s")[::2]
+        memo_hits = []
 
         def check(query):
-            result = Solver().check(query)
+            solver = Solver()
+            result = solver.check(query)
             if result.is_sat:
                 assert eval_term(query, dict(result.model.items())) is True, query
+            memo_hits.append(solver.last_stats.get("memo_hit", False))
             return result.status
 
         shared = [check(q) for q in queries]
+        assert any(memo_hits)
+        memo_hits.clear()
         fresh = []
         for q in queries:
             reset_incremental_session()
             fresh.append(check(q))
+        assert not any(memo_hits)
         assert shared == fresh
         assert SAT in shared and UNSAT in shared
 
@@ -200,3 +227,125 @@ class TestCacheKeys:
         r3 = s3.check(goal)
         assert r3.status == SAT
         assert cache.hits == 1
+
+
+def _factor_query(tag):
+    """``a * b == 143`` with ``1 < a < b`` over 8 bits: SAT, but only
+    after a couple of conflicts, so a one-conflict budget gives up."""
+    a = mk_var(f"{tag}a", bv_sort(8))
+    b = mk_var(f"{tag}b", bv_sort(8))
+    return [mk_eq(mk_bvmul(a, b), mk_bv(143, 8)), mk_ult(mk_bv(1, 8), a), mk_ult(a, b)]
+
+
+def _square_query(tag):
+    """No 8-bit square is 3 mod 8: UNSAT."""
+    x = mk_var(f"{tag}x", bv_sort(8))
+    return [mk_eq(mk_bvmul(x, x), mk_bv(43, 8))]
+
+
+MEMO_HIT = {"memo_hit": True, "time_s": 0.0}
+
+
+class TestVerdictMemo:
+    """The session's verdict memo: cache-less checks of alpha-equivalent
+    queries share one solve per session."""
+
+    @pytest.mark.parametrize("query", [_factor_query, _square_query], ids=["sat", "unsat"])
+    def test_alpha_renamed_repeat_is_a_memo_hit(self, query):
+        first = Solver()
+        verdict = first.check(*query("mfa")).status
+        assert "memo_hit" not in first.last_stats
+        assert "digest" not in first.last_stats
+        session = get_incremental_session()
+        vars_before = session.sat.num_vars
+        with obs.tracing() as col:
+            second = Solver()
+            assert second.check(*query("mfb")).status == verdict
+        assert second.last_stats == MEMO_HIT
+        assert get_incremental_session() is session
+        assert session.sat.num_vars == vars_before
+        assert col.counters["solver.memo.hits"] == 1
+        assert "solver.memo.misses" not in col.counters
+
+    def test_sat_hit_replays_model_under_own_names(self):
+        Solver().check(*_factor_query("mma"))
+        query = _factor_query("mmb")
+        solver = Solver()
+        result = solver.check(*query)
+        assert solver.last_stats == MEMO_HIT
+        env = dict(result.model.items())
+        assert sorted(env) == ["mmba", "mmbb"]
+        assert all(eval_term(t, env) is True for t in query)
+
+    def test_assumption_sets_distinguish_memo_entries(self):
+        """Mirror of TestCacheKeys for the memo: the same goal under
+        different assumptions never hits."""
+        x = mk_var("mkx", bv_sort(8))
+        goal = mk_eq(x, mk_bv(1, 8))
+        with obs.tracing() as col:
+            s1 = Solver()
+            s1.add(mk_eq(x, mk_bv(1, 8)))
+            assert s1.check(goal).status == SAT
+
+            s2 = Solver()
+            s2.add(mk_eq(x, mk_bv(2, 8)))
+            assert s2.check(goal).status == UNSAT  # a key collision would replay SAT
+            assert "memo_hit" not in s2.last_stats
+
+            s3 = Solver()
+            s3.add(mk_eq(x, mk_bv(1, 8)))
+            assert s3.check(goal).status == SAT
+            assert s3.last_stats == MEMO_HIT
+        assert col.counters["solver.memo.misses"] == 2
+        assert col.counters["solver.memo.hits"] == 1
+
+    def test_unknown_and_timeouts_are_not_memoized(self):
+        query = _factor_query("mua")
+        assert Solver(max_conflicts=1).check(*query).status == UNKNOWN
+        with pytest.raises(SolverTimeout):
+            Solver(timeout_s=0.0).check(*query)
+        solver = Solver()
+        assert solver.check(*query).status == SAT
+        assert "memo_hit" not in solver.last_stats
+        # Verdicts do not depend on the budget: a starved check of a
+        # renamed copy is now answered from the memo.
+        starved = Solver(max_conflicts=1)
+        assert starved.check(*_factor_query("mub")).status == SAT
+        assert starved.last_stats == MEMO_HIT
+
+    def test_reset_drops_the_memo(self):
+        Solver().check(*_factor_query("mra"))
+        reset_incremental_session()
+        solver = Solver()
+        assert solver.check(*_factor_query("mrb")).status == SAT
+        assert "memo_hit" not in solver.last_stats
+
+    def test_recycling_past_var_cap_drops_the_memo(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_SESSION_MAX_VARS", 8)
+        first = get_incremental_session()
+        Solver().check(*_factor_query("mva"))
+        assert first.memo and first.sat.num_vars > 8
+        solver = Solver()
+        assert solver.check(*_factor_query("mvb")).status == SAT
+        assert get_incremental_session() is not first
+        assert "memo_hit" not in solver.last_stats
+
+    def test_cache_backed_check_bypasses_the_memo(self, tmp_path, monkeypatch):
+        """A memoized query checked with a cache still misses the store,
+        writes its entry and certificate, and never touches the memo."""
+        monkeypatch.delenv("REPRO_NO_CERTS", raising=False)
+        Solver().check(*_factor_query("mca"))
+        session = get_incremental_session()
+        memo_before = dict(session.memo)
+        cache = SolverCache(str(tmp_path))
+        with obs.tracing() as col:
+            solver = Solver(cache=cache)
+            assert solver.check(*_factor_query("mcb")).status == SAT
+        assert "memo_hit" not in solver.last_stats
+        assert cache.misses == 1 and cache.hits == 0 and cache.stores == 1
+        digest = solver.last_stats["digest"]
+        assert cache._read_entry(digest)["status"] == SAT
+        assert cache.load_certificate(digest) is not None
+        assert col.counters["solver.cache.misses"] == 1
+        assert not any(name.startswith("solver.memo.") for name in col.counters)
+        assert session.memo == memo_before

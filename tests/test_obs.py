@@ -15,7 +15,7 @@ from repro import obs
 from repro.core.runner import Obligation, run_obligations
 from repro.smt import manager, mk_bv, mk_bvadd, mk_bvmul, mk_eq, mk_ult, mk_var
 from repro.smt.sat import ArenaSolver
-from repro.smt.solver import Solver
+from repro.smt.solver import Solver, reset_incremental_session
 from repro.smt.sorts import bv_sort
 from repro.sym.merge import get_merge_hook
 from repro.sym.profiler import active_profiler, profile, region
@@ -24,7 +24,10 @@ BV8 = bv_sort(8)
 
 
 def _solve_some(prefix: str) -> None:
-    """A small deterministic workload: one non-trivial check."""
+    """A small deterministic workload: one non-trivial check, on a fresh
+    session (an earlier alpha-equivalent check would otherwise answer it
+    from the session's verdict memo)."""
+    reset_incremental_session()
     x = mk_var(f"{prefix}_x", BV8)
     y = mk_var(f"{prefix}_y", BV8)
     goal = mk_eq(mk_bvmul(x, y), mk_bv(24, 8))
@@ -212,6 +215,15 @@ class TestExport:
         text = render_report({"obs": summarize(col, profiler=prof)})
         assert "obligations by wall time" in text
         assert "report[0]" in text
+
+    def test_report_memo_line(self):
+        from repro.obs.report import render_report
+
+        counters = {"solver.memo.hits": 3, "solver.memo.misses": 1}
+        text = render_report({"obs": {"counters": counters}})
+        assert "verdict memo: 3/4 cache-less checks answered from the session memo" in text
+        text = render_report({"obs": {"counters": {"sat.propagations": 5}}})
+        assert "verdict memo:" not in text
 
 
 class TestDisabledOverhead:

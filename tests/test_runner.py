@@ -13,8 +13,11 @@ Three contracts the scheduler must uphold:
     forces recomputation with identical verdicts.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.bpf.insn import alu
 from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
@@ -60,13 +63,19 @@ class TestDeterminism:
         # Each cataloged bug's witness instruction must produce a
         # counterexample whether the sweep runs in-process or across
         # worker processes, and clean instructions must stay clean.
+        # The battery has more than one item, so jobs=2 really goes
+        # through the worker pool.  The same template on other registers
+        # is alpha-equivalent to the witness, so a session that checks
+        # both answers the second from its verdict memo.
         jit = RvJit(bugs={bug.id})
-        battery = [bug.witness]
+        moved = dataclasses.replace(bug.witness, dst=4, src=6)
+        clean = alu("add", 1, ("r", 2), alu64=True)
+        battery = [bug.witness, moved, clean]
         seq = sweep(check_rv_insn, jit, battery, jobs=1)
         par = sweep(check_rv_insn, jit, battery, jobs=2)
-        assert [r.ok for r in seq] == [r.ok for r in par]
-        assert not seq[0].ok
-        assert par[0].counterexample is not None
+        assert [r.ok for r in seq] == [r.ok for r in par] == [False, False, True]
+        for side in (seq, par):
+            assert all(r.counterexample is not None for r in side[:2])
 
     def test_sweep_worker_is_picklable_entry(self):
         bug = RV_BUGS[0]
