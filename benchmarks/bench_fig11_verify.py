@@ -207,15 +207,12 @@ def main(argv=None) -> int:
     divergence = False
 
     tracing_on = args.trace or args.trace_out is not None
-    collector = profiler = None
+    collector = None
     if tracing_on:
         from repro.obs import tracing
-        from repro.sym.profiler import profile
 
         trace_ctx = tracing(absorb=False)
-        profile_ctx = profile()
         collector = trace_ctx.__enter__()
-        profiler = profile_ctx.__enter__()
 
     verdicts: dict[tuple, bool] = {}
     start = time.perf_counter()
@@ -228,7 +225,6 @@ def main(argv=None) -> int:
             print(f"  {monitor}.{op}.O{args.opt}: {'proved' if result.proved else result.describe()}")
     finally:
         if tracing_on:
-            profile_ctx.__exit__(None, None, None)
             trace_ctx.__exit__(None, None, None)
     wall = time.perf_counter() - start
 
@@ -241,7 +237,7 @@ def main(argv=None) -> int:
     if tracing_on:
         from repro.obs import summarize, write_chrome_trace
 
-        obs_section = summarize(collector, profiler=profiler)
+        obs_section = summarize(collector)
         summary["obs"] = obs_section
         trace_out = args.trace_out or TRACE_ARTIFACT
         write_chrome_trace(collector, trace_out)

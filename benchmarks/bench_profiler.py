@@ -9,16 +9,18 @@ output".
 
 from conftest import banner, emit, run_once
 
+from repro import obs
 from repro.core import EngineOptions, run_interpreter
 from repro.core.errors import EngineFuelExhausted
-from repro.sym import new_context, profile
+from repro.sym import new_context
 from repro.toyrisc import ToyCpu, ToyRISC, sign_program
 
 RESULTS = {}
 
 
-def _profile(split_pc: bool):
-    with profile() as prof:
+def _profile(split_pc: bool) -> list[dict]:
+    """The region rows of one ToyRISC run, ranked by §3.2 score."""
+    with obs.tracing() as col:
         with new_context():
             cpu = ToyCpu.symbolic(32)
             try:
@@ -29,28 +31,29 @@ def _profile(split_pc: bool):
                 )
             except EngineFuelExhausted:
                 pass
-    return prof
+    return obs.summarize(col)["regions"]
 
 
 def test_profile_without_split_pc(benchmark):
-    prof = run_once(benchmark, _profile, False)
-    ranking = [s.name for s in prof.ranking()]
-    RESULTS["without split-pc"] = prof
+    ranked = run_once(benchmark, _profile, False)
+    RESULTS["without split-pc"] = ranked
+    regions = {row["name"]: row for row in ranked}
     # fetch/execute dominate, and fetch creates instruction unions.
-    assert ranking[0] in ("toyrisc.execute", "toyrisc.fetch", "engine.step")
-    assert prof.regions["toyrisc.fetch"].max_union > 0 or prof.regions["toyrisc.execute"].merges > 0
+    assert ranked[0]["name"] in ("toyrisc.execute", "toyrisc.fetch", "engine.step")
+    assert regions["toyrisc.fetch"]["max_union"] > 0 or regions["toyrisc.execute"]["merges"] > 0
 
 
 def test_profile_with_split_pc(benchmark):
-    prof = run_once(benchmark, _profile, True)
-    RESULTS["with split-pc"] = prof
+    ranked = run_once(benchmark, _profile, True)
+    RESULTS["with split-pc"] = ranked
+    regions = {row["name"]: row for row in ranked}
     # the union blow-up disappears from fetch.
-    assert prof.regions["toyrisc.fetch"].max_union == 0
+    assert regions["toyrisc.fetch"]["max_union"] == 0
 
 
 def test_zz_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     banner("§3.2: symbolic profiler output")
-    for name, prof in RESULTS.items():
+    for name, ranked in RESULTS.items():
         emit(f"-- {name}")
-        emit(prof.report(top=4))
+        emit(obs.render_regions(ranked, top=4))

@@ -75,13 +75,10 @@ def pytest_configure(config):
     if not config.getoption("--obs-trace", default=False):
         return
     from repro.obs import tracing
-    from repro.sym.profiler import profile
 
     trace_ctx = tracing(absorb=False)
-    profile_ctx = profile()
     _TRACE["collector"] = trace_ctx.__enter__()
-    _TRACE["profiler"] = profile_ctx.__enter__()
-    _TRACE["contexts"] = (profile_ctx, trace_ctx)
+    _TRACE["context"] = trace_ctx
 
 
 def _finish_trace() -> dict | None:
@@ -90,13 +87,11 @@ def _finish_trace() -> dict | None:
         return None
     from repro.obs import summarize, write_chrome_trace
 
-    profile_ctx, trace_ctx = _TRACE.pop("contexts")
+    trace_ctx = _TRACE.pop("context")
     collector = _TRACE.pop("collector")
-    profiler = _TRACE.pop("profiler")
-    profile_ctx.__exit__(None, None, None)
     trace_ctx.__exit__(None, None, None)
     write_chrome_trace(collector, TRACE_ARTIFACT)
-    return summarize(collector, profiler=profiler)
+    return summarize(collector)
 
 
 @pytest.fixture(scope="session")

@@ -7,16 +7,18 @@ Walks the paper's running example end to end:
   2. lift it by running on symbolic state (Figure 5),
   3. prove state-machine refinement against a functional spec,
   4. prove step-consistency noninterference over the spec,
-  5. show the symbolic profiler flagging fetch without split-pc.
+  5. show the symbolic profile (``repro.obs`` regions) flagging fetch
+     without split-pc.
 
 Run:  python examples/quickstart.py
 """
 
 import time
 
+from repro import obs
 from repro.core import EngineOptions, run_interpreter
 from repro.core.errors import EngineFuelExhausted
-from repro.sym import bv_val, new_context, profile
+from repro.sym import bv_val, new_context
 from repro.toyrisc import (
     ToyCpu,
     ToyRISC,
@@ -54,7 +56,7 @@ def main() -> None:
     print(f"   step consistency proved: {result.proved}")
 
     print("== 5. symbolic profiling without split-pc (§3.2)")
-    with profile() as prof:
+    with obs.tracing() as col:
         with new_context():
             cpu = ToyCpu.symbolic(32)
             try:
@@ -63,7 +65,7 @@ def main() -> None:
                 )
             except EngineFuelExhausted:
                 pass
-    print(prof.report(top=4))
+    print(obs.render_regions(col.regions.values(), top=4))
     print("   (fetch explodes under a symbolic pc — split-pc repairs it)")
 
 

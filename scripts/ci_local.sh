@@ -71,6 +71,11 @@ run_job grid-perf-gate python scripts/check_bench.py \
     BENCH_fig11.json BENCH_baseline.json
 run_job grid-trace-smoke python scripts/check_trace.py "$tmp/trace.json"
 run_job grid-profile-report python -m repro.obs.report BENCH_fig11.json
+# The region table must have an engine.step row (CI's "Profile report").
+has_engine_step_row() {
+    python -m repro.obs.report BENCH_fig11.json --json | python -c "import json, sys; rows = json.load(sys.stdin)['regions']; sys.exit(0 if any(r['name'] == 'engine.step' and r['calls'] > 0 for r in rows) else 'no engine.step region row in BENCH_fig11.json')"
+}
+run_job grid-profile-regions has_engine_step_row
 run_job grid-cold-export python -m repro.core.store \
     --store "$tmp/store-cold" export "$tmp/verdicts.tar.gz"
 run_job grid-warm-import python -m repro.core.store \

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 import heapq
 from typing import Any
 
+from .. import obs
 from ..smt import Term, mk_and, mk_bool, mk_or
-from ..sym import SymBV, SymBool, Union, current, merge_states, note_split, region
+from ..sym import SymBV, SymBool, Union, current, merge_states, region
 from ..sym.reflect import NotConcretizable, split_concrete
 from .errors import EngineFuelExhausted, UnconstrainedPc
 
@@ -149,7 +150,7 @@ def _pc_leaves(interp: Interpreter, state, options: EngineOptions):
         (mk_and(*guards) if guards else mk_bool(True), value) for guards, value in raw
     ]
     if len(leaves) > 1:
-        note_split(len(leaves) - 1)
+        obs.count("sym.splits", len(leaves) - 1)
     return leaves
 
 
@@ -256,7 +257,7 @@ def _run_merged_pc(interp: Interpreter, state, options: EngineOptions) -> Paths:
                 raise EngineFuelExhausted(
                     f"instruction union exceeded {options.max_union} alternatives"
                 )
-            note_split(len(insn))
+            obs.count("sym.splits", len(insn))
 
             def execute_alt(single, st=st):
                 fresh = interp.copy_state(st)

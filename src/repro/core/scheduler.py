@@ -221,10 +221,11 @@ def _worker_main(wid: int, inbox, outbox) -> None:
     so the dispatcher, not the pool, decides what to do about it.
 
     When the parent is tracing (``trace`` set in the task message), the
-    task runs inside its own obs tracing session plus symbolic
-    profiler, and the serialized snapshot rides home in the outbox
-    message.  ``time.perf_counter()`` is machine-wide on Linux, so the
-    worker's span timestamps land directly on the parent's timeline.
+    task runs inside its own obs tracing session, and the serialized
+    snapshot (spans, counters, §3.2 region rows) rides home in the
+    outbox message.  ``time.perf_counter()`` is machine-wide on Linux,
+    so the worker's span timestamps land directly on the parent's
+    timeline.
     """
     os.environ[_WORKER_ENV] = "1"
     from ..obs.events import trace_context
@@ -244,11 +245,9 @@ def _worker_main(wid: int, inbox, outbox) -> None:
             with trace_context(trace_id, ob_id):
                 if trace:
                     from ..obs import tracing
-                    from ..sym.profiler import profile
 
-                    with tracing(absorb=False) as col, profile() as prof:
+                    with tracing(absorb=False) as col:
                         result = _run_task(kind, payload)
-                    col.merge_regions(prof.snapshot())
                     snap = col.snapshot()
                 else:
                     result = _run_task(kind, payload)
@@ -660,39 +659,19 @@ class ObligationScheduler:
 
     # -- high-level entry points ----------------------------------------
 
-    @staticmethod
-    def _want_trace(trace: bool | None) -> bool:
-        """Default the ``trace`` knob to "the caller is observing":
-        an obs tracing session or a symbolic profiler is active."""
-        if trace is not None:
-            return trace
-        from ..obs import enabled
-        from ..sym.profiler import active_profiler
-
-        return enabled() or active_profiler() is not None
-
     def _collect_trace(self, ticket: _Ticket) -> None:
-        """Reassemble worker envelopes into the caller's collector and
-        profiler, and lay down one ``scheduler``-category span per task
-        (its solving interval, on its worker's track)."""
+        """Absorb worker envelopes into the caller's collector, and lay
+        down one ``scheduler``-category span per task (its solving
+        interval, on its worker's track)."""
         from ..obs import get_collector
-        from ..sym.profiler import active_profiler
 
         col = get_collector()
-        prof = active_profiler()
-        for entry in ticket.obs:
-            if entry is None:
-                continue
-            wid, snap = entry
-            if prof is not None:
-                prof.merge_from(snap.get("regions", {}))
-            if col is not None:
-                if prof is not None:
-                    # Regions went to the profiler; don't double-count.
-                    snap = {**snap, "regions": {}}
-                col.absorb(snap, tid=f"worker-{wid}")
         if col is None:
             return
+        for entry in ticket.obs:
+            if entry is not None:
+                wid, snap = entry
+                col.absorb(snap, tid=f"worker-{wid}")
         for index, entry in enumerate(ticket.timeline):
             if entry is None:
                 continue
@@ -731,10 +710,13 @@ class ObligationScheduler:
 
         ``jobs_hint`` is what the caller asked for; it is reported as
         ``stats.jobs`` for compatibility with PR 2 consumers even though
-        the whole pool participates.
+        the whole pool participates.  ``trace`` defaults to whether the
+        caller is tracing.
         """
+        from ..obs import enabled
+
         start = time.perf_counter()
-        trace = self._want_trace(trace)
+        trace = enabled() if trace is None else trace
         ticket = self.submit_obligations(
             obligations,
             cache_dir=cache_dir,
@@ -770,7 +752,9 @@ class ObligationScheduler:
         Raises ``RuntimeError`` if ``fn`` raised in a worker (after the
         worker-death retry budget), mirroring ``Pool.map``.
         """
-        trace = self._want_trace(trace)
+        from ..obs import enabled
+
+        trace = enabled() if trace is None else trace
         ticket = self.submit_calls(fn, list(items), trace=trace)
         results = ticket.wait()
         if trace:

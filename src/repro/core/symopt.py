@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sym import SymBV, SymBool, bug_on, bv_val, ite, merge, note_split
+from .. import obs
+from ..sym import SymBV, SymBool, bug_on, bv_val, ite, merge
 
 __all__ = ["SymOptConfig", "split_cases", "split_cases_value", "rewrite_with_invariant", "concretize"]
 
@@ -72,7 +73,7 @@ def split_cases(x: SymBV, values: list[int], fn, default=None):
     (or ``default(x)`` when given).  Results merge into a single
     guarded value; states should be copied inside ``fn``.
     """
-    note_split(len(values))
+    obs.count("sym.splits", len(values))
     residual = default(x) if default is not None else fn(x)
     out = residual
     for c in reversed(values):

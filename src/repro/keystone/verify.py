@@ -53,8 +53,7 @@ def scan_for_ub(
     the sequential scan.
     """
     from ..obs import maybe_tracing
-    from ..sym import SymBool
-    from ..sym.profiler import region
+    from ..sym import SymBool, region
     from ..sym.solverapi import check_batch
 
     with maybe_tracing(trace):

@@ -5,10 +5,13 @@ Every layer of the Figure-1 stack reports here: symbolic evaluation
 (``sat``), the verdict cache (``solver-cache``), and the
 work-stealing scheduler (``scheduler``, one span per proof-obligation
 timeline).  The paper's workflow is profile-then-optimize (§3.2); this
-package is what makes that workflow possible once the work runs in
-scheduler worker processes — workers serialize their span buffers and
-counter deltas into the result envelope, and the parent reassembles
-one coherent trace per ``run_obligations`` call.
+package is its only instrumentation model.  The symbolic profile is
+the session's region table: every ``region(name)`` block charges its
+calls, terms, merges, path splits, largest guarded union and time to
+a row, whether it ran in this process or in a scheduler worker —
+workers serialize their spans, counter deltas and region rows into
+the result envelope, and the parent reassembles one coherent trace
+per ``run_obligations`` call.
 
 Usage::
 
@@ -17,10 +20,11 @@ Usage::
     with obs.tracing() as col:
         verifier.prove_op("get_quota")          # any stack entry point
     obs.write_chrome_trace(col, "trace.json")   # chrome://tracing / Perfetto
+    print(obs.render_regions(col.regions.values()))  # the §3.2 table
     print(obs.render_report({"obs": obs.summarize(col)}))
 
-Disabled-by-default: ``obs.span(...)``/``obs.count(...)`` outside a
-``tracing()`` block cost one global load and a None test.  Counters
+Disabled-by-default: ``obs.span(...)``/``obs.region(...)``/``obs.count(...)``
+outside a ``tracing()`` block cost one global load and a None test.  Counters
 never include wall-clock values, so they are bit-identical across two
 runs with the same seed — the determinism contract CI checks.
 """
@@ -36,6 +40,7 @@ from .collector import (
     get_collector,
     maybe_tracing,
     observe,
+    region,
     span,
     tracing,
 )
@@ -51,7 +56,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .report import render_report, summarize
+from .report import render_regions, render_report, summarize
 
 __all__ = [
     "Collector",
@@ -71,7 +76,9 @@ __all__ = [
     "new_trace_id",
     "observe",
     "parse_prometheus",
+    "region",
     "render_prometheus",
+    "render_regions",
     "render_report",
     "span",
     "summarize",

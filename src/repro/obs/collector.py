@@ -11,14 +11,16 @@ One :class:`Collector` holds everything a tracing session records:
     wall-clock quantities, so two runs of the same workload with the
     same seeds produce bit-identical counter maps — the property the
     CI determinism guard checks;
-  * **regions** — aggregated §3.2 symbolic-profiler region statistics
-    merged in from worker snapshots.
+  * **regions** — the §3.2 symbolic profile: per :func:`region` name,
+    its calls, the terms/merges/splits created inside it (deltas of
+    the session's ``sym.*`` counters), the largest guarded union it
+    merged, and its inclusive and exclusive time.
 
-The module-level API (:func:`span`, :func:`count`) is the one the rest
-of the stack calls.  Its disabled fast path is a single global load
-plus an ``is None`` test, returning a shared no-op context manager —
-no allocation, no clock read — so instrumentation can stay in hot
-paths permanently.
+The module-level API (:func:`span`, :func:`region`, :func:`count`) is
+the one the rest of the stack calls.  Its disabled fast path is a
+single global load plus an ``is None`` test, returning a shared no-op
+context manager — no allocation, no clock read — so instrumentation
+can stay in hot paths permanently.
 
 Timestamps are ``time.perf_counter()`` values.  On Linux that clock is
 ``CLOCK_MONOTONIC``, which is machine-wide, so spans recorded in
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+import os
 import threading
 import time
 
@@ -46,6 +49,7 @@ __all__ = [
     "get_collector",
     "maybe_tracing",
     "observe",
+    "region",
     "span",
     "tracing",
 ]
@@ -242,6 +246,76 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _Frames(threading.local):
+    """Each thread's stack of open regions (the daemon's job threads
+    share one collector, so a process-wide stack would interleave)."""
+
+    def __init__(self):
+        self.stack: list[_Region] = []
+
+
+_frames = _Frames()
+
+
+class _Region:
+    """Live region handle: a ``sym`` span plus the region-table row.
+
+    Term, merge and split counts are deltas of the session's ``sym.*``
+    counters over the region's lifetime; nested regions are credited
+    to every open ancestor, and a parent's exclusive time leaves out
+    its children's inclusive time.
+    """
+
+    __slots__ = ("_col", "_name", "_span", "_args", "_start", "_base", "child_s", "max_union")
+
+    def __init__(self, col: "Collector", name: str):
+        self._col = col
+        self._name = name
+
+    def __enter__(self) -> None:
+        counters = self._col.counters
+        self._base = (
+            counters.get("sym.terms", 0),
+            counters.get("sym.merges", 0),
+            counters.get("sym.splits", 0),
+        )
+        self.child_s = 0.0
+        self.max_union = 0
+        self._span = self._col.span(self._name, cat="sym")
+        self._args = self._span.__enter__()
+        _frames.stack.append(self)
+        self._start = time.perf_counter()
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        incl = time.perf_counter() - self._start
+        stack = _frames.stack
+        stack.pop()
+        if stack:
+            stack[-1].child_s += incl
+        col = self._col
+        counters = col.counters
+        terms0, merges0, splits0 = self._base
+        terms = counters.get("sym.terms", 0) - terms0
+        merges = counters.get("sym.merges", 0) - merges0
+        splits = counters.get("sym.splits", 0) - splits0
+        self._args.update(terms=terms, merges=merges, splits=splits)
+        self._span.__exit__(exc_type, exc, tb)
+        col.add_region(
+            {
+                "name": self._name,
+                "calls": 1,
+                "terms": terms,
+                "merges": merges,
+                "splits": splits,
+                "max_union": self.max_union,
+                "time_s": incl,
+                "excl_s": incl - self.child_s,
+            }
+        )
+        return False
+
+
 class Collector:
     """Accumulates spans, counters, and region stats for one session."""
 
@@ -278,6 +352,18 @@ class Collector:
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
+
+    def add_region(self, row: dict) -> None:
+        """Fold a region row into the row of the same name: counts and
+        times add, ``max_union`` keeps the maximum."""
+        with self._lock:
+            mine = self.regions.get(row["name"])
+            if mine is None:
+                self.regions[row["name"]] = dict(row)
+                return
+            for key in ("calls", "terms", "merges", "splits", "time_s", "excl_s"):
+                mine[key] += row[key]
+            mine["max_union"] = max(mine["max_union"], row["max_union"])
 
     def observe(self, name: str, value: float) -> None:
         """Record a latency observation (seconds) into a named histogram."""
@@ -336,22 +422,6 @@ class Collector:
 
     # -- merging ---------------------------------------------------------
 
-    def merge_regions(self, regions: dict[str, dict]) -> None:
-        """Accumulate aggregated SymProfiler region stats."""
-        with self._lock:
-            for name, incoming in regions.items():
-                mine = self.regions.get(name)
-                if mine is None:
-                    self.regions[name] = dict(incoming)
-                    continue
-                for key, value in incoming.items():
-                    if key == "name":
-                        continue
-                    if key == "max_union":
-                        mine[key] = max(mine.get(key, 0), value)
-                    else:
-                        mine[key] = mine.get(key, 0) + value
-
     def absorb(self, snapshot: dict, tid: str | None = None) -> None:
         """Merge a serialized child snapshot (worker envelope or nested
         tracing block) into this collector.
@@ -373,7 +443,8 @@ class Collector:
                     self.histograms[key] = Histogram.from_json(doc)
                 else:
                     hist.merge(doc)
-        self.merge_regions(snapshot.get("regions", {}))
+        for row in snapshot.get("regions", {}).values():
+            self.add_region(row)
         # Re-sequence child events onto this collector's ring so seq
         # stays monotonic for ``/events?since=`` readers.
         for child in snapshot.get("events", ()):
@@ -398,10 +469,17 @@ class Collector:
                 "events": [dict(e) for e in self.events],
             }
 
-    def histogram_summaries(self) -> dict:
-        """``{name: summary}`` for every histogram (the JSON ``/metrics`` shape)."""
+    def metrics(self) -> dict:
+        """Counters, span and dropped-span counts, and histograms (as
+        ``to_json`` dicts) in one locked read: what ``/metrics`` renders,
+        without copying the span rows or the event ring."""
         with self._lock:
-            return {name: h.summary() for name, h in self.histograms.items()}
+            return {
+                "counters": dict(self.counters),
+                "spans": len(self.spans),
+                "dropped_spans": self.dropped_spans,
+                "histograms": {name: h.to_json() for name, h in self.histograms.items()},
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +514,20 @@ def span(name: str, cat: str = "app", tid: str = "main", **args):
     if col is None:
         return _NULL_SPAN
     return col.span(name, cat=cat, tid=tid, **args)
+
+
+def region(name: str):
+    """Attribute the enclosed symbolic evaluation to the §3.2 region
+    ``name``; no-op when disabled.
+
+    Enabled, the region records a ``sym`` span (with its term, merge
+    and split deltas as args) and folds its statistics into the
+    collector's region table on exit.  Yields None either way.
+    """
+    col = _active
+    if col is None:
+        return _NULL_SPAN
+    return _Region(col, name)
 
 
 def count(name: str, n: int = 1) -> None:
@@ -484,20 +576,21 @@ class _Tracing:
     def __init__(self, absorb: bool = True, collector: Collector | None = None):
         self._absorb = absorb
         self.collector = collector or Collector()
-        self._hook_token = None
 
     def __enter__(self) -> Collector:
         global _active
+        if not _stack:
+            _set_sym_hooks(_count_term, _count_merge)
         _stack.append(self.collector)
         _active = self.collector
-        self._hook_token = _install_term_hooks(self.collector)
         return self.collector
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         global _active
-        _remove_term_hooks(self._hook_token)
         _stack.pop()
         _active = _stack[-1] if _stack else None
+        if not _stack:
+            _set_sym_hooks(None, None)
         if self._absorb and _active is not None:
             _active.absorb(self.collector.snapshot())
         return False
@@ -543,45 +636,46 @@ def maybe_tracing(trace) -> _MaybeTracing:
 
 
 # ---------------------------------------------------------------------------
-# Term/merge hook chaining (sym.terms / sym.merges counters)
+# The sym.terms / sym.merges hooks: installed while any session is open,
+# they count into the innermost one only (an inner session's counts reach
+# the outer one once, when it is absorbed).
 
 
-def _install_term_hooks(col: Collector):
-    """Chain counting hooks onto the term manager and merge hook.
-
-    Imported lazily so ``repro.obs`` itself has no import-time
-    dependency on the smt/sym layers (they import us).
-    """
-    from ..smt.terms import manager
-    from ..sym.merge import get_merge_hook, set_merge_hook
-
-    old_term = manager.on_new_term
-    old_merge = get_merge_hook()
-
-    def term_hook(term):
+def _count_term(term) -> None:
+    col = _active
+    if col is not None:
         col.counters["sym.terms"] = col.counters.get("sym.terms", 0) + 1
-        if old_term is not None:
-            old_term(term)
 
-    def merge_hook(guard, a, b):
+
+def _count_merge(union_size: int) -> None:
+    col = _active
+    if col is not None:
         col.counters["sym.merges"] = col.counters.get("sym.merges", 0) + 1
-        if old_merge is not None:
-            old_merge(guard, a, b)
+        if union_size:
+            for frame in _frames.stack:
+                frame.max_union = max(frame.max_union, union_size)
+
+
+def _set_sym_hooks(term_hook, merge_hook) -> None:
+    """Imported lazily so ``repro.obs`` itself has no import-time
+    dependency on the smt/sym layers (they import us)."""
+    from ..smt.terms import manager
+    from ..sym.merge import set_merge_hook
 
     manager.on_new_term = term_hook
     set_merge_hook(merge_hook)
-    return (old_term, old_merge, term_hook, merge_hook)
 
 
-def _remove_term_hooks(token) -> None:
-    if token is None:
-        return
-    from ..smt.terms import manager
-    from ..sym.merge import get_merge_hook, set_merge_hook
+def _reset_after_fork() -> None:
+    """A forked child starts untraced: the parent's sessions, open
+    regions and hooks would otherwise keep recording into a dead copy
+    of the parent's collector."""
+    global _active
+    if _stack:
+        _stack.clear()
+        _active = None
+        _set_sym_hooks(None, None)
+    _frames.stack = []
 
-    old_term, old_merge, term_hook, merge_hook = token
-    # Only unwind if nobody chained on top of us in the meantime.
-    if manager.on_new_term is term_hook:
-        manager.on_new_term = old_term
-    if get_merge_hook() is merge_hook:
-        set_merge_hook(old_merge)
+
+os.register_at_fork(after_in_child=_reset_after_fork)

@@ -1,8 +1,8 @@
 """Terminal profile report: ``python -m repro.obs.report BENCH_fig11.json``.
 
-Ranks proof obligations by wall time and symbolic-profiler regions by
-the §3.2 bottleneck score — the profile-then-optimize loop the paper
-runs with SymPro, over the artifact a traced benchmark run persisted.
+Ranks proof obligations by wall time and ``sym`` regions by the §3.2
+bottleneck score — the profile-then-optimize loop the paper runs with
+SymPro, over the artifact a traced benchmark run persisted.
 
 Accepts any JSON document that either *is* an obs summary (has
 ``obligations``/``regions``/``counters`` keys) or carries one under an
@@ -15,17 +15,17 @@ import argparse
 import json
 import sys
 
-__all__ = ["summarize", "render_report", "main"]
+__all__ = ["summarize", "render_regions", "render_report", "main"]
 
 
-def summarize(collector, profiler=None) -> dict:
-    """Condense a Collector (plus optional SymProfiler) into the
-    ``obs`` section persisted in benchmark artifacts.
+def summarize(collector) -> dict:
+    """Condense a Collector into the ``obs`` section persisted in
+    benchmark artifacts.
 
     Obligation rows come from the scheduler-category spans (one per
-    obligation, whichever process solved it); region rows come from the
-    profiler when one is supplied (it has both parent- and worker-side
-    regions merged), else from the collector's absorbed worker regions.
+    obligation, whichever process solved it); region rows are the
+    collector's region table (its own regions plus every absorbed
+    worker's), ranked by the §3.2 score.
     """
     obligations = []
     for event in collector.spans:
@@ -37,18 +37,12 @@ def summarize(collector, profiler=None) -> dict:
         obligations.append(row)
     obligations.sort(key=lambda r: r["wall_s"], reverse=True)
 
-    if profiler is not None:
-        regions = {name: stats.as_dict() for name, stats in profiler.regions.items()}
-    else:
-        regions = {name: dict(stats) for name, stats in collector.regions.items()}
-    region_rows = sorted(regions.values(), key=_region_score, reverse=True)
-
     return {
         "counters": dict(sorted(collector.counters.items())),
         "spans": len(collector.spans),
         "dropped_spans": collector.dropped_spans,
         "obligations": obligations,
-        "regions": region_rows,
+        "regions": _rank_regions(dict(row) for row in collector.regions.values()),
         "histograms": {
             name: hist.summary() for name, hist in sorted(collector.histograms.items())
         },
@@ -56,17 +50,39 @@ def summarize(collector, profiler=None) -> dict:
 
 
 def _region_score(region: dict) -> float:
-    """§3.2 bottleneck score of an aggregated region row (delegates to
-    ``RegionStats`` so the weights live in exactly one place)."""
-    from ..sym.profiler import RegionStats
+    """§3.2 bottleneck score of a region row: splits and merges dominate
+    term churn, and a large guarded union is the costliest sign."""
+    return (
+        region.get("terms", 0)
+        + 20.0 * region.get("merges", 0)
+        + 100.0 * region.get("splits", 0)
+        + 50.0 * region.get("max_union", 0)
+    )
 
-    return RegionStats(
-        name=region.get("name", "?"),
-        terms=region.get("terms", 0),
-        merges=region.get("merges", 0),
-        splits=region.get("splits", 0),
-        max_union=region.get("max_union", 0),
-    ).score
+
+def _rank_regions(regions) -> list[dict]:
+    """Region rows by descending score, ties by name (so the order does
+    not depend on which process recorded a row first)."""
+    return sorted(regions, key=lambda r: (-_region_score(r), str(r.get("name", ""))))
+
+
+def render_regions(regions, top: int = 15) -> str:
+    """The §3.2 region table: the ``top`` rows of ``regions`` (an
+    iterable of region rows, e.g. ``collector.regions.values()``)
+    ranked by bottleneck score, one line each."""
+    lines = [
+        f"{'region':<28} {'calls':>7} {'terms':>9} {'merges':>8} {'splits':>7} "
+        f"{'maxU':>5} {'incl(s)':>8} {'excl(s)':>8} {'score':>10}"
+    ]
+    for region in _rank_regions(regions)[:top]:
+        lines.append(
+            f"{region.get('name', '?')[:28]:<28} {region.get('calls', 0):>7} "
+            f"{region.get('terms', 0):>9} {region.get('merges', 0):>8} "
+            f"{region.get('splits', 0):>7} {region.get('max_union', 0):>5} "
+            f"{region.get('time_s', 0.0):>8.3f} {region.get('excl_s', 0.0):>8.3f} "
+            f"{_region_score(region):>10.0f}"
+        )
+    return "\n".join(lines)
 
 
 def _extract_obs(doc: dict) -> dict:
@@ -104,21 +120,7 @@ def render_report(doc: dict, top: int = 15) -> str:
 
     regions = obs.get("regions") or []
     lines.append(f"\n== regions by §3.2 bottleneck score (top {min(top, len(regions))}) ==")
-    if regions:
-        lines.append(
-            f"{'region':<28} {'calls':>7} {'terms':>9} {'merges':>8} {'splits':>7} "
-            f"{'maxU':>5} {'incl(s)':>8} {'excl(s)':>8} {'score':>10}"
-        )
-        for region in regions[:top]:
-            lines.append(
-                f"{region.get('name', '?')[:28]:<28} {region.get('calls', 0):>7} "
-                f"{region.get('terms', 0):>9} {region.get('merges', 0):>8} "
-                f"{region.get('splits', 0):>7} {region.get('max_union', 0):>5} "
-                f"{region.get('time_s', 0.0):>8.3f} {region.get('excl_s', 0.0):>8.3f} "
-                f"{_region_score(region):>10.0f}"
-            )
-    else:
-        lines.append("  (none recorded)")
+    lines.append(render_regions(regions, top) if regions else "  (none recorded)")
 
     histograms = obs.get("histograms") or {}
     if histograms:

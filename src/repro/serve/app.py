@@ -395,12 +395,17 @@ class VerificationServer:
             },
         }
         if self._collector is not None:
-            snap = self._collector.snapshot()
+            from ..obs import Histogram
+
+            read = self._collector.metrics()
             doc["obs"] = {
-                "counters": snap["counters"],
-                "spans": len(snap["spans"]),
-                "dropped_spans": snap["dropped_spans"],
-                "histograms": self._collector.histogram_summaries(),
+                "counters": read["counters"],
+                "spans": read["spans"],
+                "dropped_spans": read["dropped_spans"],
+                "histograms": {
+                    name: Histogram.from_json(h).summary()
+                    for name, h in read["histograms"].items()
+                },
                 "events": self._collector.event_seq,
             }
         return doc
@@ -434,9 +439,9 @@ class VerificationServer:
         counters: dict = {}
         histograms: dict = {}
         if self._collector is not None:
-            snap = self._collector.snapshot()
-            counters.update(snap["counters"])
-            histograms = snap["histograms"]
+            read = self._collector.metrics()
+            counters.update(read["counters"])
+            histograms = read["histograms"]
         for name, value in self.store_api.counters().items():
             counters[f"store.{name}"] = value
         scheduler = peek_scheduler()

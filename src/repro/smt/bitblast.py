@@ -224,8 +224,7 @@ class BitBlaster:
     def _tracked(self, tid: int, label: str, blast, term: Term):
         """Run one node's blast, recording its *exclusive* variable
         ranges and clause emission (nested child blasts record their
-        own — the same resume-mark trick the symbolic profiler uses
-        for exclusive time)."""
+        own: the parent's marks resume where the child stopped)."""
         sat = self.sat
         stack = self._frames
         if stack:

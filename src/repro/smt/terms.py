@@ -4,7 +4,7 @@ Every symbolic value in the stack bottoms out in one of these terms.
 Terms are immutable and interned, so structural equality is pointer
 equality and DAG sharing is maximal — this is what makes Rosette-style
 state merging produce compact encodings (§3.2), and what lets the
-symbolic profiler count distinct terms cheaply.
+symbolic profile (``repro.obs`` regions) count distinct terms cheaply.
 
 Constructor functions (``mk_and``, ``mk_bvadd``, ...) perform constant
 folding and local identity rewrites.  These rewrites play the role of
@@ -155,8 +155,8 @@ class TermManager:
         self._table: dict[tuple, Term] = {}
         self._next_tid = 0
         self._fresh_counter = 0
-        # Hook for the symbolic profiler: called with each newly
-        # interned term.  ``None`` when profiling is off.
+        # Called with each newly interned term while a ``repro.obs``
+        # tracing session is open (the ``sym.terms`` counter); else None.
         self.on_new_term: Callable[[Term], None] | None = None
 
     def intern(self, op: str, sort: Sort, args: tuple[Term, ...], payload=None) -> Term:

@@ -2,13 +2,20 @@
 
 Provides symbolic values with Python operator overloading, guarded
 unions and state merging, an assertion store with path conditions,
-verify/solve queries with counterexamples, the symbolic profiler, and
-symbolic reflection.
+verify/solve queries with counterexamples, and symbolic reflection.
+
+Symbolic profiling (Bornholt & Torlak, OOPSLA'18; paper §3.2) is part
+of ``repro.obs``: inside a ``tracing()`` session, each ``region(name)``
+block (re-exported here) charges the terms, merges and path splits
+created in it, and the largest guarded union it merged, to a row of
+the session's region table, which ``repro.obs.render_regions`` ranks
+by the §3.2 bottleneck score.  In the ToyRISC walkthrough this is what
+flags ``fetch`` exploding under a symbolic pc.
 """
 
+from ..obs import region
 from .context import Context, VC, assert_prop, bug_on, current, new_context, path_condition
 from .merge import Union, merge, merge_states
-from .profiler import SymProfiler, active_profiler, note_split, profile, region
 from .reflect import (
     concrete_leaves,
     destruct_ite,

@@ -15,7 +15,9 @@ from typing import Any
 
 from .value import SymBV, SymBool, sym_false
 
-# Set by the profiler / repro.obs when active; counts merge operations.
+# Installed by ``repro.obs`` while a tracing session is open: called
+# once per merge with the size of the largest union being merged (0
+# when neither side is a union).
 _merge_hook = None
 
 
@@ -24,16 +26,12 @@ def set_merge_hook(hook) -> None:
     _merge_hook = hook
 
 
-def get_merge_hook():
-    """The installed merge hook, so observers can chain rather than
-    clobber each other (profiler inside an obs tracing block)."""
-    return _merge_hook
-
-
 def merge(guard: SymBool, a: Any, b: Any) -> Any:
     """Merge two values under ``guard`` (guard true selects ``a``)."""
     if _merge_hook is not None:
-        _merge_hook(guard, a, b)
+        _merge_hook(
+            max(len(a) if isinstance(a, Union) else 0, len(b) if isinstance(b, Union) else 0)
+        )
     if guard.is_concrete:
         return a if guard.as_bool() else b
     if a is b:

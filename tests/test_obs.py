@@ -4,9 +4,11 @@ Covers the contracts the observability PR promises: span nesting and
 post-exit args attachment, bit-identical counters across seeded runs,
 worker->parent trace reassembly through the work-stealing scheduler,
 Chrome trace schema validity, the near-zero disabled fast path, SAT
-counter reset between solves, and profiler exclusive-time accounting.
+counter reset between solves, and the §3.2 region table (exclusive
+time, absorb, dispatch-independence).
 """
 
+import importlib
 import time
 
 import pytest
@@ -17,10 +19,17 @@ from repro.smt import manager, mk_bv, mk_bvadd, mk_bvmul, mk_eq, mk_ult, mk_var
 from repro.smt.sat import ArenaSolver
 from repro.smt.solver import Solver, reset_incremental_session
 from repro.smt.sorts import bv_sort
-from repro.sym.merge import get_merge_hook
-from repro.sym.profiler import active_profiler, profile, region
+from repro.sym import fresh_bool, merge, region
+
+# The package re-exports the ``merge`` function under the module's name.
+merge_module = importlib.import_module("repro.sym.merge")
 
 BV8 = bv_sort(8)
+
+
+def _fork_probe(_) -> tuple[bool, bool]:
+    """Runs in a scheduler worker: is tracing on, is the term hook set?"""
+    return obs.enabled(), manager.on_new_term is not None
 
 
 def _solve_some(prefix: str) -> None:
@@ -97,11 +106,34 @@ class TestSpans:
 
     def test_hooks_restored_after_tracing(self):
         term_hook = manager.on_new_term
-        merge_hook = get_merge_hook()
+        merge_hook = merge_module._merge_hook
         with obs.tracing():
             assert manager.on_new_term is not term_hook
         assert manager.on_new_term is term_hook
-        assert get_merge_hook() is merge_hook
+        assert merge_module._merge_hook is merge_hook
+
+    def test_disabled_region_is_shared_noop(self):
+        assert not obs.enabled()
+        assert region("a") is region("b")
+        assert region("a") is obs.span("c")
+        with region("noop") as stats:
+            assert stats is None
+
+    def test_nested_session_counts_terms_once(self):
+        """An inner session's terms reach the outer one once, through
+        absorb, not a second time through a chained hook."""
+
+        def work(prefix):
+            mk_bvadd(mk_var(f"{prefix}_x", BV8), mk_var(f"{prefix}_y", BV8))
+
+        with obs.tracing() as solo:
+            work("nest_solo")
+        with obs.tracing() as outer:
+            with obs.tracing() as inner:
+                work("nest_inner")
+        assert solo.counters["sym.terms"] == 3
+        assert inner.counters["sym.terms"] == 3
+        assert outer.counters["sym.terms"] == solo.counters["sym.terms"]
 
 
 class TestCounters:
@@ -120,7 +152,10 @@ class TestCounters:
     def test_counters_deterministic_across_runs(self):
         """Two structurally identical workloads produce bit-identical
         counter maps.  Distinct variable prefixes per run keep the
-        hash-consed DAG from making the second run trivially free."""
+        hash-consed DAG from making the second run trivially free; a
+        throwaway first run interns the constants both runs share, so
+        the result does not depend on which tests ran before."""
+        _solve_some("det_warm")
         with obs.tracing() as first:
             _solve_some("det_a")
         with obs.tracing() as second:
@@ -147,7 +182,7 @@ class TestWorkerReassembly:
 
         obligations = _obligations("reasm", 6)
         try:
-            with obs.tracing() as col, profile() as prof:
+            with obs.tracing() as col:
                 results, stats = run_obligations(obligations, jobs=2)
         finally:
             shutdown_scheduler()
@@ -167,8 +202,46 @@ class TestWorkerReassembly:
         assert sat_spans and all(e.tid.startswith("worker-") for e in sat_spans)
         assert col.counters["solver.queries"] == len(obligations)
         # These obligations enter no sym regions, so the reassembled
-        # profiler is empty — but the merge path must leave it usable.
-        assert prof.snapshot() == {}
+        # region table is empty.
+        assert col.regions == {}
+
+    def test_forked_workers_start_untraced(self):
+        """A pool forked inside a session does not inherit it: untraced
+        tasks see no session and no term hook after the parent's ends."""
+        from repro.core.scheduler import get_scheduler, shutdown_scheduler
+
+        shutdown_scheduler()
+        try:
+            with obs.tracing():
+                scheduler = get_scheduler(2)
+            assert scheduler.map(_fork_probe, range(4), trace=False) == [(False, False)] * 4
+        finally:
+            shutdown_scheduler()
+
+    def test_sweep_region_rows_match_across_dispatch(self):
+        """The region table does not depend on how the work was
+        dispatched: a JIT sweep run in-process (jobs=1) and on scheduler
+        workers (jobs=2) gives the same rows.  Term counts are left out:
+        hash-consing makes them depend on what the evaluating process
+        had already interned."""
+        from repro.bpf_jit import RvJit, check_rv_insn, rv_alu_test_insns
+        from repro.bpf_jit.checker import sweep
+        from repro.core.scheduler import shutdown_scheduler
+
+        insns = rv_alu_test_insns()[:6]
+        rows = {}
+        try:
+            for jobs in (1, 2):
+                with obs.tracing() as col:
+                    sweep(check_rv_insn, RvJit(), insns, jobs=jobs)
+                rows[jobs] = {
+                    name: (r["calls"], r["merges"], r["splits"], r["max_union"])
+                    for name, r in col.regions.items()
+                }
+        finally:
+            shutdown_scheduler()
+        assert rows[1]["engine.step"][0] > 0
+        assert rows[1] == rows[2]
 
     def test_sequential_trace_has_scheduler_layer(self):
         with obs.tracing() as col:
@@ -210,9 +283,9 @@ class TestExport:
     def test_report_renders(self):
         from repro.obs.report import render_report, summarize
 
-        with obs.tracing() as col, profile() as prof:
+        with obs.tracing() as col:
             run_obligations(_obligations("report", 2), jobs=1)
-        text = render_report({"obs": summarize(col, profiler=prof)})
+        text = render_report({"obs": summarize(col)})
         assert "obligations by wall time" in text
         assert "report[0]" in text
 
@@ -287,20 +360,20 @@ class TestSatCounterReset:
 
 class TestProfilerIntegration:
     def test_exclusive_time(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("parent"):
                 time.sleep(0.02)
                 with region("child"):
                     time.sleep(0.02)
-        parent = prof.regions["parent"]
-        child = prof.regions["child"]
-        assert parent.time_s >= parent.excl_s
-        assert parent.time_s >= 0.035
-        assert parent.excl_s < parent.time_s - 0.01  # child time excluded
-        assert abs(child.excl_s - child.time_s) < 1e-6  # leaf: excl == incl
+        parent = col.regions["parent"]
+        child = col.regions["child"]
+        assert parent["time_s"] >= parent["excl_s"]
+        assert parent["time_s"] >= 0.035
+        assert parent["excl_s"] < parent["time_s"] - 0.01  # child time excluded
+        assert abs(child["excl_s"] - child["time_s"]) < 1e-6  # leaf: excl == incl
 
     def test_regions_emit_sym_spans(self):
-        with obs.tracing() as col, profile():
+        with obs.tracing() as col:
             with region("spanned"):
                 mk_var("profspan_x", BV8)
         spans = [e for e in col.spans if e.cat == "sym" and e.name == "spanned"]
@@ -308,31 +381,43 @@ class TestProfilerIntegration:
         assert spans[0].args["terms"] >= 1
 
     def test_region_obs_only_without_profiler(self):
-        assert active_profiler() is None
+        """A tracing session alone records region rows for in-process
+        symbolic evaluation: one row call per ``sym`` span."""
+        from repro.toyrisc import prove_sign_refinement
+
         with obs.tracing() as col:
             with region("unprofiled") as stats:
                 assert stats is None
-        assert [e.name for e in col.spans if e.cat == "sym"] == ["unprofiled"]
+            assert prove_sign_refinement().proved
+        sym_spans = [e for e in col.spans if e.cat == "sym"]
+        assert col.regions["unprofiled"]["calls"] == 1
+        assert "engine.step" in col.regions
+        assert sum(r["calls"] for r in col.regions.values()) == len(sym_spans)
 
-    def test_profile_chains_obs_hooks(self):
-        """A profiler inside a tracing session feeds both: its own
-        regions and the session's sym.* counters."""
+    def test_one_session_feeds_regions_and_counters(self):
+        """The region rows and the session's sym.* counters come from
+        the same hooks."""
         with obs.tracing() as col:
-            with profile() as prof:
-                with region("both"):
-                    mk_var("chain_x", BV8)
-        assert prof.regions["both"].terms >= 1
-        assert col.counters["sym.terms"] >= 1
+            with region("both"):
+                mk_var("chain_x", BV8)
+        assert col.regions["both"]["terms"] >= 1
+        assert col.counters["sym.terms"] == col.regions["both"]["terms"]
 
-    def test_merge_from_roundtrip(self):
-        with profile() as prof:
+    def test_absorb_region_snapshot_twice(self):
+        """Absorbing one snapshot twice doubles the counts and times of
+        its region rows and keeps the largest union."""
+        with obs.tracing() as col:
             with region("r"):
-                mk_var("mergefrom_x", BV8)
-        snap = prof.snapshot()
-        with profile() as other:
-            other.merge_from(snap)
-            other.merge_from(snap)
-        r = other.regions["r"]
-        assert r.calls == 2 * prof.regions["r"].calls
-        assert r.terms == 2 * prof.regions["r"].terms
-        assert r.max_union == prof.regions["r"].max_union
+                mk_var("absorb2_x", BV8)
+                merge(fresh_bool("absorb2_c2"), merge(fresh_bool("absorb2_c1"), "a", "b"), "c")
+        snap = col.snapshot()
+        other = obs.Collector()
+        other.absorb(snap)
+        other.absorb(snap)
+        once, twice = col.regions["r"], other.regions["r"]
+        assert twice["calls"] == 2 * once["calls"]
+        assert twice["terms"] == 2 * once["terms"]
+        assert twice["merges"] == 2 * once["merges"]
+        assert twice["time_s"] == pytest.approx(2 * once["time_s"])
+        assert twice["excl_s"] == pytest.approx(2 * once["excl_s"])
+        assert twice["max_union"] == once["max_union"] == 2

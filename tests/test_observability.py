@@ -327,6 +327,24 @@ class TestServeObservability:
         assert "obligation.queue_wait_seconds" in summaries
         assert doc["store"]["remote_breaker_open"] is False
 
+    def test_metrics_without_full_snapshot(self, client, monkeypatch):
+        """Both /metrics renderings read the collector in one locked read
+        of counters and histograms, never through ``snapshot()`` (which
+        copies every span row under the lock)."""
+        from repro.obs import Collector
+
+        def no_snapshot(self):
+            raise AssertionError("/metrics must not copy the span buffer")
+
+        monkeypatch.setattr(Collector, "snapshot", no_snapshot)
+        doc = client.metrics()
+        assert set(doc["obs"]) == {"counters", "spans", "dropped_spans", "histograms", "events"}
+        assert isinstance(doc["obs"]["spans"], int)
+        for summary in doc["obs"]["histograms"].values():
+            assert {"count", "p50", "p90", "p99"} <= set(summary)
+        parsed = parse_prometheus(client.metrics_text())
+        assert parsed["gauges"]["repro_serve_uptime_seconds"] > 0
+
     def test_trace_id_spans_daemon_worker_and_store(self, server):
         """One client trace_id is visible in daemon scheduler spans, in
         a worker-side solve span, in the obligation event log, and in a

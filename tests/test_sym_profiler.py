@@ -1,18 +1,18 @@
-"""Tests for the symbolic profiler and the verify/solve API details."""
+"""Tests for the §3.2 symbolic profile (``repro.obs`` regions) and the
+verify/solve API details."""
 
 import pytest
 
+from repro import obs
 from repro.smt import EvalError, eval_term, mk_var
 from repro.smt.sorts import bv_sort
 from repro.sym import (
     Union,
-    active_profiler,
     bv_val,
     fresh_bool,
     fresh_bv,
     merge,
     new_context,
-    profile,
     prove,
     region,
     verify_vcs,
@@ -21,59 +21,59 @@ from repro.sym import (
 
 class TestProfiler:
     def test_inactive_by_default(self):
-        assert active_profiler() is None
+        assert not obs.enabled()
         with region("nowhere") as stats:
             assert stats is None
 
     def test_counts_terms_in_region(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("work"):
                 a = fresh_bv("pr_a", 8)
                 _ = a + 1 + 2 + 3
-        assert prof.regions["work"].terms > 0
-        assert prof.regions["work"].calls == 1
+        assert col.regions["work"]["terms"] > 0
+        assert col.regions["work"]["calls"] == 1
 
     def test_nested_regions_both_credited(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("outer"):
                 with region("inner"):
                     _ = fresh_bv("pr_b", 8) ^ 0x55
-        assert prof.regions["inner"].terms > 0
-        assert prof.regions["outer"].terms >= prof.regions["inner"].terms
+        assert col.regions["inner"]["terms"] > 0
+        assert col.regions["outer"]["terms"] >= col.regions["inner"]["terms"]
 
     def test_merge_and_union_tracking(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("merging"):
                 c1, c2 = fresh_bool("pr_c"), fresh_bool("pr_c2")
                 u = merge(c1, "a", "b")  # incompatible -> union
                 merge(c2, u, "c")  # growing union observed by the hook
-        stats = prof.regions["merging"]
-        assert stats.merges >= 2
-        assert stats.max_union >= 2
+        stats = col.regions["merging"]
+        assert stats["merges"] >= 2
+        assert stats["max_union"] >= 2
 
     def test_ranking_orders_by_score(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("hot"):
                 x = fresh_bv("pr_d", 8)
                 for i in range(50):
                     x = x + i
             with region("cold"):
                 pass
-        ranking = prof.ranking()
-        assert ranking[0].name == "hot"
+        ranking = obs.summarize(col)["regions"]
+        assert ranking[0]["name"] == "hot"
 
     def test_report_renders(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with region("r1"):
                 _ = fresh_bv("pr_e", 8) + 1
-        report = prof.report()
+        report = obs.render_regions(col.regions.values())
         assert "r1" in report and "score" in report
 
     def test_hooks_restored_after_profile(self):
         from repro.smt import manager
 
         before = manager.on_new_term
-        with profile():
+        with obs.tracing():
             pass
         assert manager.on_new_term is before
 

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro import obs
 from repro.core import EngineOptions, run_interpreter, theorem
 from repro.core.errors import EngineFuelExhausted, UnconstrainedPc
-from repro.sym import bv_val, new_context, profile, prove, sym_eq, verify_vcs
+from repro.sym import bv_val, new_context, prove, sym_eq, verify_vcs
 from repro.toyrisc import (
     ToyCpu,
     ToyRISC,
@@ -187,7 +188,7 @@ class TestAblations:
     def test_profiler_flags_fetch_without_split_pc(self):
         """§3.2: profiling the verifier without split-pc ranks fetch
         (vector-ref) as a bottleneck."""
-        with profile() as prof:
+        with obs.tracing() as col:
             with new_context():
                 cpu = ToyCpu.symbolic(W)
                 try:
@@ -198,16 +199,16 @@ class TestAblations:
                     )
                 except EngineFuelExhausted:
                     pass
-        names = [s.name for s in prof.ranking()]
+        names = [row["name"] for row in obs.summarize(col)["regions"]]
         assert "toyrisc.fetch" in names or "toyrisc.execute" in names
-        report = prof.report()
+        report = obs.render_regions(col.regions.values())
         assert "region" in report
 
     def test_profiler_quiet_with_split_pc(self):
-        with profile() as prof:
+        with obs.tracing() as col:
             with new_context():
                 cpu = ToyCpu.symbolic(W)
                 run_interpreter(ToyRISC(sign_program()), cpu)
-        fetch = prof.regions.get("toyrisc.fetch")
+        fetch = col.regions.get("toyrisc.fetch")
         assert fetch is not None
-        assert fetch.max_union == 0  # no instruction unions created
+        assert fetch["max_union"] == 0  # no instruction unions created
