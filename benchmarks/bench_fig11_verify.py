@@ -25,10 +25,10 @@ Runner modes (the scaling axis this bench also exercises):
 
   python benchmarks/bench_fig11_verify.py --jobs 2 --cache
       standalone CLI (no pytest-benchmark needed): runs the refinement
-      obligation set through the shared work-stealing scheduler,
-      reports speedup vs. the sequential baseline and the cache hit
-      rate, and writes the BENCH_runner.json artifact (including the
-      per-obligation verdict map and the scheduler's steal/utilization
+      obligation set through the shared scheduler, reports speedup
+      vs. the sequential baseline and the cache hit rate, and writes
+      the BENCH_runner.json artifact (including the per-obligation
+      verdict map and the scheduler's queue-depth/utilization
       telemetry).  Exits nonzero if parallel and sequential verdicts
       diverge.
 

@@ -7,11 +7,11 @@ complete Figure 11 grid instead of the representative subset.
 
 The harness also fronts the proof-obligation scheduler
 (``repro.core.scheduler``): ``--jobs N`` feeds obligations to the
-process-wide work-stealing pool, ``--cache`` memoizes solver verdicts
+process-wide scheduler pool, ``--cache`` memoizes solver verdicts
 in the shared content-addressed verdict store (``repro.core.store``).
 Runner activity is accumulated into a ``BENCH_runner.json`` artifact
 (obligation count, wall time, cache hit rate, plus the scheduler's
-steal/queue-depth/utilization telemetry), and the session exits
+queue-depth/utilization telemetry), and the session exits
 nonzero if a sequential-vs-parallel verdict divergence was recorded —
 the regression guard for the scheduler's deterministic-reduction
 promise.
@@ -126,9 +126,8 @@ def banner(title: str) -> None:
 
 
 # Scheduler telemetry carried per-run into the artifact when present
-# (SchedulerStats.as_dict() emits them; the PR 2 pool path does not).
+# (SchedulerStats.as_dict() emits them; an in-process run does not).
 _SCHEDULER_FIELDS = (
-    "steals",
     "retries",
     "timeouts",
     "max_queue_depth",
@@ -141,10 +140,10 @@ _SCHEDULER_FIELDS = (
 def record_runner_run(label: str, stats: dict, wall_time_s: float | None = None) -> None:
     """Log one runner invocation (``stats`` from ``ProofResult.stats``
     or ``RunnerStats``/``SchedulerStats`` ``.as_dict()``) into the
-    artifact, including work-stealing telemetry when present."""
+    artifact, including scheduler telemetry when present."""
     entry = {
         "label": label,
-        "obligations": stats.get("obligations", stats.get("num_vcs", 0)),
+        "obligations": stats.get("obligations", 0),
         "jobs": stats.get("jobs", 1),
         "wall_time_s": wall_time_s if wall_time_s is not None else stats.get("wall_time_s", 0.0),
         "cache_queries": stats.get("cache_queries", 0),
@@ -180,7 +179,6 @@ def runner_summary() -> dict:
         "cache_queries": queries,
         "cache_hits": hits,
         "cache_hit_rate": hits / queries if queries else 0.0,
-        "steals": sum(r.get("steals", 0) for r in runs),
         "retries": sum(r.get("retries", 0) for r in runs),
         "timeouts": sum(r.get("timeouts", 0) for r in runs),
         "max_queue_depth": max((r.get("max_queue_depth", 0) for r in runs), default=0),

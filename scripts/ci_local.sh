@@ -69,6 +69,20 @@ run_job grid-cold python benchmarks/bench_fig11_verify.py \
     --trace --trace-out "$tmp/trace.json"
 run_job grid-perf-gate python scripts/check_bench.py \
     BENCH_fig11.json BENCH_baseline.json
+run_job grid-checkproof python -m repro.smt.checkproof --store "$tmp/store-cold"
+# BENCH_fig11.json is rewritten by every run; keep the certified run's
+# copy for the overhead gate.  The profile report below reads the
+# rewritten file, as CI's does.
+nocert_run() {
+    cp BENCH_fig11.json "$tmp/BENCH_fig11_certs.json" &&
+    REPRO_NO_CERTS=1 python benchmarks/bench_fig11_verify.py \
+        --jobs 2 --cache --cache-dir "$tmp/store-nocert" \
+        --quick --out "$tmp/nocert.json" \
+        --trace --trace-out "$tmp/nocert_trace.json"
+}
+run_job grid-nocert nocert_run
+run_job grid-cert-overhead python scripts/check_bench.py --certs \
+    "$tmp/BENCH_fig11_certs.json" BENCH_fig11.json
 run_job grid-trace-smoke python scripts/check_trace.py "$tmp/trace.json"
 run_job grid-profile-report python -m repro.obs.report BENCH_fig11.json
 # The region table must have an engine.step row (CI's "Profile report").

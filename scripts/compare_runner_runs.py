@@ -9,7 +9,8 @@ warm run against the same (possibly exported/imported) store:
 
   * neither run recorded a sequential-vs-parallel verdict divergence;
   * both runs report identical per-obligation verdicts (the scheduler's
-    determinism promise, across work-stealing, machines, and the store);
+    determinism promise, across worker interleavings, machines, and the
+    store);
   * the warm run's solver-cache hit rate clears the floor;
   * the warm run was faster than the cold run — skipped with
     ``--allow-slower``, which CI uses when the two runs execute on
@@ -74,8 +75,8 @@ def main() -> int:
             f"({run.get('obligations', 0)} obligations, "
             f"hit rate {run.get('cache_hit_rate', 0.0):.2%}"
         )
-        if "steals" in run:
-            line += f", steals {run['steals']}, max queue depth {run.get('max_queue_depth', 0)}"
+        if "max_queue_depth" in run:
+            line += f", max queue depth {run['max_queue_depth']}"
         return line + ")"
 
     print(describe("cold", cold))

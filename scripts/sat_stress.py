@@ -12,7 +12,7 @@ Five layers of checking, mirroring the ``sat-stress`` CI job:
   * **Session and dispatch modes**: a small verification grid runs
     in-process on one shared incremental session, then with the session
     reset before every obligation (which behaves exactly like a fresh
-    solver), then through the work-stealing scheduler with two workers.
+    solver), then through the obligation scheduler with two workers.
     The per-obligation verdict lists must be identical, and the shared
     run must answer at least one obligation from the session's verdict
     memo (the grid repeats three goal shapes over fresh variables).

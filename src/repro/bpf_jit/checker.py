@@ -173,7 +173,7 @@ def sweep(checker, jit, insns, jobs: int = 1, trace: bool | str = False) -> list
     whole symbolic evaluation, not just the solve — so the sweep
     parallelizes across worker processes with ``jobs > 1`` (order of
     results matches ``insns`` either way).  The items ride the shared
-    work-stealing pool (``repro.core.scheduler``), so a JIT sweep and
+    scheduler queue (``repro.core.scheduler``), so a JIT sweep and
     a monitor refinement proof submitted by the same process interleave
     on the same workers instead of fighting over separate pools.
     Checks in one process share verdicts through its session verdict

@@ -39,7 +39,7 @@ class CertikosVerifier:
     max_conflicts: int | None = None
     timeout_s: float | None = None
     # Proof-obligation scheduling knobs: with jobs > 1 the refinement
-    # VCs feed the process-wide work-stealing pool, and cache_dir names
+    # VCs feed the process-wide scheduler pool, and cache_dir names
     # the shared content-addressed verdict store (repro.core.scheduler,
     # repro.core.store).
     jobs: int = 1

@@ -23,7 +23,7 @@ The guarded final states this engine produces are where parallel
 verification starts: every ``assert_prop``/``bug_on`` recorded under a
 path guard becomes one independent proof obligation
 (``repro.core.runner.Obligation``), which the process-wide
-work-stealing scheduler (``repro.core.scheduler``) discharges and the
+obligation scheduler (``repro.core.scheduler``) discharges and the
 content-addressed verdict store (``repro.core.store``) memoizes.  See
 ``docs/ARCHITECTURE.md`` for the worked dataflow from a ``split-pc``
 leaf to a stored verdict.

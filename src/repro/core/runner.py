@@ -21,16 +21,19 @@ This module makes those units explicit:
     canonical hash-consed DAG digest, so alpha-equivalent queries hit
     across runs and across worker processes.
 
-Everything above the solver boundary (``repro.sym.check_batch``,
-``Refinement.prove(jobs=...)``, the verifiers' ``jobs``/``cache_dir``
-knobs) funnels through here.
+Everything above the solver boundary funnels through here:
+``repro.sym.verify_vcs`` turns every VC set into obligations with
+:func:`obligations_from_context` at every ``jobs`` value, and
+``repro.sym.check_batch``, ``Refinement.prove(jobs=...)`` and the
+verifiers' ``jobs``/``cache_dir`` knobs ride on it.
 
-There are exactly two dispatch modes.  ``jobs=1`` runs in-process,
-the sequential baseline; ``jobs > 1`` feeds the **process-wide
-work-stealing scheduler** (``repro.core.scheduler``): one persistent
-pool shared by every ``run_obligations`` call, with per-obligation
-timeout + bounded retry and verdicts memoized in the sharded
-content-addressed store (``repro.core.store.VerdictStore``).
+There are exactly two dispatch modes, over the same obligations.
+``jobs=1`` runs them in-process, in order; ``jobs > 1`` feeds the
+**process-wide scheduler** (``repro.core.scheduler``): one persistent
+pool shared by every ``run_obligations`` call, fed from one FIFO
+queue, with per-obligation timeout + bounded retry.  Either way,
+verdicts are memoized in the sharded content-addressed store
+(``repro.core.store.VerdictStore``) when a ``cache_dir`` is given.
 """
 
 from __future__ import annotations
@@ -298,16 +301,16 @@ def run_obligations(
 
     ``jobs=1`` runs in-process (no multiprocessing overhead, the
     sequential baseline); ``jobs=0`` means one worker per core.  With
-    ``jobs > 1`` the obligations feed the process-wide work-stealing
-    scheduler (``repro.core.scheduler``): one persistent pool shared by
-    every concurrent caller, per-obligation ``timeout_s`` with
-    ``retries`` bounded re-runs, and the sharded verdict store at
+    ``jobs > 1`` the obligations feed the process-wide scheduler
+    (``repro.core.scheduler``): one persistent pool shared by every
+    concurrent caller, per-obligation ``timeout_s`` with ``retries``
+    bounded re-runs.  Both modes use the sharded verdict store at
     ``cache_dir``.
 
     The reduction is deterministic regardless of worker scheduling:
     results come back in input order, so "first failing obligation"
-    is stable across parallel runs — parallel, work-stealing, and
-    sequential runs produce identical verdicts in identical order.
+    is stable across parallel runs — parallel and sequential runs
+    produce identical verdicts in identical order.
     """
     from .scheduler import in_worker
 
@@ -357,7 +360,7 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
     per-item work includes symbolic evaluation, not just solving.
     ``fn`` and the items must be picklable (top-level callables).
 
-    With ``jobs > 1`` the items ride the same shared work-stealing pool
+    With ``jobs > 1`` the items ride the same shared scheduler queue
     as proof obligations, so a JIT sweep and a refinement proof can
     interleave on the same workers.
     """

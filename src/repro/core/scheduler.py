@@ -1,28 +1,26 @@
-"""Process-wide work-stealing scheduler for proof obligations.
+"""Process-wide obligation scheduler: one persistent pool, one queue.
 
-PR 2's runner parallelizes *within* one ``run_obligations`` call: each
-call builds a pool, maps its obligations, and tears the pool down.
-Between the Figure 11 grid's tasks — twelve refinement proofs, two
-safety suites, a JIT sweep — workers sit idle and every call pays pool
-startup again.  This module owns **one persistent worker pool for the
-whole process**, fed by a shared work-stealing queue, so any number of
-concurrent verification tasks keep all cores busy end-to-end (§3.3's
-decomposition into independent obligations is what makes this sound:
-obligations share no state, only the content-addressed verdict store).
+A pool built per ``run_obligations`` call would sit idle between the
+Figure 11 grid's tasks — twelve refinement proofs, two safety suites, a
+JIT sweep — and pay pool startup on every call.  This module owns **one
+persistent worker pool for the whole process**, fed by one queue, so
+any number of concurrent verification tasks keep all cores busy
+end-to-end (§3.3's decomposition into independent obligations is what
+makes this sound: obligations share no state, only the
+content-addressed verdict store).
 
-Scheduling discipline (the classic work-stealing deque arrangement):
+Scheduling discipline:
 
-  * every worker has a **local deque**; submissions are dealt
-    round-robin across the deques;
-  * a worker takes work from the *front* of its own deque (oldest
-    first, preserving submission locality);
-  * a worker whose deque is empty **steals from the back of a random
-    victim's deque** (seeded RNG, so runs are reproducible), which is
-    counted in the telemetry;
+  * the parent keeps **one FIFO queue** of task ids; a submission
+    appends its tasks in submission order;
+  * the dispatcher thread hands the head of the queue to an idle
+    worker, one task at a time, under the scheduler lock, so no worker
+    idles while work is queued and tasks start in submission order;
+  * a retried task goes back to the *head* of the queue;
   * verdict reduction is by submission index, never completion order —
-    a stolen obligation lands in the same slot it would have filled
-    sequentially, so work-stealing runs report *identical* verdicts and
-    first-failures to sequential runs.
+    every result lands in the slot it would have filled sequentially,
+    so parallel runs report *identical* verdicts and first-failures to
+    sequential runs.
 
 Resilience (per KVerus' proof-fleet scheduling): each obligation gets a
 wall-clock ``timeout_s`` enforced inside the SAT core plus **one bounded
@@ -30,8 +28,8 @@ retry**; a timed-out-twice obligation reports ``unknown`` instead of
 wedging the run, and a crashed worker is respawned with its in-flight
 obligation requeued.
 
-Telemetry compatible with ``RunnerStats`` (queue depth, steal count,
-retries, per-worker utilization) flows through ``ProofResult.stats``
+Telemetry compatible with ``RunnerStats`` (queue depth, retries,
+timeouts, per-worker utilization) flows through ``ProofResult.stats``
 into the ``BENCH_runner.json`` artifact.
 """
 
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 import multiprocessing
 import os
 import queue as queue_mod
-import random
 import threading
 import time
 
@@ -71,14 +68,14 @@ _WORKER_ENV = "REPRO_SCHEDULER_WORKER"
 
 @dataclass
 class SchedulerStats(RunnerStats):
-    """``RunnerStats`` plus the work-stealing telemetry.
+    """``RunnerStats`` plus the scheduler telemetry.
 
     ``utilization`` is the fraction of worker-seconds spent solving
     during this run's wall time (1.0 = every worker busy the whole
-    time); ``max_queue_depth`` is the deepest the combined deques got.
+    time); ``max_queue_depth`` is the deepest the queue got while the
+    run was live.
     """
 
-    steals: int = 0
     retries: int = 0
     timeouts: int = 0
     max_queue_depth: int = 0
@@ -89,7 +86,6 @@ class SchedulerStats(RunnerStats):
     def as_dict(self) -> dict:
         out = super().as_dict()
         out.update(
-            steals=self.steals,
             retries=self.retries,
             timeouts=self.timeouts,
             max_queue_depth=self.max_queue_depth,
@@ -121,7 +117,6 @@ class _Task:
         "max_attempts",
         "name",
         "queued_t",
-        "stolen",
     )
 
     def __init__(self, tid, kind, payload, ticket, index, max_attempts, name):
@@ -134,7 +129,6 @@ class _Task:
         self.max_attempts = max_attempts
         self.name = name
         self.queued_t = time.perf_counter()
-        self.stolen = False
 
 
 class _Ticket:
@@ -174,7 +168,6 @@ class _Ticket:
         self.cancelled = False
         self.obs: list = [None] * count
         self.timeline: list = [None] * count
-        self.steals = 0
         self.retries = 0
         self.timeouts = 0
         self.busy_s = 0.0
@@ -192,7 +185,6 @@ class _Ticket:
             "done": self.done,
             "pending": self.pending,
             "cancelled": self.cancelled,
-            "steals": self.steals,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "busy_s": self.busy_s,
@@ -267,38 +259,34 @@ def _worker_main(wid: int, inbox, outbox) -> None:
 
 
 class _Worker:
-    __slots__ = ("wid", "process", "inbox", "deque", "busy_s")
+    __slots__ = ("wid", "process", "inbox")
 
     def __init__(self, wid, process, inbox):
         self.wid = wid
         self.process = process
         self.inbox = inbox
-        self.deque: deque[int] = deque()
-        self.busy_s = 0.0
 
 
 class ObligationScheduler:
-    """The process-wide scheduler: persistent pool + work-stealing deques.
+    """The process-wide scheduler: persistent pool + one FIFO queue.
 
     Use :func:`get_scheduler` rather than constructing one per call —
     sharing the pool across calls is the point.
     """
 
-    def __init__(self, workers: int = 0, steal_seed: int = 0):
+    def __init__(self, workers: int = 0):
         workers = workers or default_jobs()
         self._ctx = _pool_context()
         self._lock = threading.Lock()
-        self._rng = random.Random(steal_seed)
         self._outbox = self._ctx.Queue()
         self._workers: list[_Worker] = []
         self._idle: set[int] = set()
         self._inflight: dict[int, int] = {}  # wid -> tid
         self._tasks: dict[int, _Task] = {}
+        self._queue: deque[int] = deque()  # tids waiting for a worker
         self._next_tid = 0
-        self._cursor = 0
         self.closed = False
         # Process-lifetime counters (per-run numbers live on tickets).
-        self.steals = 0
         self.retries = 0
         self.timeouts = 0
         self.worker_restarts = 0
@@ -347,9 +335,12 @@ class ObligationScheduler:
         with self._lock:
             return {
                 "pool_workers": len(self._workers),
-                "queued": sum(len(w.deque) for w in self._workers),
+                "queued": len(self._queue),
                 "inflight": len(self._inflight),
-                "steals": self.steals,
+                # One queue feeds every worker, so this is always 0; the
+                # key stays because bench/child.py reads scheduler.steals
+                # from /metrics in traced serve runs.
+                "steals": 0,
                 "retries": self.retries,
                 "timeouts": self.timeouts,
                 "worker_restarts": self.worker_restarts,
@@ -426,52 +417,36 @@ class ObligationScheduler:
                 tid = self._next_tid
                 self._next_tid += 1
                 self._tasks[tid] = _Task(tid, kind, payload, ticket, index, 1 + retries, name)
-                home = self._workers[self._cursor % len(self._workers)]
-                self._cursor += 1
-                home.deque.append(tid)
-            self._note_depth(ticket)
+                self._queue.append(tid)
+            self._note_depth()
             self._feed_idle()
         return ticket
 
     # -- dispatch (all called under self._lock) --------------------------
 
-    def _note_depth(self, ticket: _Ticket | None = None) -> None:
-        depth = sum(len(w.deque) for w in self._workers)
+    def _note_depth(self) -> None:
+        """Record the queue's depth on the scheduler and on every live
+        ticket.  Called only where the queue grows (submit, requeue):
+        between those points it only shrinks, so no maximum is missed."""
+        depth = len(self._queue)
         self.max_queue_depth = max(self.max_queue_depth, depth)
-        if ticket is not None:
+        for ticket in {task.ticket for task in self._tasks.values()}:
             ticket.max_depth = max(ticket.max_depth, depth)
-        else:
-            for task in self._tasks.values():
-                t = task.ticket
-                t.max_depth = max(t.max_depth, depth)
-
-    def _take_for(self, worker: _Worker) -> tuple[int | None, bool]:
-        if worker.deque:
-            return worker.deque.popleft(), False
-        victims = [w for w in self._workers if w is not worker and w.deque]
-        if not victims:
-            return None, False
-        victim = victims[self._rng.randrange(len(victims))]
-        return victim.deque.pop(), True
 
     def _feed_idle(self) -> None:
-        for wid in sorted(self._idle):
-            worker = self._workers[wid]
-            tid, stolen = self._take_for(worker)
-            if tid is None:
+        while self._idle and self._queue:
+            task = self._tasks.get(self._queue.popleft())
+            if task is None:
+                # Finalized by a late result after a worker-death requeue.
                 continue
-            task = self._tasks[tid]
-            if stolen:
-                self.steals += 1
-                task.ticket.steals += 1
-                task.stolen = True
+            wid = min(self._idle)
             self._idle.discard(wid)
-            self._inflight[wid] = tid
+            self._inflight[wid] = task.tid
             ticket = task.ticket
             ids = None
             if ticket.trace_id is not None:
                 ids = (ticket.trace_id, f"{ticket.trace_id}.{task.index}")
-            worker.inbox.put((tid, task.kind, task.payload, ticket.trace, ids))
+            self._workers[wid].inbox.put((task.tid, task.kind, task.payload, ticket.trace, ids))
 
     def _finalize(
         self,
@@ -493,7 +468,6 @@ class ObligationScheduler:
                 "start_t": start,
                 "end_t": start + elapsed,
                 "wid": wid,
-                "stolen": task.stolen,
                 "attempts": task.attempts + 1,
             }
             # Latency histograms go to the process-global collector (the
@@ -546,18 +520,11 @@ class ObligationScheduler:
             if ticket.cancelled:
                 return 0
             ticket.cancelled = True
-            doomed: list[int] = []
-            for worker in self._workers:
-                kept = deque()
-                for tid in worker.deque:
-                    task = self._tasks.get(tid)
-                    if task is not None and task.ticket is ticket:
-                        doomed.append(tid)
-                    else:
-                        kept.append(tid)
-                worker.deque = kept
-            for tid in doomed:
-                self._finalize(self._tasks[tid], self._cancelled_result(self._tasks[tid]))
+            queued = [self._tasks.get(tid) for tid in self._queue]
+            doomed = [t for t in queued if t is not None and t.ticket is ticket]
+            self._queue = deque(t.tid for t in queued if t is not None and t.ticket is not ticket)
+            for task in doomed:
+                self._finalize(task, self._cancelled_result(task))
             return len(doomed)
 
     def _requeue(self, wid: int, task: _Task) -> None:
@@ -575,9 +542,9 @@ class ObligationScheduler:
             attempt=task.attempts + 1,
             worker=wid,
         )
-        # Retry on the worker that just freed up: its deque front keeps
-        # the retry prompt without jumping the whole queue.
-        self._workers[wid].deque.appendleft(task.tid)
+        # Back to the head of the queue: it is the oldest work waiting.
+        self._queue.appendleft(task.tid)
+        self._note_depth()
 
     # -- dispatcher thread ----------------------------------------------
 
@@ -596,18 +563,13 @@ class ObligationScheduler:
             with self._lock:
                 if self.closed:
                     return
-                worker = self._workers[wid]
-                worker.busy_s += elapsed
                 self._inflight.pop(wid, None)
                 self._idle.add(wid)
                 task = self._tasks.get(tid)
-                if task is None:
-                    # Duplicate delivery after a worker-death requeue.
-                    self._feed_idle()
-                    continue
-                task.ticket.busy_s += elapsed
-                self._handle_result(wid, task, result, elapsed, start, snap)
-                self._note_depth()
+                # None: a duplicate delivery after a worker-death requeue.
+                if task is not None:
+                    task.ticket.busy_s += elapsed
+                    self._handle_result(wid, task, result, elapsed, start, snap)
                 self._feed_idle()
 
     def _handle_result(
@@ -678,7 +640,6 @@ class ObligationScheduler:
             result = ticket.results[index]
             args = {
                 "queued_s": entry["start_t"] - entry["queued_t"],
-                "stolen": entry["stolen"],
                 "attempts": entry["attempts"],
                 "worker": entry["wid"],
             }
@@ -736,7 +697,6 @@ class ObligationScheduler:
             wall_time_s=wall,
             cache_queries=sum(1 for r in results if r.stats.get("cached")),
             cache_hits=sum(1 for r in results if r.stats.get("cache_hit")),
-            steals=ticket.steals,
             retries=ticket.retries,
             timeouts=ticket.timeouts,
             max_queue_depth=ticket.max_depth,

@@ -47,7 +47,7 @@ def scan_for_ub(
     monitor calls".  Every UB verification condition across every
     monitor call is an independent proof obligation, so the scan takes
     the standard ``jobs``/``cache_dir`` knobs and feeds the shared
-    work-stealing scheduler (``repro.core.scheduler``) like the other
+    obligation scheduler (``repro.core.scheduler``) like the other
     verifier frontends.  One finding is reported per (function,
     message) pair, the first failing instance winning — identical to
     the sequential scan.

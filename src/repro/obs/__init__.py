@@ -3,7 +3,7 @@
 Every layer of the Figure-1 stack reports here: symbolic evaluation
 (``sym`` regions), bit-blasting (``bitblast``), the CDCL core
 (``sat``), the verdict cache (``solver-cache``), and the
-work-stealing scheduler (``scheduler``, one span per proof-obligation
+obligation scheduler (``scheduler``, one span per proof-obligation
 timeline).  The paper's workflow is profile-then-optimize (§3.2); this
 package is its only instrumentation model.  The symbolic profile is
 the session's region table: every ``region(name)`` block charges its

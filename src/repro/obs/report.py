@@ -106,13 +106,13 @@ def render_report(doc: dict, top: int = 15) -> str:
     lines.append(f"\n== obligations by wall time (top {min(top, len(obligations))}) ==")
     if obligations:
         lines.append(
-            f"{'obligation':<44} {'wall(s)':>8} {'worker':>9} {'stolen':>6} "
+            f"{'obligation':<44} {'wall(s)':>8} {'worker':>9} "
             f"{'attempts':>8} {'queued(s)':>9}"
         )
         for row in obligations[:top]:
             lines.append(
                 f"{row.get('name', '?')[:44]:<44} {row.get('wall_s', 0.0):>8.3f} "
-                f"{str(row.get('worker', '-')):>9} {str(row.get('stolen', '-')):>6} "
+                f"{str(row.get('worker', '-')):>9} "
                 f"{str(row.get('attempts', '-')):>8} {row.get('queued_s', 0.0):>9.3f}"
             )
     else:

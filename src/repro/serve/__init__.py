@@ -3,7 +3,7 @@
 The daemon that turns the single-shot CLI into a long-lived service:
 an HTTP/JSON job API (submit a named verifier grid or a batch of
 serialized proof obligations, poll status, stream verdicts as they
-land, cancel) over the process-wide work-stealing scheduler and one
+land, cancel) over the process-wide obligation scheduler and one
 shared content-addressed verdict store, so any number of concurrent
 clients hit the same warm cache.  Stdlib only — ``http.server`` on
 the wire, ``urllib`` in the client.

@@ -3,7 +3,7 @@
 ``VerificationServer`` wires four existing pieces into a long-lived
 service with zero new dependencies (stdlib ``http.server`` only):
 
-  * the process-wide work-stealing scheduler discharges every job's
+  * the process-wide obligation scheduler discharges every job's
     obligations (``repro.core.scheduler``);
   * one content-addressed verdict store is shared by *all* jobs and
     all clients, so concurrent submissions of overlapping work hit one
@@ -38,8 +38,8 @@ Endpoints (all JSON)::
 Determinism contract: a grid job's verdict map is keyed ``monitor.op``
 exactly like the bench CLI's artifact, and an obligation batch's
 records carry their submission ``index`` — reduced in index order they
-equal a sequential ``run_obligations`` call verbatim, whatever the
-work-stealing interleaving was.
+equal a sequential ``run_obligations`` call verbatim, however the
+workers interleaved.
 """
 
 from __future__ import annotations
@@ -345,7 +345,6 @@ class VerificationServer:
             obligations=len(results),
             cache_queries=sum(1 for r in results if r is not None and r.stats.get("cached")),
             cache_hits=sum(1 for r in results if r is not None and r.stats.get("cache_hit")),
-            steals=progress["steals"],
             retries=progress["retries"],
             timeouts=progress["timeouts"],
         )

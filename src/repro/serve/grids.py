@@ -11,7 +11,7 @@ multiple daemon threads, so ``_EVAL_LOCK`` serializes each operation.
 The lock is held across the whole ``verifier.prove_op(op)`` call,
 including its wait on the pool, so concurrent grid jobs take turns op
 by op and never overlap.  Within one op the proof obligations still fan
-out across the process-wide work-stealing pool, and all jobs share the
+out across the process-wide scheduler pool, and all jobs share the
 one content-addressed verdict store — which is why a warm daemon
 answers the same grid an order of magnitude faster.
 """
@@ -101,9 +101,7 @@ def run_grid(
         verdicts[label] = bool(result.proved)
         totals["ops"] += 1
         stats = result.stats or {}
-        totals["obligations"] += int(
-            stats.get("obligations", stats.get("num_vcs", 0)) or 0
-        )
+        totals["obligations"] += int(stats.get("obligations", 0) or 0)
         totals["cache_queries"] += int(stats.get("cache_queries", 0) or 0)
         totals["cache_hits"] += int(stats.get("cache_hits", 0) or 0)
         totals["eval_wall_s"] += time.perf_counter() - start

@@ -5,12 +5,14 @@ is proved by showing its negation unsatisfiable; a failed proof comes
 back with a counterexample model for debugging specifications and
 implementations.
 
-``check_batch`` is the scaling entry point: it hands a set of
-independent proof obligations to ``repro.core.runner``, which
-dispatches them onto the process-wide work-stealing scheduler
-(``repro.core.scheduler``) and memoizes verdicts in the shared
-content-addressed store (``repro.core.store``).  ``verify_vcs`` routes
-through it whenever the caller asks for parallelism or caching.
+``check_batch`` and ``verify_vcs`` hand independent proof obligations
+(``verify_vcs`` makes one per VC the context collected, §3.3) to
+``repro.core.runner``.  The runner discharges them in-process at
+``jobs=1`` and on the process-wide scheduler (``repro.core.scheduler``)
+otherwise, and memoizes verdicts in the shared content-addressed store
+(``repro.core.store``) when given one.  That is the only path from a VC
+set to a verdict, so the verdict and the first failing VC do not depend
+on ``jobs``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import time
 
-from ..smt import Model, Solver, SolverTimeout, Term, mk_and, mk_bool, mk_not
+from ..smt import Model, Solver, mk_and, mk_bool, mk_not
 from .context import Context, VC
 from .value import _coerce_bool
 
@@ -82,6 +84,17 @@ def solve(*constraints, max_conflicts: int | None = None) -> Model | None:
     return result.model if result.is_sat else None
 
 
+def _proof_result(result, stats: dict, failed_vc: VC | None = None) -> ProofResult:
+    """An ``ObligationResult`` as a :class:`ProofResult` (the one
+    conversion ``check_batch`` and ``verify_vcs`` share)."""
+    if result.proved:
+        return ProofResult(True, stats=stats)
+    if result.status == "failed":
+        model = Model(result.model_values or {})
+        return ProofResult(False, counterexample=model, failed_vc=failed_vc, stats=stats)
+    return ProofResult(False, unknown=True, failed_vc=failed_vc, stats=stats)
+
+
 def check_batch(
     obligations,
     jobs: int = 1,
@@ -119,54 +132,7 @@ def check_batch(
         max_conflicts=max_conflicts,
         timeout_s=timeout_s,
     )
-    out = []
-    for result in results:
-        proof_stats = dict(result.stats, runner=stats.as_dict())
-        if result.proved:
-            out.append(ProofResult(True, stats=proof_stats))
-        elif result.status == "failed":
-            out.append(
-                ProofResult(False, counterexample=Model(result.model_values or {}), stats=proof_stats)
-            )
-        else:
-            out.append(ProofResult(False, unknown=True, stats=proof_stats))
-    return out
-
-
-def _verify_vcs_runner(
-    ctx: Context,
-    assume_terms: list[Term],
-    jobs: int,
-    cache_dir: str | None,
-    max_conflicts: int | None,
-    timeout_s: float | None,
-) -> ProofResult:
-    """Decomposed path: one obligation per VC, via the runner."""
-    from ..core.runner import obligations_from_context, run_obligations
-
-    start = time.perf_counter()
-    obligations = obligations_from_context(ctx, assume_terms)
-    results, run_stats = run_obligations(
-        obligations,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        max_conflicts=max_conflicts,
-        timeout_s=timeout_s,
-    )
-    stats = dict(
-        run_stats.as_dict(),
-        total_time_s=time.perf_counter() - start,
-        num_vcs=len(ctx.vcs),
-    )
-    for result, vc in zip(results, ctx.vcs):
-        if result.proved:
-            continue
-        if result.status == "unknown":
-            return ProofResult(False, unknown=True, failed_vc=vc, stats=stats)
-        return ProofResult(
-            False, counterexample=Model(result.model_values or {}), failed_vc=vc, stats=stats
-        )
-    return ProofResult(True, stats=stats)
+    return [_proof_result(r, dict(r.stats, runner=stats.as_dict())) for r in results]
 
 
 def verify_vcs(
@@ -174,56 +140,34 @@ def verify_vcs(
     assumptions: list | tuple = (),
     max_conflicts: int | None = None,
     timeout_s: float | None = None,
-    batch: bool = True,
     jobs: int = 1,
     cache_dir: str | None = None,
 ) -> ProofResult:
     """Discharge every VC collected in a context.
 
-    With ``batch=True`` all VCs are checked as one conjunction first
-    (the common fast path: a single unsat query proves everything);
-    on failure each VC is re-checked individually to identify the
-    failing condition and produce its counterexample.
-
-    With ``jobs > 1`` or a ``cache_dir``, VCs are instead discharged
-    as independent obligations through ``repro.core.runner`` — in
-    parallel across worker processes, with verdicts memoized in the
-    persistent solver cache.  Results are deterministic: identical
-    verdicts (and the same "first failing VC") as the sequential path.
+    Each VC is one obligation (``core.runner.obligations_from_context``)
+    with its own conflict budget and timeout, discharged by
+    ``core.runner.run_obligations``: in-process at ``jobs=1``, on the
+    shared scheduler's pool otherwise, with verdicts memoized in the
+    verdict store at ``cache_dir``.  The result names the first VC, in
+    collection order, that is not proved, with its counterexample when
+    it failed — the same verdict and VC at every ``jobs`` value.
     """
     if not ctx.vcs:
         return ProofResult(True)
-    assume_terms = [_coerce_bool(a).term for a in assumptions]
-    if jobs != 1 or cache_dir is not None:
-        return _verify_vcs_runner(ctx, assume_terms, jobs, cache_dir, max_conflicts, timeout_s)
+    from ..core.runner import obligations_from_context, run_obligations
+
     start = time.perf_counter()
-
-    def check_formulas(formulas: list[Term]) -> tuple[str, Model | None, dict]:
-        solver = Solver(max_conflicts=max_conflicts, timeout_s=timeout_s)
-        for t in assume_terms:
-            solver.add(t)
-        negated = mk_not(mk_and(*formulas))
-        try:
-            result = solver.check(negated)
-        except SolverTimeout:
-            return "unknown", None, solver.last_stats
-        return result.status, result.model, solver.last_stats
-
-    if batch:
-        status, model, stats = check_formulas([vc.formula for vc in ctx.vcs])
-        stats = dict(stats, total_time_s=time.perf_counter() - start, num_vcs=len(ctx.vcs))
-        if status == "unsat":
-            return ProofResult(True, stats=stats)
-        if status == "unknown":
-            return ProofResult(False, unknown=True, stats=stats)
-
-    # Re-check VCs one by one to find the first failure.
-    for vc in ctx.vcs:
-        status, model, stats = check_formulas([vc.formula])
-        if status == "unsat":
-            continue
-        stats = dict(stats, total_time_s=time.perf_counter() - start, num_vcs=len(ctx.vcs))
-        if status == "unknown":
-            return ProofResult(False, unknown=True, failed_vc=vc, stats=stats)
-        return ProofResult(False, counterexample=model, failed_vc=vc, stats=stats)
-    return ProofResult(True, stats={"total_time_s": time.perf_counter() - start, "num_vcs": len(ctx.vcs)})
+    obligations = obligations_from_context(ctx, [_coerce_bool(a).term for a in assumptions])
+    results, run_stats = run_obligations(
+        obligations,
+        jobs=jobs,
+        cache_dir=cache_dir,
+        max_conflicts=max_conflicts,
+        timeout_s=timeout_s,
+    )
+    stats = dict(run_stats.as_dict(), total_time_s=time.perf_counter() - start)
+    for result, vc in zip(results, ctx.vcs):
+        if not result.proved:
+            return _proof_result(result, stats, vc)
+    return ProofResult(True, stats=stats)

@@ -125,9 +125,9 @@ class TestSessionLifecycle:
 
 
 class TestDeterminismIncremental:
-    def test_verdicts_and_first_failure_stable_across_steal_seeds(self):
-        """With every worker sharing one incremental session, ten
-        different work-stealing interleavings still reproduce the
+    def test_first_failure_stable_across_schedulers(self):
+        """With each worker reusing its incremental session across
+        obligations, ten fresh two-worker schedulers still reproduce the
         sequential verdicts in order, including the same first failure."""
         obligations = []
         for i in range(8):
@@ -148,15 +148,15 @@ class TestDeterminismIncremental:
         seq_first = reduce_results(seq_results)
         assert seq_first is not None and seq_first.name == "inc2"
 
-        for seed in range(10):
-            sched = ObligationScheduler(workers=2, steal_seed=seed)
+        for run in range(10):
+            sched = ObligationScheduler(workers=2)
             try:
                 results, _ = sched.run(obligations, jobs_hint=2)
             finally:
                 sched.shutdown()
-            assert [r.status for r in results] == seq_verdicts, f"seed {seed}"
+            assert [r.status for r in results] == seq_verdicts, f"run {run}"
             first = reduce_results(results)
-            assert first is not None and first.name == "inc2", f"seed {seed}"
+            assert first is not None and first.name == "inc2", f"run {run}"
 
     def test_incremental_matches_fresh_on_random_queries(self):
         """Property check: every query answers identically on a session

@@ -2,7 +2,7 @@
 
 Covers the contracts the observability PR promises: span nesting and
 post-exit args attachment, bit-identical counters across seeded runs,
-worker->parent trace reassembly through the work-stealing scheduler,
+worker->parent trace reassembly through the obligation scheduler,
 Chrome trace schema validity, the near-zero disabled fast path, SAT
 counter reset between solves, and the §3.2 region table (exclusive
 time, absorb, dispatch-independence).

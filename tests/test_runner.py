@@ -22,7 +22,7 @@ from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
 from repro.core.runner import Obligation, obligations_from_context, reduce_results, run_obligations
-from repro.smt import SolverCache, mk_bool, query_digest
+from repro.smt import SolverCache, eval_term, mk_bool, query_digest
 from repro.sym import check_batch, fresh_bv, new_context, verify_vcs
 
 
@@ -82,19 +82,25 @@ class TestDeterminism:
         result = _sweep_one((check_rv_insn, RvJit(bugs={bug.id}), bug.witness))
         assert not result.ok
 
-    def test_verify_vcs_runner_path_matches_batch_path(self):
-        def build(tag):
-            ctx = new_context().__enter__()
-            a = fresh_bv(f"vvr.{tag}.a", 16)
-            b = fresh_bv(f"vvr.{tag}.b", 16)
-            ctx.assert_prop((a + b) - b == a, "add-cancel")
-            ctx.assert_prop((a ^ b) ^ b == a, "xor-cancel")
-            return ctx
-
-        plain = verify_vcs(build("p"))
-        runner = verify_vcs(build("r"), jobs=2)
-        assert plain.proved and runner.proved
-        assert runner.stats["obligations"] == 2
+    def test_verify_vcs_failing_vc_matches_across_jobs(self):
+        """One failing VC among several: jobs=1 and jobs=2 name the same
+        VC, each with a counterexample that falsifies it."""
+        messages = []
+        for jobs in (1, 2):
+            with new_context() as ctx:
+                a = fresh_bv(f"vvr.{jobs}.a", 16)
+                b = fresh_bv(f"vvr.{jobs}.b", 16)
+                ctx.assert_prop((a + b) - b == a, "add-cancel")
+                ctx.assert_prop((a & b) == a, "and-absorbs")
+                ctx.assert_prop((a ^ b) ^ b == a, "xor-cancel")
+                ctx.assert_prop((a | b) & a == a, "absorb")
+            result = verify_vcs(ctx, jobs=jobs)
+            assert not result.proved and not result.unknown
+            model = dict(result.counterexample.items())
+            assert eval_term(result.failed_vc.formula, model) is False
+            assert result.stats["obligations"] == 4
+            messages.append(result.failed_vc.message)
+        assert messages == ["and-absorbs", "and-absorbs"]
 
 
 class TestCache:

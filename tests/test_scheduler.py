@@ -1,9 +1,9 @@
-"""The work-stealing obligation scheduler (``repro.core.scheduler``).
+"""The obligation scheduler (``repro.core.scheduler``).
 
 The contract under test is the one CI relies on: scheduling is an
-implementation detail.  However obligations are dealt, stolen, timed
-out, and retried, the verdicts — and the first failing obligation —
-must be exactly the sequential baseline's.
+implementation detail.  However obligations are interleaved across
+workers, timed out, and retried, the verdicts — and the first failing
+obligation — must be exactly the sequential baseline's.
 """
 
 import threading
@@ -38,9 +38,9 @@ def _obligation_set():
 
 
 class TestDeterminism:
-    def test_verdicts_stable_across_steal_seeds(self):
-        """Ten schedulers with different steal seeds (hence different
-        work-stealing interleavings) must all reproduce the sequential
+    def test_verdicts_stable_across_fresh_schedulers(self):
+        """Ten fresh two-worker schedulers (whose workers interleave
+        differently from run to run) must all reproduce the sequential
         verdicts in order, including the same first failure."""
         obligations = _obligation_set()
         seq_results, _ = run_obligations(obligations, jobs=1)
@@ -49,16 +49,16 @@ class TestDeterminism:
         seq_first = reduce_results(seq_results)
         assert seq_first is not None and seq_first.name == "ob3"
 
-        for seed in range(10):
-            sched = ObligationScheduler(workers=2, steal_seed=seed)
+        for run in range(10):
+            sched = ObligationScheduler(workers=2)
             try:
                 results, stats = sched.run(obligations, jobs_hint=2)
             finally:
                 sched.shutdown()
-            assert [r.status for r in results] == seq_verdicts, f"seed {seed}"
+            assert [r.status for r in results] == seq_verdicts, f"run {run}"
             assert [r.name for r in results] == [ob.name for ob in obligations]
             first = reduce_results(results)
-            assert first is not None and first.name == "ob3", f"seed {seed}"
+            assert first is not None and first.name == "ob3", f"run {run}"
             assert stats.obligations == len(obligations)
 
     def test_run_obligations_routes_to_shared_pool(self):
@@ -208,6 +208,40 @@ class TestStreaming:
         assert progress["total"] == len(obligations)
         assert progress["done"] == len(obligations)
         assert not progress["cancelled"]
+
+
+class TestQueue:
+    def test_one_worker_starts_tasks_in_submission_order(self):
+        """One FIFO queue: a single worker starts every task of the
+        first ticket, in order, before any task of the second."""
+        sched = ObligationScheduler(workers=1)
+        try:
+            first = sched.submit_obligations(_obligation_set(), trace=True)
+            second = sched.submit_obligations(_obligation_set(), trace=True)
+            first.wait(timeout=60.0)
+            second.wait(timeout=60.0)
+        finally:
+            sched.shutdown()
+        starts = [entry["start_t"] for entry in first.timeline + second.timeline]
+        assert len(starts) == 16
+        assert starts == sorted(starts)
+
+    def test_submission_raises_depth_of_live_ticket(self):
+        """Queue depth is recorded where the queue grows, on every live
+        ticket: a second submission raises the first ticket's depth
+        while the first ticket's task is still in flight."""
+        sched = ObligationScheduler(workers=1)
+        try:
+            first = sched.submit_obligations([_slow_obligation("slow")], timeout_s=1.0, retries=0)
+            assert first.max_depth == 1
+            second = sched.submit_obligations(_obligation_set()[:5])
+            assert first.pending == 1
+            assert first.max_depth == second.max_depth == 5
+            first.wait(timeout=30.0)
+            second.wait(timeout=30.0)
+        finally:
+            sched.shutdown()
+        assert sched.max_queue_depth == 5
 
 
 class TestTelemetry:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.smt import EvalError, eval_term, mk_var
+from repro.smt.solver import reset_incremental_session
 from repro.smt.sorts import bv_sort
 from repro.sym import (
     Union,
@@ -101,6 +102,33 @@ class TestVerifyVcsDetails:
     def test_empty_context_proves(self):
         with new_context() as ctx:
             assert verify_vcs(ctx).proved
+
+    def test_each_vc_gets_its_own_budget(self):
+        """Alone, these 4-bit identities need about 1.6k and 1.1k
+        conflicts.  Each VC is its own obligation with its own
+        2000-conflict budget, so both are proved at jobs=1 and jobs=2."""
+        for jobs in (1, 2):
+            reset_incremental_session()
+            with new_context() as ctx:
+                x, y, z = (fresh_bv(f"pb{jobs}_{n}", 4) for n in "xyz")
+                ctx.assert_prop(x * (y + z) == x * y + x * z, "distributivity")
+                ctx.assert_prop((y * x) * z == y * (x * z), "associativity")
+            result = verify_vcs(ctx, max_conflicts=2000, jobs=jobs)
+            assert result.proved, (jobs, result.describe())
+            assert result.stats["obligations"] == 2
+
+    def test_budget_starved_vc_is_named(self):
+        """A VC the budget starves is ``unknown`` under its own name,
+        past a VC that is proved, at jobs=1 and jobs=2."""
+        for jobs in (1, 2):
+            with new_context() as ctx:
+                x, y, z = (fresh_bv(f"ps{jobs}_{n}", 16) for n in "xyz")
+                ctx.assert_prop((x & 0x0F) <= 0x0F, "masked")
+                ctx.assert_prop(x * (y + z) == x * y + x * z, "distributivity")
+            result = verify_vcs(ctx, max_conflicts=1, jobs=jobs)
+            assert result.unknown and not result.proved, jobs
+            assert result.failed_vc is not None, jobs
+            assert result.failed_vc.message == "distributivity"
 
 
 class TestEvaluatorErrors:
