@@ -69,7 +69,7 @@ run_job grid-cold python benchmarks/bench_fig11_verify.py \
     --trace --trace-out "$tmp/trace.json"
 run_job grid-perf-gate python scripts/check_bench.py \
     BENCH_fig11.json BENCH_baseline.json
-run_job grid-checkproof python -m repro.smt.checkproof --store "$tmp/store-cold"
+run_job grid-checkproof python -m repro.smt.checkproof --store "$tmp/store-cold" --require-certs
 # BENCH_fig11.json is rewritten by every run; keep the certified run's
 # copy for the overhead gate.  The profile report below reads the
 # rewritten file, as CI's does.

@@ -53,13 +53,11 @@ Knobs (read per call so tests can flip them):
 
 from __future__ import annotations
 
-import gzip
 import http.client
 import json
 import os
 import re
 import socket
-import tempfile
 import threading
 import time
 import urllib.error
@@ -305,10 +303,10 @@ class StoreAPI:
         GET  /store/<digest>/cert   certificate JSON (gzip transparent)
         PUT  /store/<digest>/cert   idempotent certificate write
 
-    Writes validate shape (entries must be JSON objects with a
-    ``sat``/``unsat`` status, certificates JSON objects) but do *not*
-    re-check proofs — verification is the adopting client's job, which
-    is what lets an untrusted server be useful at all.
+    Writes validate shape (entries must pass the store's verdict check,
+    certificates be JSON objects) but do *not* re-check proofs —
+    verification is the adopting client's job, which is what lets an
+    untrusted server be useful at all.
     """
 
     MAX_BODY = 64 * 1024 * 1024
@@ -340,29 +338,6 @@ class StoreAPI:
                 "puts": self.puts,
                 "put_conflicts": self.put_conflicts,
             }
-
-    # -- reads -----------------------------------------------------------
-
-    def _entry_bytes(self, digest: str) -> bytes | None:
-        fname = self.store._find_entry_file(digest)
-        if fname is None:
-            return None
-        try:
-            with open(fname, "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None  # vanished mid-request (concurrent gc)
-
-    def _cert_bytes(self, digest: str) -> bytes | None:
-        fname = self.store._find_cert_file(digest)
-        if fname is None:
-            return None
-        try:
-            with open(fname, "rb") as handle:
-                raw = handle.read()
-            return gzip.decompress(raw) if fname.endswith(".gz") else raw
-        except (OSError, ValueError):
-            return None
 
     # -- dispatch --------------------------------------------------------
 
@@ -422,7 +397,7 @@ class StoreAPI:
         if method in ("GET", "HEAD"):
             with self._lock:
                 self.gets += 1
-            payload = self._cert_bytes(digest) if is_cert else self._entry_bytes(digest)
+            payload = self.store.cert_bytes(digest) if is_cert else self.store.entry_bytes(digest)
             if payload is None:
                 kind = "certificate" if is_cert else "entry"
                 return self._error(404, f"no {kind} for {digest}")
@@ -461,8 +436,8 @@ class StoreAPI:
             if not _DIGEST_RE.match(digest):
                 entries[digest] = certs[digest] = False
                 continue
-            entries[digest] = self.store._find_entry_file(digest) is not None
-            certs[digest] = self.store._find_cert_file(digest) is not None
+            entries[digest] = os.path.exists(self.store._entry_path(digest))
+            certs[digest] = self.store._cert_file(digest) is not None
         return self._json(200, {"entries": entries, "certs": certs})
 
     def _put(self, digest: str, is_cert: bool, body: bytes | None):
@@ -476,14 +451,14 @@ class StoreAPI:
             return self._error(400, f"invalid JSON body: {exc}")
         if not isinstance(doc, dict):
             return self._error(400, "payload must be a JSON object")
-        if not is_cert and doc.get("status") not in ("sat", "unsat"):
-            return self._error(400, "entry status must be 'sat' or 'unsat'")
+        if not is_cert and not self.store.is_verdict(doc):
+            return self._error(400, "entry must be 'unsat', or 'sat' with an integer model")
         with self._lock:
             self.puts += 1
         if is_cert:
-            created = self.store.put_raw_cert(digest, body)
+            created = self.store.put_cert(digest, body)
         else:
-            created = self.store.put_raw_entry(digest, body)
+            created = self.store.put_entry(digest, body)
         if not created:
             # The digest is the content address: an existing object wins,
             # exactly like import_archive.  Idempotent success.
@@ -748,11 +723,7 @@ class RemoteVerdictStore(VerdictStore):
         entry = self._read_entry(digest)
         if entry is None and self.client is not None:
             entry = self._fetch_remote(digest)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._entry_to_result(entry, var_map)
+        return None if entry is None else self._entry_to_result(entry, var_map)
 
     def _fetch_remote(self, digest: str) -> dict | None:
         """Fetch ``digest`` from the remote and adopt it locally.
@@ -768,11 +739,8 @@ class RemoteVerdictStore(VerdictStore):
             if raw is None:
                 obs_count("store.remote.misses")
                 return None
-            try:
-                entry = json.loads(raw)
-            except ValueError:
-                entry = None
-            if not isinstance(entry, dict) or entry.get("status") not in ("sat", "unsat"):
+            entry = self._decode_entry(raw)
+            if entry is None:
                 # A 200 with garbage is a server bug, not a miss.
                 obs_count("store.remote.errors")
                 return None
@@ -800,73 +768,40 @@ class RemoteVerdictStore(VerdictStore):
                 obs_count("store.remote.rejected_certs")
                 return None
         _mark_remote_up(self.remote_url)
-        self.put_raw_entry(digest, raw)
+        self.put_entry(digest, raw)
         if cert is not None:
-            self.put_raw_cert(digest, cert_raw)
+            self.put_cert(digest, cert_raw)
         obs_count("store.remote.hits")
         return entry
 
     # -- write-back ------------------------------------------------------
 
-    def store(self, digest: str, var_map: dict[str, str], result) -> None:
+    def store(self, digest: str, var_map: dict[str, str], result) -> bool:
         """Local write, then spool for asynchronous remote write-back."""
-        before = self.stores
-        super().store(digest, var_map, result)
-        if self.stores == before or self.client is None:
-            return  # not cacheable (unknown) or the local write failed
-        self._spool_mark(digest)
-        if self.async_flush:
-            if self._register:
-                _kick_flusher(self.path, self.remote_url)
-        elif not _remote_down(self.remote_url):
-            self.flush_spool(max_attempts=1)
-
-    def _spool_mark(self, digest: str) -> None:
-        os.makedirs(self.spool_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.spool_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"digest": digest}, handle)
-            os.replace(tmp, os.path.join(self.spool_dir, f"{digest}.json"))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        written = super().store(digest, var_map, result)
+        if written and self.client is not None:
+            marker = json.dumps({"digest": digest}).encode()
+            self._atomic_write(self._spool_marker(digest), marker)
+            if self.async_flush:
+                if self._register:
+                    _kick_flusher(self.path, self.remote_url)
+            elif not _remote_down(self.remote_url):
+                self.flush_spool(max_attempts=1)
+        return written
 
     def _flush_one(self, digest: str) -> None:
         """Push one spooled digest (entry, then certificate) and clear
         its marker.  Raises :class:`RemoteUnavailable` on network
         failure so the caller can back off."""
-        marker = os.path.join(self.spool_dir, f"{digest}.json")
-        fname = self._find_entry_file(digest)
-        if fname is None:
-            # Entry gc'd before the flush caught up: nothing to push.
-            try:
-                os.unlink(marker)
-            except OSError:
-                pass
-            return
-        try:
-            with open(fname, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return  # vanished mid-flush; marker stays for the next pass
-        self.client.put_entry(digest, raw)
-        cert_file = self._find_cert_file(digest)
-        if cert_file is not None:
-            try:
-                with open(cert_file, "rb") as handle:
-                    cert_raw = handle.read()
-                if cert_file.endswith(".gz"):
-                    cert_raw = gzip.decompress(cert_raw)
+        raw = self.entry_bytes(digest)
+        if raw is not None:
+            self.client.put_entry(digest, raw)
+            cert_raw = self.cert_bytes(digest)
+            if cert_raw is not None:
                 self.client.put_cert(digest, cert_raw)
-            except (OSError, ValueError):
-                pass  # unreadable local cert; the entry still travels
-        try:
-            os.unlink(marker)
-        except OSError:
-            pass
+        # With no entry (gc'd before the flush caught up) there is
+        # nothing to push; either way the marker is done.
+        self._remove(self._spool_marker(digest))
 
     def flush_spool(self, max_attempts: int = 3, backoff_s: float = 0.25) -> dict:
         """Synchronously push every pending spool marker.

@@ -17,9 +17,10 @@ This module makes those units explicit:
   * :func:`run_obligations` — dispatches obligations in-process or
     across worker processes and reduces results deterministically
     (input order, first failure wins);
-  * the persistent cache (``repro.smt.SolverCache``) keyed by the
-    canonical hash-consed DAG digest, so alpha-equivalent queries hit
-    across runs and across worker processes.
+  * the persistent verdict store (``repro.core.store``, in the format
+    of ``repro.smt.SolverCache``) keyed by the canonical hash-consed
+    DAG digest, so alpha-equivalent queries hit across runs and across
+    worker processes.
 
 Everything above the solver boundary funnels through here:
 ``repro.sym.verify_vcs`` turns every VC set into obligations with
@@ -259,9 +260,9 @@ def _check_obligation(
     goals = roots[: obligation.num_goals]
     assumptions = roots[obligation.num_goals:]
     if cache_dir:
-        # Sharded content-addressed store; reads legacy flat caches too,
-        # and grows a remote read-through/write-back tier when
-        # REPRO_REMOTE_STORE points at a store server.
+        # Sharded content-addressed store; grows a remote
+        # read-through/write-back tier when REPRO_REMOTE_STORE points at
+        # a store server.
         from .store import open_store
 
         cache = open_store(cache_dir)

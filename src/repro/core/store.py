@@ -1,10 +1,11 @@
 """Content-addressed verdict store shared across runs and machines.
 
-The persistent solver cache of PR 2 (``repro.smt.SolverCache``) memoizes
-check-sat verdicts one-file-per-digest in a flat directory.  This module
-grows it into a *shareable artifact*: a sharded, content-addressed store
-(``<digest[:2]>/<digest>.json``) with an index file, portable
-export/import archives, and garbage collection — the "remote/shared
+The store's on-disk format belongs to ``repro.smt.SolverCache``: the
+sharded ``<digest[:2]>/<digest>.json`` layout with each certificate
+beside its entry, the one atomic write, and the one check that an entry
+is a verdict.  This module adds the fleet operations over such a
+directory (enumeration, an index file, a summary, garbage collection,
+and portable export/import archives), making it the "remote/shared
 solver cache" the ROADMAP calls for, in the shape *Divide, Conquer and
 Verify* uses to memoize verified slices.
 
@@ -15,8 +16,8 @@ fresh constants — produce byte-compatible entries.  CI jobs therefore
 hand verdicts to each other by exporting the store as an artifact and
 importing it on the next job (see ``.github/workflows/ci.yml``).
 
-Writes are atomic (tempfile + rename in the shard directory), so any
-number of worker processes and concurrent CI jobs can share a store
+Every write is atomic (tempfile + rename in the target directory), so
+any number of worker processes and concurrent CI jobs can share a store
 without locking; the worst race is two writers storing identical
 entries.
 
@@ -42,13 +43,11 @@ spool left behind by an interrupted remote flush.
 from __future__ import annotations
 
 import contextlib
-import gzip
 import json
 import os
 import re
 import sys
 import tarfile
-import tempfile
 import time
 
 try:
@@ -97,158 +96,46 @@ def _stat_or_none(fname: str):
 
 
 class VerdictStore(SolverCache):
-    """A sharded, exportable :class:`~repro.smt.solver.SolverCache`.
+    """The fleet operations over a :class:`~repro.smt.solver.SolverCache`
+    directory.
 
-    Layout: ``<path>/<digest[:2]>/<digest>.json`` (two-level sharding
-    keeps directory sizes bounded at fleet scale); legacy flat entries
-    written by PR 2 caches are still readable, so pointing a scheduler
-    at an old cache directory keeps its verdicts.
-
-    The drop-in compatibility is deliberate: ``Solver`` talks to the
-    store through the ``lookup``/``store`` interface it already uses for
-    ``SolverCache``, so every layer above the solver gains sharing for
-    free.
+    ``Solver`` talks to a store through the ``lookup``/``store``
+    interface it already uses for ``SolverCache``, so every layer above
+    the solver gains sharing for free.  Every entry and certificate
+    path, and what counts as a verdict, is the base class's.
     """
-
-    def _entry_path(self, digest: str) -> str:
-        return os.path.join(self.path, digest[:2], f"{digest}.json")
-
-    def _legacy_path(self, digest: str) -> str:
-        return os.path.join(self.path, f"{digest}.json")
-
-    def _cert_path(self, digest: str) -> str:
-        # Certificates shard alongside their entries.
-        return os.path.join(self.path, digest[:2], f"{digest}.cert.json")
-
-    def _find_cert_file(self, digest: str) -> str | None:
-        """On-disk certificate for ``digest`` (sharded or legacy flat,
-        plain or gzipped), or None."""
-        sharded = self._cert_path(digest)
-        flat = os.path.join(self.path, f"{digest}.cert.json")
-        for candidate in (sharded, sharded + ".gz", flat, flat + ".gz"):
-            if os.path.exists(candidate):
-                return candidate
-        return None
-
-    def load_certificate(self, digest: str) -> dict | None:
-        cert = super().load_certificate(digest)
-        if cert is not None:
-            return cert
-        # Flat-layout certificates (written by a plain SolverCache
-        # pointed at this directory before it became a store).
-        fname = self._find_cert_file(digest)
-        if fname is None:
-            return None
-        try:
-            with open(fname, "rb") as handle:
-                raw = handle.read()
-            if fname.endswith(".gz"):
-                raw = gzip.decompress(raw)
-            return json.loads(raw.decode())
-        except (OSError, ValueError):
-            return None
-
-    def _read_entry(self, digest: str) -> dict | None:
-        entry = super()._read_entry(digest)
-        if entry is not None:
-            return entry
-        # Fall back to the flat PR 2 layout for pre-sharding caches.
-        try:
-            with open(self._legacy_path(digest)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     # -- enumeration ----------------------------------------------------
 
     def digests(self) -> list[str]:
-        """Every digest present (sharded and legacy flat), sorted."""
-        found: set[str] = set()
+        """Every digest with an entry file, sorted."""
+        found: list[str] = []
         try:
             names = os.listdir(self.path)
         except OSError:
             return []
         for name in names:
             full = os.path.join(self.path, name)
-            if os.path.isdir(full) and len(name) == 2:
-                try:
-                    shard = os.listdir(full)
-                except OSError:
-                    continue  # shard removed mid-scan
-                for fname in shard:
-                    stem, ext = os.path.splitext(fname)
-                    if ext == ".json" and _DIGEST_RE.match(stem):
-                        found.add(stem)
-            elif name.endswith(".json"):
-                stem = name[: -len(".json")]
-                if _DIGEST_RE.match(stem):
-                    found.add(stem)
+            if len(name) != 2 or not os.path.isdir(full):
+                continue
+            try:
+                shard = os.listdir(full)
+            except OSError:
+                continue  # shard removed mid-scan
+            for fname in shard:
+                stem, ext = os.path.splitext(fname)
+                if ext == ".json" and _DIGEST_RE.match(stem):
+                    found.append(stem)
         return sorted(found)
-
-    def _find_entry_file(self, digest: str) -> str | None:
-        for candidate in (self._entry_path(digest), self._legacy_path(digest)):
-            if os.path.exists(candidate):
-                return candidate
-        return None
-
-    # -- raw object writes (the remote tier and HTTP server) -------------
-
-    def put_raw_entry(self, digest: str, raw: bytes) -> bool:
-        """Write a verdict entry from its raw JSON bytes.
-
-        First writer wins (matching :meth:`import_archive`: existing
-        digests are identical by construction, the digest *is* the
-        content address).  Returns True when the entry was created,
-        False when one already existed or the write failed.  Atomic
-        like every store write, so racing writers are safe.
-        """
-        if self._find_entry_file(digest) is not None:
-            return False
-        target = self._entry_path(digest)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def put_raw_cert(self, digest: str, raw: bytes) -> bool:
-        """Write a certificate from raw (uncompressed) JSON bytes, with
-        the same first-writer-wins semantics as :meth:`put_raw_entry`.
-        Large documents gzip exactly like :meth:`store_certificate`."""
-        if self._find_cert_file(digest) is not None:
-            return False
-        base = self._cert_path(digest)
-        target = base
-        if len(raw) >= self.CERT_GZIP_THRESHOLD:
-            raw = gzip.compress(raw, 1)
-            target = base + ".gz"
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
 
     # -- remote write-back spool -----------------------------------------
 
     @property
     def spool_dir(self) -> str:
         return os.path.join(self.path, SPOOL_DIR_NAME)
+
+    def _spool_marker(self, digest: str) -> str:
+        return os.path.join(self.spool_dir, f"{digest}.json")
 
     def spool_pending(self) -> list[str]:
         """Digests whose remote write-back has not completed, sorted.
@@ -280,24 +167,20 @@ class VerdictStore(SolverCache):
 
         The index is advisory — lookups never consult it — but it makes
         a store self-describing for humans and for ``stats`` on stores
-        too large to walk cheaply.  Written atomically like any entry.
+        too large to walk cheaply.  Written atomically like any entry;
+        raises OSError when it cannot be written.
         """
         rows = {}
         for digest in self.digests():
-            fname = self._find_entry_file(digest)
-            if fname is None:
-                continue
             entry = self._read_entry(digest)
-            if entry is None:
-                continue
-            st = _stat_or_none(fname)
-            if st is None:
+            st = _stat_or_none(self._entry_path(digest))
+            if entry is None or st is None:
                 continue
             rows[digest] = {
-                "status": entry.get("status"),
+                "status": entry["status"],
                 "bytes": st.st_size,
                 "mtime": st.st_mtime,
-                "cert": self._find_cert_file(digest) is not None,
+                "cert": self._cert_file(digest) is not None,
             }
         index = {
             "version": 1,
@@ -305,10 +188,8 @@ class VerdictStore(SolverCache):
             "spool_pending": len(self.spool_pending()),
             "rows": rows,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            json.dump(index, handle, indent=2)
-        os.replace(tmp, self.index_path)
+        if not self._atomic_write(self.index_path, json.dumps(index, indent=2).encode()):
+            raise OSError(f"cannot write {self.index_path}")
         return index
 
     # -- stats / gc ------------------------------------------------------
@@ -331,12 +212,11 @@ class VerdictStore(SolverCache):
             if entry is None:
                 continue
             count += 1
-            by_status[entry.get("status", "?")] = by_status.get(entry.get("status", "?"), 0) + 1
-            fname = self._find_entry_file(digest)
-            st = _stat_or_none(fname) if fname else None
+            by_status[entry["status"]] = by_status.get(entry["status"], 0) + 1
+            st = _stat_or_none(self._entry_path(digest))
             if st is not None:
                 total_bytes += st.st_size
-            cert_file = self._find_cert_file(digest)
+            cert_file = self._cert_file(digest)
             cst = _stat_or_none(cert_file) if cert_file else None
             if cst is not None:
                 certs += 1
@@ -364,76 +244,53 @@ class VerdictStore(SolverCache):
         stores.
         """
         now = time.time()
-        aged: list[tuple[float, str, str]] = []
+        aged: list[tuple[float, str]] = []
         for digest in self.digests():
-            fname = self._find_entry_file(digest)
-            if fname is None:
-                continue
-            st = _stat_or_none(fname)
-            if st is None:
-                continue
-            aged.append((st.st_mtime, digest, fname))
+            st = _stat_or_none(self._entry_path(digest))
+            if st is not None:
+                aged.append((st.st_mtime, digest))
         aged.sort(reverse=True)  # newest first
         doomed: list[str] = []
-        for rank, (mtime, digest, fname) in enumerate(aged):
+        for rank, (mtime, digest) in enumerate(aged):
             too_old = max_age_s is not None and (now - mtime) > max_age_s
             overflow = keep is not None and rank >= keep
             if too_old or overflow:
-                doomed.append(fname)
+                doomed.append(digest)
                 # An orphan certificate has nothing to certify; drop it
                 # with its entry (uncounted: the return value is entries).
-                cert_file = self._find_cert_file(digest)
+                cert_file = self._cert_file(digest)
                 if cert_file is not None:
-                    try:
-                        os.unlink(cert_file)
-                    except OSError:
-                        pass
+                    self._remove(cert_file)
                 # Likewise its write-back marker: a collected entry can
                 # never be flushed, so the marker would sit in the spool
                 # forever as phantom backlog.
-                marker = os.path.join(self.spool_dir, f"{digest}.json")
-                if os.path.exists(marker):
-                    try:
-                        os.unlink(marker)
-                    except OSError:
-                        pass
-        removed = 0
-        for fname in doomed:
-            try:
-                os.unlink(fname)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+                self._remove(self._spool_marker(digest))
+        return sum(self._remove(self._entry_path(digest)) for digest in doomed)
 
     # -- export / import -------------------------------------------------
 
     def export_archive(self, archive_path: str) -> int:
         """Write every entry into a ``.tar.gz``; returns the entry count.
 
-        The archive stores sharded relative names
-        (``ab/ab12....json``), so importing normalizes legacy flat
-        entries into the sharded layout as a side effect.  Certificates
-        travel with their entries (``ab/ab12....cert.json[.gz]``) —
-        an imported verdict stays independently checkable.
+        The archive stores the sharded relative names
+        (``ab/ab12....json``).  Certificates travel with their entries
+        (``ab/ab12....cert.json[.gz]``) — an imported verdict stays
+        independently checkable.
         """
         self.write_index()
         count = 0
         with tarfile.open(archive_path, "w:gz") as tar:
             for digest in self.digests():
-                fname = self._find_entry_file(digest)
-                if fname is None:
-                    continue
+                fname = self._entry_path(digest)
                 try:
-                    tar.add(fname, arcname=f"{digest[:2]}/{digest}.json")
+                    tar.add(fname, arcname=os.path.relpath(fname, self.path))
                 except OSError:
                     continue  # entry gc'd mid-export
                 count += 1
-                cert_file = self._find_cert_file(digest)
+                cert_file = self._cert_file(digest)
                 if cert_file is not None:
-                    suffix = ".cert.json.gz" if cert_file.endswith(".gz") else ".cert.json"
                     try:
-                        tar.add(cert_file, arcname=f"{digest[:2]}/{digest}{suffix}")
+                        tar.add(cert_file, arcname=os.path.relpath(cert_file, self.path))
                     except OSError:
                         pass  # cert gc'd mid-export; entry still valid
             tar.add(self.index_path, arcname=INDEX_NAME)
@@ -449,7 +306,7 @@ class VerdictStore(SolverCache):
 
         Entry writes are individually atomic, but a bulk import is a
         long sequence of shard writes: two concurrent imports interleave
-        their ``_find_entry_file`` existence probes and both report
+        their existence probes and both report
         entries as "new", and a reader walking shards mid-import sees a
         half-merged store with a stale index.  The flock makes bulk
         imports mutually exclusive; with ``wait=False`` a held lock
@@ -517,34 +374,23 @@ class VerdictStore(SolverCache):
                 parsed = self._parse_member(member.name)
                 if parsed is None:
                     continue
-                digest, suffix = parsed
-                is_cert = suffix != ".json"
-                if is_cert:
-                    if self._find_cert_file(digest) is not None:
-                        continue
-                else:
-                    if self._find_entry_file(digest) is not None:
-                        continue
                 handle = tar.extractfile(member)
                 if handle is None:
                     continue
+                digest, suffix = parsed
                 payload = handle.read()
-                try:
-                    raw = gzip.decompress(payload) if suffix.endswith(".gz") else payload
-                    json.loads(raw)
-                except (OSError, ValueError):
+                if suffix == ".json":
+                    # put_entry adopts verdicts only.
+                    imported += self.put_entry(digest, payload)
                     continue
-                if is_cert:
-                    target = self._cert_path(digest) + (".gz" if suffix.endswith(".gz") else "")
-                else:
-                    target = self._entry_path(digest)
-                os.makedirs(os.path.dirname(target), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-                with os.fdopen(fd, "wb") as out:
-                    out.write(payload)
-                os.replace(tmp, target)
-                if not is_cert:
-                    imported += 1
+                raw = self._cert_json(payload)
+                if raw is None:
+                    continue
+                try:
+                    json.loads(raw)
+                except ValueError:
+                    continue
+                self.put_cert(digest, raw)
         return imported
 
 

@@ -458,9 +458,11 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
     """Check every certificate in a verdict store.
 
     Returns a summary dict; ``summary['failures']`` lists
-    ``(digest, reason)`` pairs.  A verdict whose certificate is absent
-    counts in ``missing`` (a failure only under ``require_certs``); a
-    certificate whose kind contradicts the stored verdict fails.
+    ``(digest, reason)`` pairs.  An entry that is not a verdict
+    (``unsat``, or ``sat`` with an integer model) fails, certificate or
+    not.  A verdict whose certificate is absent counts in ``missing`` (a
+    failure only under ``require_certs``); a certificate whose kind
+    contradicts the stored verdict fails.
     """
     checked = missing = 0
     failures: list[tuple[str, str]] = []
@@ -471,6 +473,17 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
         except (OSError, ValueError):
             # Torn verdict writes are tolerated by the cache; tolerate
             # them here too (there is no verdict to certify).
+            continue
+        # The solver reads anything but these two shapes as a miss; a
+        # store that holds one anyway has been written by something else.
+        status = entry.get("status") if isinstance(entry, dict) else None
+        if status == "sat":
+            model = entry.get("model")
+            verdict = isinstance(model, dict) and all(isinstance(v, int) for v in model.values())
+        else:
+            verdict = status == "unsat"
+        if not verdict:
+            failures.append((digest, f"entry is not a verdict (status {status!r})"))
             continue
         cert_path = find_certificate(entry_path, digest)
         if cert_path is None:
@@ -483,18 +496,18 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
         except (OSError, ValueError) as exc:
             failures.append((digest, f"unreadable certificate: {exc}"))
             continue
-        status = entry.get("status") if isinstance(entry, dict) else None
-        expected_kind = {"sat": "model", "unsat": "drat"}.get(status)
+        expected_kind = {"sat": "model", "unsat": "drat"}[status]
         try:
             if isinstance(cert, dict) and cert.get("digest") != digest:
                 raise CheckFailure(
                     f"certificate is for digest {cert.get('digest')!r}, "
                     f"stored under {digest!r}"
                 )
-            if expected_kind is not None and cert.get("kind") != expected_kind:
+            kind = cert.get("kind") if isinstance(cert, dict) else None
+            if kind != expected_kind:
                 raise CheckFailure(
                     f"verdict {status!r} needs a {expected_kind!r} certificate, "
-                    f"found {cert.get('kind')!r}"
+                    f"found {kind!r}"
                 )
             check_certificate(cert)
         except CheckFailure as exc:

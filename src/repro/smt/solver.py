@@ -77,6 +77,7 @@ import json
 import os
 import tempfile
 import time
+import zlib
 
 from ..obs import (
     count as obs_count,
@@ -226,107 +227,220 @@ class CheckResult:
 
 
 class SolverCache:
-    """Persistent memo of solver verdicts, keyed by canonical digest.
+    """The verdict store's on-disk format: a persistent memo of solver
+    verdicts keyed by canonical digest.
 
-    Entries live one-file-per-digest under ``path`` and are written
-    atomically (tempfile + rename), so concurrent worker processes can
-    share a cache directory without locking: the worst race is two
-    workers solving the same query and storing identical entries.
+    Layout: ``<path>/<digest[:2]>/<digest>.json`` holds the entry,
+    ``{"status": "unsat"}`` or ``{"status": "sat", "model": {...}}``, and
+    ``<digest>.cert.json`` beside it holds its certificate, gzipped as
+    ``.cert.json.gz`` from ``CERT_GZIP_THRESHOLD`` bytes on.  Two-level
+    sharding keeps directories small at fleet scale.  This class is the
+    only code that builds those paths, gzips or un-gzips a certificate,
+    or decides whether an entry is a verdict (:meth:`is_verdict`);
+    :class:`repro.core.store.VerdictStore` adds the fleet operations.
+
+    Every write goes through :meth:`_atomic_write` (tempfile + rename),
+    so concurrent worker processes share a directory without locking:
+    the worst race is two workers solving the same query and storing
+    identical entries.  The solver's own writes (:meth:`store`,
+    :meth:`store_certificate`) overwrite, so a re-solve repairs a bad
+    entry; the byte writes that other machines' objects arrive through
+    (:meth:`put_entry`, :meth:`put_cert`) are first-writer-wins, since
+    the digest is the content address.
 
     Models are stored under canonical variable names (the alpha
     renaming from ``canonicalize_query``) and remapped to the hitting
     query's own variable names on load — this is what makes
     alpha-equivalent queries share counterexamples, not just verdicts.
-    ``unknown`` verdicts are budget-dependent and are never cached.
+    ``unknown`` verdicts are budget-dependent and are never cached, and
+    a stored entry that is not a verdict reads as a miss, never a proof.
     """
 
     def __init__(self, path: str):
         self.path = path
         os.makedirs(path, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     # Certificates above this size gzip to a fraction of it; below it
     # the gzip header overhead is not worth a second file format.
     CERT_GZIP_THRESHOLD = 32768
 
+    # -- layout ----------------------------------------------------------
+
     def _entry_path(self, digest: str) -> str:
-        return os.path.join(self.path, f"{digest}.json")
+        return os.path.join(self.path, digest[:2], f"{digest}.json")
 
     def _cert_path(self, digest: str) -> str:
         """Base certificate path (without the optional ``.gz``)."""
-        return os.path.join(self.path, f"{digest}.cert.json")
+        return os.path.join(self.path, digest[:2], f"{digest}.cert.json")
 
-    def store_certificate(self, digest: str, cert: dict) -> None:
-        """Persist a certificate next to its verdict entry (atomic
-        write; large documents are gzipped)."""
-        data = json.dumps(cert, separators=(",", ":")).encode()
+    def _cert_file(self, digest: str) -> str | None:
+        """The certificate file on disk (plain or gzipped), or None."""
         base = self._cert_path(digest)
-        target, stale = base, base + ".gz"
-        if len(data) >= self.CERT_GZIP_THRESHOLD:
-            # Level 1: these documents are short-lived cache siblings,
-            # and emission sits on the solve path — speed over ratio.
-            data = gzip.compress(data, 1)
-            target, stale = base + ".gz", base
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+        for candidate in (base, base + ".gz"):
+            if os.path.exists(candidate):
+                return candidate
+        return None
+
+    @staticmethod
+    def _atomic_write(target: str, data: bytes) -> bool:
+        """Write ``data`` to ``target`` through a tempfile in the same
+        directory and a rename, so readers see the old file or the new
+        one, never a torn one.  False when the write failed; no tempfile
+        is left behind."""
+        directory = os.path.dirname(target)
+        try:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except OSError:
+            return False
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, target)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
+            SolverCache._remove(tmp)
+            return False
+        return True
+
+    @staticmethod
+    def _remove(path: str) -> bool:
+        """Unlink ``path``; False when it was already gone or stays."""
+        try:
+            os.unlink(path)
+        except OSError:
+            return False
+        return True
+
+    # -- the entry check -------------------------------------------------
+
+    @staticmethod
+    def is_verdict(entry) -> bool:
+        """The one entry check: ``unsat``, or ``sat`` with a ``model``
+        object of integer values.  Anything else (``unknown``, a
+        model-less ``sat``, a non-object) is no verdict."""
+        if not isinstance(entry, dict):
+            return False
+        if entry.get("status") == UNSAT:
+            return True
+        model = entry.get("model")
+        return (
+            entry.get("status") == SAT
+            and isinstance(model, dict)
+            and all(isinstance(value, int) for value in model.values())
+        )
+
+    @classmethod
+    def _decode_entry(cls, raw: bytes) -> dict | None:
+        """The verdict in an entry's bytes, or None for a torn write or
+        an entry that is not a verdict (either is a miss)."""
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            return None
+        return entry if cls.is_verdict(entry) else None
+
+    # -- byte-level reads and first-writer-wins writes -------------------
+
+    def entry_bytes(self, digest: str) -> bytes | None:
+        """The stored entry's bytes, or None when there is none."""
+        try:
+            with open(self._entry_path(digest), "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
+    @staticmethod
+    def _cert_json(data: bytes) -> bytes | None:
+        """A certificate's JSON from its stored bytes: a gzipped file or
+        archive member starts with the gzip magic, which JSON text never
+        does.  None when the compressed stream is corrupt."""
+        if data[:2] != b"\x1f\x8b":
+            return data
+        try:
+            return gzip.decompress(data)
+        except (OSError, EOFError, zlib.error):
+            return None
+
+    def cert_bytes(self, digest: str) -> bytes | None:
+        """The stored certificate's JSON bytes (un-gzipped), or None."""
+        fname = self._cert_file(digest)
+        if fname is None:
+            return None
+        try:
+            with open(fname, "rb") as handle:
+                return self._cert_json(handle.read())
+        except OSError:
+            return None  # removed since the probe (a concurrent gc)
+
+    def put_entry(self, digest: str, raw: bytes) -> bool:
+        """Write an entry from its JSON bytes unless one exists (first
+        writer wins: the digest is the content address).  True when the
+        entry was created; False when one existed, ``raw`` is not a
+        verdict, or the write failed."""
+        target = self._entry_path(digest)
+        if os.path.exists(target) or self._decode_entry(raw) is None:
+            return False
+        return self._atomic_write(target, raw)
+
+    def put_cert(self, digest: str, raw: bytes) -> bool:
+        """Write a certificate from its JSON bytes unless one exists,
+        like :meth:`put_entry`."""
+        if self._cert_file(digest) is not None:
+            return False
+        return self._write_cert(digest, raw)
+
+    def _write_cert(self, digest: str, raw: bytes) -> bool:
+        base = self._cert_path(digest)
+        target, stale = base, base + ".gz"
+        if len(raw) >= self.CERT_GZIP_THRESHOLD:
+            # Level 1: these documents are short-lived cache siblings,
+            # and emission sits on the solve path — speed over ratio.
+            raw = gzip.compress(raw, 1)
+            target, stale = stale, target
+        if not self._atomic_write(target, raw):
+            return False
         # Two runs of the same digest may disagree on compression (the
         # certificate depends on the session's history); never leave
         # both variants.
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
+        self._remove(stale)
+        return True
+
+    # -- the solver's interface ------------------------------------------
+
+    def store_certificate(self, digest: str, cert: dict) -> bool:
+        """Persist a certificate next to its verdict entry, replacing
+        any earlier one."""
+        return self._write_cert(digest, json.dumps(cert, separators=(",", ":")).encode())
 
     def load_certificate(self, digest: str) -> dict | None:
         """The stored certificate for ``digest``, or None (absent or
         corrupt — cert-less entries are a supported legacy state)."""
-        base = self._cert_path(digest)
-        try:
-            with open(base, "rb") as handle:
-                return json.loads(handle.read().decode())
-        except (OSError, ValueError):
-            pass
-        try:
-            with open(base + ".gz", "rb") as handle:
-                return json.loads(gzip.decompress(handle.read()).decode())
-        except (OSError, ValueError):
+        raw = self.cert_bytes(digest)
+        if raw is None:
             return None
+        try:
+            cert = json.loads(raw)
+        except ValueError:
+            return None
+        return cert if isinstance(cert, dict) else None
 
     def _read_entry(self, digest: str) -> dict | None:
-        """Load the raw JSON entry for ``digest``, or None if absent or
-        corrupt (a torn write loses one memo, never a verdict)."""
-        try:
-            with open(self._entry_path(digest)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+        """The stored verdict for ``digest``, or None when it is absent,
+        torn, or not a verdict (a bad entry loses one memo, never
+        decides one)."""
+        raw = self.entry_bytes(digest)
+        return None if raw is None else self._decode_entry(raw)
 
     def lookup(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
         """Return the cached result for ``digest``, or None on a miss."""
         entry = self._read_entry(digest)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._entry_to_result(entry, var_map)
+        return None if entry is None else self._entry_to_result(entry, var_map)
 
     @staticmethod
     def _entry_to_result(
         entry: dict, var_map: dict[str, str], hit: str = "cache_hit"
     ) -> "CheckResult":
-        """Materialize a stored entry as a :class:`CheckResult` for the
+        """Materialize a verdict entry as a :class:`CheckResult` for the
         hitting query: models come back from canonical variable names to
         the query's own names via ``var_map``.  Shared with the remote
         read-through tier, which adopts entries from other machines and
@@ -357,51 +471,13 @@ class SolverCache:
             }
         return entry
 
-    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> None:
+    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> bool:
+        """Record a SAT or UNSAT verdict, replacing any earlier entry.
+        True when an entry was written."""
         if result.status not in (SAT, UNSAT):
-            return
+            return False
         entry = self._result_to_entry(result, var_map)
-        target = self._entry_path(digest)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        self.stores += 1
-
-    def stats(self) -> dict:
-        queries = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": self.hits / queries if queries else 0.0,
-        }
-
-    def clear(self) -> None:
-        # Walks one shard level so clearing works for both the flat
-        # PR 2 layout and the sharded VerdictStore layout.
-        for name in os.listdir(self.path):
-            full = os.path.join(self.path, name)
-            if os.path.isdir(full) and len(name) == 2:
-                for sub in os.listdir(full):
-                    if sub.endswith((".json", ".json.gz")):
-                        try:
-                            os.unlink(os.path.join(full, sub))
-                        except OSError:
-                            pass
-            elif name.endswith((".json", ".json.gz")):
-                try:
-                    os.unlink(full)
-                except OSError:
-                    pass
+        return self._atomic_write(self._entry_path(digest), json.dumps(entry).encode())
 
 
 class Solver:

@@ -240,7 +240,7 @@ class TestStoreIntegration:
     def test_verdict_store_shards_certificates(self, tmp_path):
         store = self._populated_store(tmp_path)
         for digest in store.digests():
-            cert_file = store._find_cert_file(digest)
+            cert_file = store._cert_file(digest)
             assert cert_file is not None
             assert os.path.basename(os.path.dirname(cert_file)) == digest[:2]
             assert store.load_certificate(digest)["digest"] == digest
@@ -286,6 +286,17 @@ class TestStoreIntegration:
         audit = audit_store(store.path)
         assert audit["checked"] == 0 and audit["missing"] == 0
 
+    def test_solver_cache_writes_the_sharded_layout(self, tmp_path):
+        """A plain ``SolverCache`` writes the one layout the fleet reads:
+        the store walks it and the audit checks it."""
+        store_dir = str(tmp_path / "plain")
+        _, digest = _check(Solver(cache=SolverCache(store_dir)), _unsat_query("lay_u"))
+        shard = os.path.join(store_dir, digest[:2])
+        assert sorted(os.listdir(shard)) == [f"{digest}.cert.json", f"{digest}.json"]
+        assert VerdictStore(store_dir).digests() == [digest]
+        audit = audit_store(store_dir, require_certs=True)
+        assert audit["checked"] == 1 and not audit["failures"]
+
     def test_index_flags_certificates(self, tmp_path):
         store = self._populated_store(tmp_path)
         index = store.write_index()
@@ -303,6 +314,26 @@ class TestCheckerCli:
         cert = json.load(open(path))
         cert["digest"] = ("0" if cert["digest"][0] != "0" else "1") + cert["digest"][1:]
         json.dump(cert, open(path, "w"))
+        assert checkproof_main(["--store", store_dir]) == 1
+        capsys.readouterr()
+
+    def test_store_mode_fails_entries_that_are_not_verdicts(self, tmp_path, capsys):
+        """An entry the solver would read as a miss fails the audit, with
+        or without a certificate and with or without --require-certs."""
+        store_dir = str(tmp_path / "junk")
+        solver = Solver(cache=SolverCache(store_dir))
+        _, digest = _check(solver, _unsat_query("junk_u"))
+        # The certified entry flipped to a non-verdict, and two
+        # certificate-less ones beside it.
+        junk = {digest: {"status": "unknown"}, f"{1:016x}": ["unsat"], f"{2:016x}": {"status": "sat"}}
+        for name, entry in junk.items():
+            os.makedirs(os.path.join(store_dir, name[:2]), exist_ok=True)
+            with open(os.path.join(store_dir, name[:2], f"{name}.json"), "w") as handle:
+                json.dump(entry, handle)
+        for strict in (False, True):
+            summary = audit_store(store_dir, require_certs=strict)
+            assert sorted(d for d, _ in summary["failures"]) == sorted(junk)
+            assert all("not a verdict" in reason for _, reason in summary["failures"])
         assert checkproof_main(["--store", store_dir]) == 1
         capsys.readouterr()
 

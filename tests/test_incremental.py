@@ -210,23 +210,25 @@ class TestCacheKeys:
         x = mk_var("x", bv_sort(8))
         goal = mk_eq(x, mk_bv(1, 8))
 
-        s1 = Solver(cache=cache)
-        s1.add(mk_eq(x, mk_bv(1, 8)))
-        r1 = s1.check(goal)
-        assert r1.status == SAT
+        with obs.tracing() as col:
+            s1 = Solver(cache=cache)
+            s1.add(mk_eq(x, mk_bv(1, 8)))
+            r1 = s1.check(goal)
+            assert r1.status == SAT
 
-        s2 = Solver(cache=cache)
-        s2.add(mk_eq(x, mk_bv(2, 8)))
-        r2 = s2.check(goal)
-        assert r2.status == UNSAT  # a key collision would replay SAT
-        assert cache.misses == 2 and cache.hits == 0
+            s2 = Solver(cache=cache)
+            s2.add(mk_eq(x, mk_bv(2, 8)))
+            r2 = s2.check(goal)
+            assert r2.status == UNSAT  # a key collision would replay SAT
+            assert col.counters["solver.cache.misses"] == 2
+            assert "solver.cache.hits" not in col.counters
 
-        # Identical query (goal + assumptions) does hit.
-        s3 = Solver(cache=cache)
-        s3.add(mk_eq(x, mk_bv(1, 8)))
-        r3 = s3.check(goal)
-        assert r3.status == SAT
-        assert cache.hits == 1
+            # Identical query (goal + assumptions) does hit.
+            s3 = Solver(cache=cache)
+            s3.add(mk_eq(x, mk_bv(1, 8)))
+            r3 = s3.check(goal)
+            assert r3.status == SAT
+            assert col.counters["solver.cache.hits"] == 1
 
 
 def _factor_query(tag):
@@ -342,10 +344,10 @@ class TestVerdictMemo:
             solver = Solver(cache=cache)
             assert solver.check(*_factor_query("mcb")).status == SAT
         assert "memo_hit" not in solver.last_stats
-        assert cache.misses == 1 and cache.hits == 0 and cache.stores == 1
         digest = solver.last_stats["digest"]
         assert cache._read_entry(digest)["status"] == SAT
         assert cache.load_certificate(digest) is not None
         assert col.counters["solver.cache.misses"] == 1
+        assert "solver.cache.hits" not in col.counters
         assert not any(name.startswith("solver.memo.") for name in col.counters)
         assert session.memo == memo_before

@@ -137,7 +137,7 @@ class TestProtocol:
         # return the original JSON bytes (the wire format is plain).
         cert = json.dumps({"kind": "drat", "digest": DIG, "pad": "y" * 40000}).encode()
         assert api.handle("PUT", f"/store/{DIG}/cert", cert)[0] == 201
-        cert_file = api.store._find_cert_file(DIG)
+        cert_file = api.store._cert_file(DIG)
         assert cert_file.endswith(".gz")
         status, payload, _, _ = api.handle("GET", f"/store/{DIG}/cert", None)
         assert (status, payload) == (200, cert)
@@ -179,11 +179,12 @@ class TestReadThrough:
                 result = solver.check(*_unsat_query("rt_warm"))
             assert result.is_unsat
             assert solver.last_stats["cache_hit"]
-            assert local.hits == 1 and local.misses == 0
+            assert col.counters["solver.cache.hits"] == 1
+            assert "solver.cache.misses" not in col.counters
             assert col.counters["store.remote.hits"] == 1
             assert col.counters.get("store.remote.rejected_certs", 0) == 0
             # Entry AND certificate adopted: the local copy re-audits.
-            assert local._find_entry_file(digest) is not None
+            assert local.entry_bytes(digest) is not None
             check_certificate(local.load_certificate(digest))
             # Second lookup is a pure local hit — no remote traffic.
             gets_before = server.api.counters()["gets"]
@@ -232,13 +233,30 @@ class TestReadThrough:
             with obs.tracing() as col:
                 assert strict.lookup(digest, {}) is None
             assert col.counters["store.remote.rejected_certs"] == 1
-            assert strict._find_entry_file(digest) is None  # not adopted
+            assert strict.entry_bytes(digest) is None  # not adopted
 
             trusting = RemoteVerdictStore(
                 str(tmp_path / "trust"), server.url, verify_certs=False
             )
             assert trusting.lookup(digest, {}).is_unsat
-            assert trusting._find_entry_file(digest) is not None
+            assert trusting.entry_bytes(digest) is not None
+        finally:
+            server.close()
+
+    def test_entry_that_is_not_a_verdict_never_adopted(self, tmp_path):
+        """Even with certificate checks off, a served entry that is not a
+        verdict (here a model-less ``sat``) is a remote error, not a hit."""
+        server_dir = str(tmp_path / "srv")
+        os.makedirs(os.path.join(server_dir, DIG[:2]))
+        with open(os.path.join(server_dir, DIG[:2], f"{DIG}.json"), "w") as handle:
+            json.dump({"status": "sat"}, handle)
+        server = StoreServer(server_dir).start()
+        try:
+            trusting = RemoteVerdictStore(str(tmp_path / "cli"), server.url, verify_certs=False)
+            with obs.tracing() as col:
+                assert trusting.lookup(DIG, {}) is None
+            assert col.counters["store.remote.errors"] == 1
+            assert trusting.entry_bytes(DIG) is None  # not adopted
         finally:
             server.close()
 
@@ -578,8 +596,7 @@ class TestPropertyRoundTrip:
                 # under: the local copy reads back identically.
                 result = local.lookup(digest, {})
                 assert result is not None and result.status == status
-                with open(local._find_entry_file(digest), "rb") as handle:
-                    assert handle.read() == raw
+                assert local.entry_bytes(digest) == raw
         finally:
             server.close()
 

@@ -22,6 +22,7 @@ from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
 from repro.core.runner import Obligation, obligations_from_context, reduce_results, run_obligations
+from repro.core.store import VerdictStore
 from repro.smt import SolverCache, eval_term, mk_bool, query_digest
 from repro.sym import check_batch, fresh_bv, new_context, verify_vcs
 
@@ -179,11 +180,11 @@ class TestInvalidation:
         )
         assert stats.cache_hits == 0
 
-    def test_clear_forces_recompute_with_same_verdicts(self, tmp_path):
-        cache = SolverCache(str(tmp_path / "cache"))
+    def test_gc_keep_zero_forces_recompute_with_same_verdicts(self, tmp_path):
+        cache = VerdictStore(str(tmp_path / "cache"))
         batch = _algebra_obligations("clr")
         first, _ = run_obligations(batch, cache_dir=cache.path)
-        cache.clear()
+        cache.gc(keep=0)
         second, stats = run_obligations(batch, cache_dir=cache.path)
         assert stats.cache_hits == 0
         assert [r.status for r in first] == [r.status for r in second]

@@ -5,14 +5,18 @@ an export/import round-trip byte-for-byte, and concurrent writers of
 the same digest never produce a torn entry (atomic rename).
 """
 
+import io
 import json
 import multiprocessing
 import os
+import tarfile
 
 import pytest
 
+from repro.core.runner import Obligation, run_obligations
 from repro.core.store import StoreLockedError, VerdictStore, main as store_main
-from repro.smt import SAT, UNSAT, CheckResult, Model
+from repro.smt import SAT, UNSAT, CheckResult, Model, Solver, bv_sort, mk_bv, mk_eq, mk_var
+from repro.sym import fresh_bv
 
 
 def _digest(i: int) -> str:
@@ -78,6 +82,61 @@ class TestExportImport:
         assert summary["entries"] == len(expected)
         sat = sum(1 for e in expected.values() if e["status"] == "sat")
         assert summary["by_status"] == {"sat": sat, "unsat": len(expected) - sat}
+
+
+def _archive_of(path: str, entries: dict[str, bytes]) -> str:
+    """An export-shaped archive holding ``entries`` (digest -> bytes)."""
+    with tarfile.open(path, "w:gz") as tar:
+        for digest, raw in entries.items():
+            member = tarfile.TarInfo(f"{digest[:2]}/{digest}.json")
+            member.size = len(raw)
+            tar.addfile(member, io.BytesIO(raw))
+    return path
+
+
+class TestNotAVerdict:
+    """A stored entry that is not a verdict is a miss, never a proof:
+    import refuses it, and one planted on disk reads as a miss."""
+
+    def test_imported_unknown_entry_never_proves_a_false_obligation(self, tmp_path):
+        x = fresh_bv("nav.x", 8)
+        obligation = Obligation.from_terms("x is 7", [(x == 7).term])
+        # The obligation's digest, from a solve into a scratch store.
+        scratch = str(tmp_path / "scratch")
+        [result], _ = run_obligations([obligation], jobs=1, cache_dir=scratch)
+        assert result.status == "failed"
+        digest = result.stats["digest"]
+
+        archive = _archive_of(
+            str(tmp_path / "junk.tar.gz"), {digest: json.dumps({"status": "unknown"}).encode()}
+        )
+        store = VerdictStore(str(tmp_path / "store"))
+        imported = store.import_archive(archive)
+        [result], stats = run_obligations([obligation], jobs=1, cache_dir=store.path)
+        assert result.status == "failed"
+        assert stats.cache_hits == 0
+        assert imported == 0
+
+    def test_model_less_sat_entry_is_re_solved(self, tmp_path):
+        x = mk_var("nav_sat_x", bv_sort(8))
+        query = mk_eq(x, mk_bv(7, 8))
+        digest = Solver(cache=VerdictStore(str(tmp_path / "scratch"))).check(query).stats["digest"]
+        junk = json.dumps({"status": "sat"}).encode()
+
+        store = VerdictStore(str(tmp_path / "store"))
+        imported = store.import_archive(_archive_of(str(tmp_path / "junk.tar.gz"), {digest: junk}))
+        result = Solver(cache=store).check(query)
+        assert result.is_sat and result.model["nav_sat_x"] == 7
+        assert imported == 0
+        # Planted past the import, the entry still reads as a miss, and
+        # the re-solve overwrites it with the real verdict.
+        with open(os.path.join(store.path, digest[:2], f"{digest}.json"), "wb") as handle:
+            handle.write(junk)
+        solver = Solver(cache=store)
+        result = solver.check(query)
+        assert result.is_sat and result.model["nav_sat_x"] == 7
+        assert not solver.last_stats.get("cache_hit")
+        assert store._read_entry(digest) == {"status": "sat", "model": {"v0": 7}}
 
 
 DIGEST = "ab" + "0" * 14
