@@ -303,18 +303,20 @@ def check_longpole() -> int:
     """Prove CertiKOS ``invalid`` at O1 on two workers into a fresh store
     and audit it: the long-pole refinement obligation is refuted one
     conjunct at a time, so its certificate carries lemma lines."""
+    from repro import obs
     from repro.certikos import CertikosVerifier
     from repro.core.scheduler import shutdown_scheduler
 
     with tempfile.TemporaryDirectory(prefix="stress_pole_") as store:
         try:
-            result = CertikosVerifier(opt=1, jobs=2, cache_dir=store, trace=True).prove_op("invalid")
+            with obs.tracing() as col:
+                result = CertikosVerifier(opt=1, jobs=2, cache_dir=store).prove_op("invalid")
         finally:
             shutdown_scheduler()
         if not result.proved:
             print("FAIL: certikos.invalid.O1 not proved", file=sys.stderr)
             return 1
-        solves = [row[5] or {} for row in result.stats["obs"]["spans"] if row[0] == "sat.solve"]
+        solves = [e.args or {} for e in col.spans if e.name == "sat.solve"]
         pole = max(solves, key=lambda args: args.get("propagations", 0))
         print(
             "pole: {propagations} propagations, {conflicts} conflicts, "

@@ -166,7 +166,7 @@ def _sweep_one(job) -> CheckResult:
     return checker(insn, jit)
 
 
-def sweep(checker, jit, insns, jobs: int = 1, trace: bool | str = False) -> list[CheckResult]:
+def sweep(checker, jit, insns, jobs: int = 1) -> list[CheckResult]:
     """Run the checker over an instruction battery.
 
     Each instruction check is an independent proof obligation — the
@@ -181,18 +181,12 @@ def sweep(checker, jit, insns, jobs: int = 1, trace: bool | str = False) -> list
     redrawn is answered without a solve when its query, up to variable
     names, was already checked there.
 
-    ``trace`` opens a ``repro.obs`` tracing session around the sweep (a
-    path string writes a Chrome trace there); with scheduler dispatch
-    the per-instruction checks come back as ``scheduler``-layer spans
-    on their worker's track.
+    To trace the sweep, call it inside ``with obs.tracing() as col:``;
+    with scheduler dispatch the per-instruction checks come back as
+    ``scheduler``-layer spans on their worker's track.
     """
-    from ..obs import maybe_tracing
+    if jobs != 1 and len(insns) > 1:
+        from ..core.runner import parallel_map
 
-    with maybe_tracing(trace):
-        if jobs != 1 and len(insns) > 1:
-            from ..core.runner import parallel_map
-
-            return parallel_map(
-                _sweep_one, [(checker, jit, insn) for insn in insns], jobs=jobs
-            )
-        return [checker(insn, jit) for insn in insns]
+        return parallel_map(_sweep_one, [(checker, jit, insn) for insn in insns], jobs=jobs)
+    return [checker(insn, jit) for insn in insns]

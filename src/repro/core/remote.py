@@ -354,8 +354,9 @@ class StoreAPI:
 
         ``accept`` content-negotiates ``/metrics`` (Prometheus text vs
         JSON); ``trace`` is the raw ``X-Repro-Trace`` header, logged as
-        a structured request event so a store request can be correlated
-        with the job that caused it.
+        a ``store.request`` event into the open tracing session (the
+        daemon's, when the store is mounted there) so a store request
+        can be correlated with the job that caused it.
         """
         with self._lock:
             self.requests += 1
@@ -532,7 +533,9 @@ class _StoreHandler(BaseHTTPRequestHandler):
 
 class StoreServer:
     """Standalone HTTP object-store daemon over one local store
-    directory (``python -m repro.core.store serve``)."""
+    directory (``python -m repro.core.store serve``).  It opens no
+    tracing session: request events reach a session only if the
+    embedding process has one open."""
 
     def __init__(
         self,
@@ -540,7 +543,6 @@ class StoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
-        collect: bool = False,
     ):
         self.store = VerdictStore(store_dir)
         self.api = StoreAPI(self.store)
@@ -551,16 +553,6 @@ class StoreServer:
         self._httpd.verbose = verbose
         self._serve_thread: threading.Thread | None = None
         self._closed = False
-        # ``collect=True`` (the standalone CLI) keeps a process-lifetime
-        # tracing session open so request events are recorded; embedded
-        # servers leave the process-global obs state alone.
-        self._tracing = None
-        self.collector = None
-        if collect:
-            from ..obs import tracing
-
-            self._tracing = tracing(absorb=False)
-            self.collector = self._tracing.__enter__()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -592,9 +584,6 @@ class StoreServer:
         self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
-        if self._tracing is not None:
-            self._tracing.__exit__(None, None, None)
-            self._tracing = None
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,14 @@ class _Task:
 class _Ticket:
     """One submission's rendezvous point and per-run telemetry.
 
-    With ``trace`` set, workers run each task inside their own tracing
-    session and ship the span/counter/region snapshot back through the
-    outbox; ``obs`` holds those ``(wid, snapshot)`` envelopes and
-    ``timeline`` the queued/start/end record per task, both indexed by
-    submission order.
+    A ticket traces exactly when a tracing session was open at
+    submission: then ``trace`` is set, workers run each task inside
+    their own session and ship the span/counter/region snapshot back
+    through the outbox, and ``obs`` holds those ``(wid, snapshot)``
+    envelopes.  ``timeline`` holds the queued/start/end record per task
+    either way; both are indexed by submission order.  The first
+    ``wait()`` that sees the ticket complete folds the envelopes, and
+    one ``scheduler`` span per task, into that session's collector.
 
     ``job`` is an opaque caller tag (the serving layer uses its job id)
     so concurrent submissions can be told apart in telemetry, and
@@ -152,16 +155,20 @@ class _Ticket:
     def __init__(
         self,
         count: int,
-        trace: bool = False,
         job: str | None = None,
         on_result=None,
         trace_id: str | None = None,
     ):
+        from ..obs import get_collector
+
         self.results: list = [None] * count
         self.pending = count
         self.done = 0
         self.event = threading.Event()
-        self.trace = trace
+        # The session to fold the worker trace into; cleared once folded.
+        self._collector = get_collector()
+        self._fold_lock = threading.Lock()
+        self.trace = self._collector is not None
         self.job = job
         self.trace_id = trace_id
         self.on_result = on_result
@@ -174,8 +181,44 @@ class _Ticket:
         self.max_depth = 0
 
     def wait(self, timeout: float | None = None) -> list:
-        self.event.wait(timeout)
+        if self.event.wait(timeout) and self._collector is not None:
+            self._collect_trace()
         return self.results
+
+    def _collect_trace(self) -> None:
+        """Absorb the worker envelopes into the submitter's collector,
+        and lay down one ``scheduler``-category span per task (its
+        solving interval, on its worker's track).  Runs once."""
+        with self._fold_lock:
+            col, self._collector = self._collector, None
+        if col is None:
+            return
+        for entry in self.obs:
+            if entry is not None:
+                wid, snap = entry
+                col.absorb(snap, tid=f"worker-{wid}")
+        for index, entry in enumerate(self.timeline):
+            if entry is None:
+                continue
+            result = self.results[index]
+            args = {
+                "queued_s": entry["start_t"] - entry["queued_t"],
+                "attempts": entry["attempts"],
+                "worker": entry["wid"],
+            }
+            if self.trace_id is not None:
+                args["trace_id"] = self.trace_id
+                args["ob_id"] = f"{self.trace_id}.{index}"
+            if isinstance(result, ObligationResult):
+                args["status"] = result.status
+            col.add_span(
+                entry["name"],
+                "scheduler",
+                f"worker-{entry['wid']}",
+                entry["start_t"],
+                entry["end_t"] - entry["start_t"],
+                args,
+            )
 
     def progress(self) -> dict:
         """Point-in-time per-job counters, safe to read from any thread
@@ -372,7 +415,6 @@ class ObligationScheduler:
         max_conflicts: int | None = None,
         timeout_s: float | None = None,
         retries: int = 1,
-        trace: bool = False,
         job: str | None = None,
         on_result=None,
         trace_id: str | None = None,
@@ -390,23 +432,19 @@ class ObligationScheduler:
         specs = [
             ("ob", (ob, cache_dir, max_conflicts, timeout_s), ob.name) for ob in obligations
         ]
-        return self._submit(
-            specs, retries, trace, job=job, on_result=on_result, trace_id=trace_id
-        )
+        return self._submit(specs, retries, job=job, on_result=on_result, trace_id=trace_id)
 
-    def submit_calls(self, fn, items, retries: int = 0, trace: bool = False) -> _Ticket:
+    def submit_calls(self, fn, items, retries: int = 0) -> _Ticket:
         """Queue generic ``fn(item)`` tasks (the JIT-sweep shape)."""
         specs = [("call", (fn, item), f"{getattr(fn, '__name__', 'call')}[{i}]") for i, item in enumerate(items)]
-        return self._submit(specs, retries, trace)
+        return self._submit(specs, retries)
 
-    def _submit(
-        self, specs, retries: int, trace: bool = False, job=None, on_result=None, trace_id=None
-    ) -> _Ticket:
+    def _submit(self, specs, retries: int, job=None, on_result=None, trace_id=None) -> _Ticket:
         if trace_id is None:
             from ..obs.events import current_trace
 
             trace_id = current_trace()[0]
-        ticket = _Ticket(len(specs), trace=trace, job=job, on_result=on_result, trace_id=trace_id)
+        ticket = _Ticket(len(specs), job=job, on_result=on_result, trace_id=trace_id)
         if not specs:
             ticket.event.set()
             return ticket
@@ -621,42 +659,6 @@ class ObligationScheduler:
 
     # -- high-level entry points ----------------------------------------
 
-    def _collect_trace(self, ticket: _Ticket) -> None:
-        """Absorb worker envelopes into the caller's collector, and lay
-        down one ``scheduler``-category span per task (its solving
-        interval, on its worker's track)."""
-        from ..obs import get_collector
-
-        col = get_collector()
-        if col is None:
-            return
-        for entry in ticket.obs:
-            if entry is not None:
-                wid, snap = entry
-                col.absorb(snap, tid=f"worker-{wid}")
-        for index, entry in enumerate(ticket.timeline):
-            if entry is None:
-                continue
-            result = ticket.results[index]
-            args = {
-                "queued_s": entry["start_t"] - entry["queued_t"],
-                "attempts": entry["attempts"],
-                "worker": entry["wid"],
-            }
-            if ticket.trace_id is not None:
-                args["trace_id"] = ticket.trace_id
-                args["ob_id"] = f"{ticket.trace_id}.{index}"
-            if isinstance(result, ObligationResult):
-                args["status"] = result.status
-            col.add_span(
-                entry["name"],
-                "scheduler",
-                f"worker-{entry['wid']}",
-                entry["start_t"],
-                entry["end_t"] - entry["start_t"],
-                args,
-            )
-
     def run(
         self,
         obligations,
@@ -665,31 +667,23 @@ class ObligationScheduler:
         timeout_s: float | None = None,
         retries: int = 1,
         jobs_hint: int | None = None,
-        trace: bool | None = None,
     ) -> tuple[list[ObligationResult], SchedulerStats]:
         """Submit, wait, and reduce — the ``run_obligations`` shape.
 
         ``jobs_hint`` is what the caller asked for; it is reported as
         ``stats.jobs`` for compatibility with PR 2 consumers even though
-        the whole pool participates.  ``trace`` defaults to whether the
-        caller is tracing.
+        the whole pool participates.
         """
-        from ..obs import enabled
-
         start = time.perf_counter()
-        trace = enabled() if trace is None else trace
         ticket = self.submit_obligations(
             obligations,
             cache_dir=cache_dir,
             max_conflicts=max_conflicts,
             timeout_s=timeout_s,
             retries=retries,
-            trace=trace,
         )
         results = ticket.wait()
         wall = time.perf_counter() - start
-        if trace:
-            self._collect_trace(ticket)
         workers = len(self._workers)
         stats = SchedulerStats(
             obligations=len(obligations),
@@ -706,19 +700,13 @@ class ObligationScheduler:
         )
         return results, stats
 
-    def map(self, fn, items, trace: bool | None = None) -> list:
+    def map(self, fn, items) -> list:
         """Order-preserving parallel map over the shared pool.
 
         Raises ``RuntimeError`` if ``fn`` raised in a worker (after the
         worker-death retry budget), mirroring ``Pool.map``.
         """
-        from ..obs import enabled
-
-        trace = enabled() if trace is None else trace
-        ticket = self.submit_calls(fn, list(items), trace=trace)
-        results = ticket.wait()
-        if trace:
-            self._collect_trace(ticket)
+        results = self.submit_calls(fn, list(items)).wait()
         for result in results:
             if isinstance(result, _CallError):
                 raise RuntimeError(f"scheduler map task failed: {result.message}")

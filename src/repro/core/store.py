@@ -499,9 +499,7 @@ def main(argv=None) -> int:
     elif args.cmd == "serve":
         from .remote import StoreServer
 
-        server = StoreServer(
-            args.store, host=args.host, port=args.port, verbose=args.verbose, collect=True
-        )
+        server = StoreServer(args.store, host=args.host, port=args.port, verbose=args.verbose)
         print(f"store serving on {server.url}", flush=True)
         try:
             server.serve_forever()

@@ -38,7 +38,6 @@ def scan_for_ub(
     bugs: set[str] | frozenset[str] = frozenset(),
     jobs: int = 1,
     cache_dir: str | None = None,
-    trace: bool | str = False,
 ) -> list[UbFinding]:
     """Run the LLVM verifier's UB checks over every monitor call.
 
@@ -50,26 +49,25 @@ def scan_for_ub(
     obligation scheduler (``repro.core.scheduler``) like the other
     verifier frontends.  One finding is reported per (function,
     message) pair, the first failing instance winning — identical to
-    the sequential scan.
+    the sequential scan.  To trace the scan, call it inside
+    ``with obs.tracing() as col:``.
     """
-    from ..obs import maybe_tracing
     from ..sym import SymBool, region
     from ..sym.solverapi import check_batch
 
-    with maybe_tracing(trace):
-        module = build_module(bugs)
-        work: list[tuple[str, object]] = []
-        for name, func in module.functions.items():
-            with new_context() as ctx, region(f"keystone.{name}"):
-                run_function(func, mem=_memory())
-                vcs = list(ctx.vcs)
-            for vc in vcs:
-                work.append((name, vc))
-        results = check_batch(
-            [(f"{name}: {vc.message}", SymBool(vc.formula), []) for name, vc in work],
-            jobs=jobs,
-            cache_dir=cache_dir,
-        )
+    module = build_module(bugs)
+    work: list[tuple[str, object]] = []
+    for name, func in module.functions.items():
+        with new_context() as ctx, region(f"keystone.{name}"):
+            run_function(func, mem=_memory())
+            vcs = list(ctx.vcs)
+        for vc in vcs:
+            work.append((name, vc))
+    results = check_batch(
+        [(f"{name}: {vc.message}", SymBool(vc.formula), []) for name, vc in work],
+        jobs=jobs,
+        cache_dir=cache_dir,
+    )
     findings: list[UbFinding] = []
     reported: set[tuple[str, str]] = set()
     for (name, vc), result in zip(work, results):

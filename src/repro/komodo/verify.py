@@ -37,10 +37,6 @@ class KomodoVerifier:
     # repro.core.store).
     jobs: int = 1
     cache_dir: str | None = None
-    # Observability knob (repro.obs): False = off, True = collect and
-    # attach the snapshot as result.stats["obs"], a path string = also
-    # write a Chrome trace there.
-    trace: bool | str = False
 
     def __post_init__(self):
         self.image = build_image(self.opt)
@@ -89,18 +85,14 @@ class KomodoVerifier:
         )
 
     def prove_op(self, op: str) -> ProofResult:
-        from ..obs import maybe_tracing
-
-        with maybe_tracing(self.trace) as col:
-            result = self.refinement(op).prove(
-                max_conflicts=self.max_conflicts,
-                timeout_s=self.timeout_s,
-                jobs=self.jobs,
-                cache_dir=self.cache_dir,
-            )
-        if col is not None:
-            result.stats["obs"] = col.snapshot()
-        return result
+        """Prove refinement for one monitor call.  It records into the
+        caller's tracing session, if one is open (``repro.obs``)."""
+        return self.refinement(op).prove(
+            max_conflicts=self.max_conflicts,
+            timeout_s=self.timeout_s,
+            jobs=self.jobs,
+            cache_dir=self.cache_dir,
+        )
 
 
 def prove_boot(opt: int = 1, max_conflicts: int | None = None) -> ProofResult:
@@ -137,24 +129,19 @@ def verify_all(
     ops: list[str] | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    trace: bool | str = False,
 ):
     """Prove refinement for the monitor interface (all calls by default).
 
     With ``jobs > 1`` the per-call proofs share the process-wide
     scheduler: each call's VCs are queued as they are produced, so
     workers stay busy *across* calls instead of draining between them.
-    ``trace`` wraps the whole sweep in one tracing session (a path
-    string writes the Chrome trace there on exit).
+    To trace the sweep, call it inside ``with obs.tracing() as col:``.
     """
-    from ..obs import maybe_tracing
-
     verifier = KomodoVerifier(
         opt=opt, symopts=symopts or SymOptConfig(), jobs=jobs, cache_dir=cache_dir
     )
     results = {}
-    with maybe_tracing(trace):
-        for op in ops or OPERATIONS:
-            start = time.perf_counter()
-            results[op] = (verifier.prove_op(op), time.perf_counter() - start)
+    for op in ops or OPERATIONS:
+        start = time.perf_counter()
+        results[op] = (verifier.prove_op(op), time.perf_counter() - start)
     return results

@@ -38,7 +38,6 @@ from .collector import (
     enabled,
     event,
     get_collector,
-    maybe_tracing,
     observe,
     region,
     span,
@@ -71,7 +70,6 @@ __all__ = [
     "event",
     "get_collector",
     "jsonl_lines",
-    "maybe_tracing",
     "merge_chrome_traces",
     "new_trace_id",
     "observe",

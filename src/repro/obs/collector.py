@@ -47,7 +47,6 @@ __all__ = [
     "enabled",
     "event",
     "get_collector",
-    "maybe_tracing",
     "observe",
     "region",
     "span",
@@ -601,40 +600,6 @@ def tracing(absorb: bool = True, collector: Collector | None = None) -> _Tracing
     return _Tracing(absorb=absorb, collector=collector)
 
 
-class _MaybeTracing:
-    """``trace=`` knob semantics shared by the verifier entry points.
-
-    ``trace`` may be falsy (no-op), True (collect; caller reads the
-    collector), or a path string (collect and write a Chrome trace
-    there on exit).
-    """
-
-    def __init__(self, trace):
-        self._trace = trace
-        self._inner: _Tracing | None = None
-
-    def __enter__(self) -> Collector | None:
-        if not self._trace:
-            return None
-        self._inner = _Tracing(absorb=True)
-        return self._inner.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._inner is None:
-            return False
-        self._inner.__exit__(exc_type, exc, tb)
-        if isinstance(self._trace, str):
-            from .export import write_chrome_trace
-
-            write_chrome_trace(self._inner.collector, self._trace)
-        return False
-
-
-def maybe_tracing(trace) -> _MaybeTracing:
-    """Tracing gated on a ``trace`` knob (False | True | output path)."""
-    return _MaybeTracing(trace)
-
-
 # ---------------------------------------------------------------------------
 # The sym.terms / sym.merges hooks: installed while any session is open,
 # they count into the innermost one only (an inner session's counts reach
@@ -644,13 +609,13 @@ def maybe_tracing(trace) -> _MaybeTracing:
 def _count_term(term) -> None:
     col = _active
     if col is not None:
-        col.counters["sym.terms"] = col.counters.get("sym.terms", 0) + 1
+        col.count("sym.terms")
 
 
 def _count_merge(union_size: int) -> None:
     col = _active
     if col is not None:
-        col.counters["sym.merges"] = col.counters.get("sym.merges", 0) + 1
+        col.count("sym.merges")
         if union_size:
             for frame in _frames.stack:
                 frame.max_union = max(frame.max_union, union_size)

@@ -329,17 +329,10 @@ class VerificationServer:
             timeout_s=params.get("timeout_s"),
             job=job.id,
             on_result=on_result,
-            trace=self._collector is not None,
             trace_id=job.trace_id,
         )
         job.ticket = ticket
         results = ticket.wait()
-        if ticket.trace:
-            # Fold the workers' span envelopes into the daemon's
-            # process-lifetime collector: this is what puts a worker's
-            # sat.solve span (stamped with the job's trace_id) into the
-            # daemon's /metrics and exported traces.
-            scheduler._collect_trace(ticket)
         progress = ticket.progress()
         job.stats.update(
             obligations=len(results),

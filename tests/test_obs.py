@@ -9,6 +9,8 @@ time, absorb, dispatch-independence).
 """
 
 import importlib
+import sys
+import threading
 import time
 
 import pytest
@@ -137,6 +139,35 @@ class TestSpans:
 
 
 class TestCounters:
+    def test_term_hook_and_absorb_lose_no_counts(self):
+        """The term hook counts under the collector's lock, so a worker
+        snapshot absorbed on another thread cannot overwrite its updates."""
+        from repro.obs.collector import _count_term
+
+        n = 100_000
+
+        def count_terms():
+            for _ in range(n):
+                _count_term(None)
+
+        def absorb_terms():
+            for _ in range(n):
+                col.absorb({"counters": {"sym.terms": 1}})
+
+        threads = [threading.Thread(target=count_terms), threading.Thread(target=absorb_terms)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.tracing() as col:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert col.counters["sym.terms"] == 2 * n
+
     def test_stack_counters_recorded(self):
         with obs.tracing() as col:
             _solve_some("ctrs")
@@ -214,7 +245,7 @@ class TestWorkerReassembly:
         try:
             with obs.tracing():
                 scheduler = get_scheduler(2)
-            assert scheduler.map(_fork_probe, range(4), trace=False) == [(False, False)] * 4
+            assert scheduler.map(_fork_probe, range(4)) == [(False, False)] * 4
         finally:
             shutdown_scheduler()
 

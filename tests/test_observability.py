@@ -245,13 +245,13 @@ class TestTraceContext:
 
 class TestStoreServerObservability:
     def test_remote_client_propagates_trace_header(self, tmp_path):
-        srv = StoreServer(str(tmp_path / "store"), collect=True).start()
+        srv = StoreServer(str(tmp_path / "store")).start()
         try:
             client = RemoteStoreClient(srv.url)
-            with trace_context("tr-remote", "tr-remote.0"):
+            with obs.tracing() as col, trace_context("tr-remote", "tr-remote.0"):
                 assert client.index()["entries"] == 0
             rows = [
-                r for r in srv.collector.events_since(0)
+                r for r in col.events_since(0)
                 if r["msg"] == "store.request" and r["trace_id"] == "tr-remote"
             ]
             assert rows and rows[0]["ob_id"] == "tr-remote.0"

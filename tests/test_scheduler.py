@@ -9,6 +9,7 @@ obligation — must be exactly the sequential baseline's.
 import threading
 import time
 
+from repro import obs
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler, get_scheduler, in_worker, peek_scheduler
 from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvadd, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
@@ -216,8 +217,8 @@ class TestQueue:
         first ticket, in order, before any task of the second."""
         sched = ObligationScheduler(workers=1)
         try:
-            first = sched.submit_obligations(_obligation_set(), trace=True)
-            second = sched.submit_obligations(_obligation_set(), trace=True)
+            first = sched.submit_obligations(_obligation_set())
+            second = sched.submit_obligations(_obligation_set())
             first.wait(timeout=60.0)
             second.wait(timeout=60.0)
         finally:
@@ -242,6 +243,24 @@ class TestQueue:
         finally:
             sched.shutdown()
         assert sched.max_queue_depth == 5
+
+
+class TestTracing:
+    def test_submission_under_session_folds_worker_trace(self):
+        """A bare submission made while a session is open is traced:
+        waiting on it leaves one scheduler span per obligation, each on
+        its worker's track, and the workers' solver counters."""
+        obligations = _obligation_set()
+        sched = ObligationScheduler(workers=2)
+        try:
+            with obs.tracing() as col:
+                sched.submit_obligations(obligations).wait(timeout=60.0)
+        finally:
+            sched.shutdown()
+        spans = [e for e in col.spans if e.cat == "scheduler"]
+        assert sorted(e.name for e in spans) == [ob.name for ob in obligations]
+        assert all(e.tid.startswith("worker-") for e in spans)
+        assert col.counters["solver.queries"] == len(obligations)
 
 
 class TestTelemetry:
