@@ -53,7 +53,8 @@ fi
 # DIMACS corpus verdicts (arena / arena-nochrono vs `c expect`), equal
 # obligation verdicts on a shared session, a per-obligation reset
 # session and the scheduler, equal JIT verdicts with and without the
-# session's verdict memo, plus the certificate and long-pole audits.
+# session's verdict memo, the certificate audit, and the long pole's
+# split into proved piece obligations under an audited split certificate.
 run_job sat-stress python scripts/sat_stress.py
 
 # -- grid-cold / grid-warm -------------------------------------------

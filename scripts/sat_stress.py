@@ -26,10 +26,12 @@ Five layers of checking, mirroring the ``sat-stress`` CI job:
     independent checker audits the store in a child process
     (``python -m repro.smt.checkproof --store --require-certs``).
   * **Long pole**: CertiKOS ``invalid`` at O1 is proved on two workers
-    into a fresh store, which is audited the same way; its slowest
-    obligation is refuted one conjunct at a time, so the audit covers
-    conjunct-lemma proof lines.  The pole's propagation count is
-    printed.
+    into a fresh store, which is audited the same way.  Its
+    ``AF lock-step refinement`` obligation must split into one piece
+    obligation per distinct conjunct, every piece must be proved, and
+    the whole entry must carry a ``split`` certificate naming a piece
+    per conjunct, so the audit covers split certificates.  The pole's
+    conjunct and piece counts and the proof's propagations are printed.
 
 Exits nonzero on any disagreement.
 """
@@ -301,11 +303,13 @@ def audit_store(store: str) -> int:
 
 def check_longpole() -> int:
     """Prove CertiKOS ``invalid`` at O1 on two workers into a fresh store
-    and audit it: the long-pole refinement obligation is refuted one
-    conjunct at a time, so its certificate carries lemma lines."""
+    and audit it: the long-pole refinement obligation runs as one piece
+    obligation per distinct conjunct, every piece is proved, and its
+    whole entry carries a ``split`` certificate."""
     from repro import obs
     from repro.certikos import CertikosVerifier
     from repro.core.scheduler import shutdown_scheduler
+    from repro.core.store import VerdictStore
 
     with tempfile.TemporaryDirectory(prefix="stress_pole_") as store:
         try:
@@ -316,12 +320,33 @@ def check_longpole() -> int:
         if not result.proved:
             print("FAIL: certikos.invalid.O1 not proved", file=sys.stderr)
             return 1
-        solves = [e.args or {} for e in col.spans if e.name == "sat.solve"]
-        pole = max(solves, key=lambda args: args.get("propagations", 0))
+        tasks = [e for e in col.spans if e.cat == "scheduler"]
+        poles = [e.name for e in tasks if e.name.endswith("AF lock-step refinement")]
+        pieces = [e for e in tasks for pole in poles if e.name.startswith(f"{pole} / piece ")]
+        verdicts = VerdictStore(store)
+        certs = [verdicts.load_certificate(digest) for digest in verdicts.digests()]
+        splits = [c for c in certs if c is not None and c.get("kind") == "split"]
+        pole_cert = max(splits, key=lambda c: len(c["pieces"]), default=None)
+        if len(poles) != 1 or not pieces or pole_cert is None:
+            print(
+                f"FAIL: the pole did not split ({len(poles)} AF lock-step obligations, "
+                f"{len(pieces)} piece tasks, {len(splits)} split certificates)",
+                file=sys.stderr,
+            )
+            return 1
+        conjuncts, distinct = len(pole_cert["pieces"]), len(set(pole_cert["pieces"]))
+        unproved = [e.name for e in pieces if (e.args or {}).get("status") != "proved"]
         print(
-            "pole: {propagations} propagations, {conflicts} conflicts, "
-            "{lemmas}/{conjuncts} conjunct lemmas".format(**pole)
+            f"pole: {conjuncts} conjuncts, {distinct} distinct pieces, "
+            f"{len(pieces) - len(unproved)}/{len(pieces)} piece tasks proved, "
+            f"{col.counters.get('sat.propagations', 0)} propagations in the proof"
         )
+        if unproved or len(pieces) != distinct:
+            print(f"FAIL: pole pieces not all proved once: {unproved}", file=sys.stderr)
+            return 1
+        if verdicts.lookup(pole_cert["digest"], {}) is None:
+            print("FAIL: the pole's split certificate has no entry", file=sys.stderr)
+            return 1
         rc = audit_store(store)
         if rc != 0:
             print(f"FAIL: checkproof audit of the pole store exited {rc}", file=sys.stderr)

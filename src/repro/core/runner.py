@@ -35,6 +35,22 @@ pool shared by every ``run_obligations`` call, fed from one FIFO
 queue, with per-obligation timeout + bounded retry.  Either way,
 verdicts are memoized in the sharded content-addressed store
 (``repro.core.store.VerdictStore``) when a ``cache_dir`` is given.
+
+**Piece obligations** (§4's split-cases, one level below the VC): a
+refinement VC's goal is ``not(and(c1..cn))``, one conjunct per
+abstract-state field, and one such query can outweigh every other
+obligation of a proof.  When a whole obligation's lookup misses (the
+store, or the session memo without one) and its goal is such a
+conjunction with n >= 2, the worker does not solve it: it answers with
+a :class:`Split`, one :class:`Piece` per distinct conjunct, each the
+query ``R ∧ ¬ci`` over the obligation's other roots ``R``.  Pieces run
+at the head of the scheduler's queue (in order, in this process, when
+the batch runs in-process), each an obligation of its own for budgets,
+retries, the store and certificates.  The first piece that is not proved, in
+conjunct order, decides the whole; when every piece is proved, the
+parent stores the whole digest as ``unsat`` with a ``split``
+certificate (docs/CERTIFICATES.md).  Callers see one result per
+obligation they submitted, never a piece.
 """
 
 from __future__ import annotations
@@ -44,21 +60,31 @@ import os
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..obs import observe as _obs_observe, span as _obs_span
+from ..obs import count as _obs_count, observe as _obs_observe, span as _obs_span
 from ..smt import (
     SolverTimeout,
     Term,
+    canonicalize_nodes,
     deserialize_terms,
     mk_and,
     mk_not,
     serialize_terms,
 )
-from ..smt.solver import Solver
+from ..smt.proof import build_split_certificate, canonical_query_payload
+from ..smt.solver import (
+    CheckResult,
+    Solver,
+    UNSAT,
+    certs_enabled,
+    get_incremental_session,
+)
 
 __all__ = [
     "Obligation",
     "ObligationResult",
+    "Piece",
     "RunnerStats",
+    "Split",
     "default_jobs",
     "obligations_from_context",
     "parallel_map",
@@ -244,47 +270,292 @@ def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc"
 
 
 # ---------------------------------------------------------------------------
+# Piece obligations
+
+
+def _conjuncts(query: dict) -> list[int]:
+    """The node indices of ``c1..cn`` when a serialized query's last root
+    is ``not(and(c1..cn))`` with n >= 2, else empty (solve it whole)."""
+    nodes = query["nodes"]
+    op, _tag, args, _payload = nodes[query["roots"][-1]]
+    if op != "not":
+        return []
+    op, _tag, args, _payload = nodes[args[0]]
+    return list(args) if op == "and" and len(args) >= 2 else []
+
+
+def piece_nodes(query: dict, conjunct: int) -> dict:
+    """The piece of a serialized query for the conjunct at node index
+    ``conjunct``: the query's own nodes plus ``["not", "b", [conjunct],
+    None]``, rooted at the other roots and that node, and pruned to the
+    nodes those roots reach with their stored order kept (every variable
+    left must be reachable, or ``canonicalize_nodes`` fails).
+
+    The rule is syntactic on purpose: ``mk_not`` would fold a conjunct
+    that is itself a ``not``, and a re-serialization can reorder nodes,
+    while the digest breaks ties between commutative operands by stored
+    order.  ``repro.smt.checkproof`` derives pieces by the same rule.
+    """
+    nodes = query["nodes"] + [["not", "b", [conjunct], None]]
+    roots = query["roots"][:-1] + [len(nodes) - 1]
+    reached: set[int] = set()
+    stack = list(roots)
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            stack.extend(nodes[i][2])
+    order = sorted(reached)
+    index = {old: new for new, old in enumerate(order)}
+    return {
+        "nodes": [
+            [op, tag, [index[a] for a in args], payload]
+            for op, tag, args, payload in (nodes[i] for i in order)
+        ],
+        "roots": [index[r] for r in roots],
+    }
+
+
+@dataclass
+class Piece:
+    """One distinct conjunct's share of a split obligation: the query
+    ``R ∧ ¬ci`` as :func:`piece_nodes` derives it, keyed, solved and
+    certified as exactly that node list.  Not an :class:`Obligation`:
+    it carries no goal to negate (an obligation with no goals would
+    negate ``and()`` to ``false``, trivially UNSAT)."""
+
+    name: str
+    payload: dict
+    digest: str
+
+
+@dataclass
+class Split:
+    """A whole obligation whose lookup missed, answered by its pieces.
+
+    ``query`` is the whole query's node list (the one its ``digest``
+    was computed from) and ``var_map`` its canonical renaming;
+    ``pieces`` holds one :class:`Piece` per distinct digest, in the
+    order of their first conjunct, and ``conjuncts`` maps every conjunct
+    of the goal to its piece's index.  ``stats`` are the whole lookup's.
+    """
+
+    name: str
+    digest: str
+    query: dict
+    var_map: dict
+    pieces: list[Piece]
+    conjuncts: list[int]
+    stats: dict = field(default_factory=dict)
+
+    @classmethod
+    def derive(cls, name: str, query: dict, digest: str, var_map: dict) -> "Split | None":
+        """Every piece of ``query``, derived and canonicalized, one per
+        distinct digest; None when its last root is not a conjunction
+        of at least two conjuncts."""
+        pieces: list[Piece] = []
+        slots: dict[str, int] = {}
+        conjuncts = []
+        for i, node in enumerate(_conjuncts(query)):
+            payload = piece_nodes(query, node)
+            piece_digest, _ = canonicalize_nodes(payload)
+            if piece_digest not in slots:
+                slots[piece_digest] = len(pieces)
+                pieces.append(Piece(f"{name} / piece {i}", payload, piece_digest))
+            conjuncts.append(slots[piece_digest])
+        if not conjuncts:
+            return None
+        return cls(name, digest, query, var_map, pieces, conjuncts)
+
+    def verdict(self, results: Sequence[ObligationResult | None]) -> ObligationResult | None:
+        """The whole obligation's result once the piece results (by
+        piece index, None while running) decide it, else None.
+
+        Pieces are in first-conjunct order, so the first piece that is
+        not proved belongs to the first conjunct that is not: its result
+        decides, the same at every ``jobs``, and with every piece proved
+        the whole is.  A failed piece's model satisfies ``R`` and
+        falsifies its conjunct, so it is the whole obligation's
+        counterexample once the whole query's other variables, which
+        occur in no root of the piece, are given any value (zero).
+        """
+        stats = dict(self.stats, split=len(self.conjuncts), pieces=len(self.pieces))
+        for result in results:
+            if result is None:
+                return None
+            stats["time_s"] = stats.get("time_s", 0.0) + result.stats.get("time_s", 0.0)
+            if not result.proved:
+                stats["piece"] = result.name
+                for flag in ("timed_out", "worker_error"):
+                    if flag in result.stats:
+                        stats[flag] = result.stats[flag]
+                model = None
+                if result.model_values is not None:
+                    model = dict.fromkeys(self.var_map, 0)
+                    model.update(result.model_values)
+                return ObligationResult(self.name, result.status, model_values=model, stats=stats)
+        return ObligationResult(self.name, PROVED, stats=stats)
+
+    def record(self, cache_dir: str | None) -> None:
+        """Record the proved whole where its lookup looked: the store at
+        ``cache_dir`` (through the same ``open_store`` the workers use)
+        gets an ``unsat`` entry and a ``split`` certificate naming each
+        conjunct's piece; with no store, this process's session memo
+        gets the verdict."""
+        if not cache_dir:
+            get_incremental_session().memo[self.digest] = {"status": UNSAT}
+            return
+        from .store import open_store
+
+        cache = open_store(cache_dir)
+        if certs_enabled():
+            # This thread's CPU: in the scheduler this runs on the
+            # dispatcher thread, beside the waiting callers.
+            emit_start = time.thread_time()
+            with _obs_span("cert.build", cat="solver-cache"):
+                cert = build_split_certificate(
+                    self.digest,
+                    canonical_query_payload(None, self.var_map, self.query),
+                    [self.pieces[slot].digest for slot in self.conjuncts],
+                )
+            cache.store_certificate(self.digest, cert)
+            _obs_count("solver.certs")
+            _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
+        cache.store(self.digest, {}, CheckResult(UNSAT))
+
+
+class _WholeSolver(Solver):
+    """The solver of a whole obligation.  Its lookup is the ordinary
+    check's; when that misses and the query splits, it derives the
+    pieces into :attr:`split` instead of solving."""
+
+    def __init__(self, name: str, **kwargs):
+        super().__init__(**kwargs)
+        self.name = name
+        self.split: Split | None = None
+
+    def _solve(self, terms, digest, var_map, start) -> CheckResult:
+        self.split = Split.derive(self.name, self._serialized_query, digest, var_map)
+        if self.split is None:
+            return super()._solve(terms, digest, var_map, start)
+        self.last_stats = {"time_s": time.perf_counter() - start}
+        if self.cache is not None:
+            self.last_stats["digest"] = digest
+        return CheckResult(UNKNOWN, stats=self.last_stats)
+
+
+class _PieceSolver(Solver):
+    """The solver of a piece: keyed, solved and certified as the node
+    list the piece was derived as, never a re-serialization of it."""
+
+    def __init__(self, payload: dict, **kwargs):
+        super().__init__(**kwargs)
+        self._payload = payload
+
+    def _serialize(self, terms: list[Term]) -> dict:
+        return self._payload
+
+
+# ---------------------------------------------------------------------------
 # Worker side
+
+
+def _open_cache(cache_dir: str | None):
+    if not cache_dir:
+        return None
+    # Sharded content-addressed store; grows a remote read-through/
+    # write-back tier when REPRO_REMOTE_STORE points at a store server.
+    from .store import open_store
+
+    return open_store(cache_dir)
+
+
+def _discharge(name: str, solver: Solver, extra: list[Term], start: float) -> ObligationResult:
+    try:
+        result = solver.check(*extra)
+    except SolverTimeout:
+        stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
+        return ObligationResult(name, UNKNOWN, stats=stats)
+    stats = dict(solver.last_stats)
+    stats["time_s"] = time.perf_counter() - start
+    stats["cache_hit"] = bool(stats.get("cache_hit", False))
+    stats["cached"] = solver.cache is not None and not stats.get("trivial", False)
+    if result.is_unsat:
+        return ObligationResult(name, PROVED, stats=stats)
+    if result.is_sat:
+        values = dict(result.model.items())
+        return ObligationResult(name, FAILED, model_values=values, stats=stats)
+    return ObligationResult(name, UNKNOWN, stats=stats)
+
 
 def _check_obligation(
     obligation: Obligation,
     cache_dir: str | None,
     max_conflicts: int | None,
     timeout_s: float | None,
-) -> ObligationResult:
-    """Discharge one obligation in the current process (the scheduler's
-    workers call this too; their trace envelope lives in the scheduler).
+) -> ObligationResult | Split:
+    """Discharge one obligation in the current process, or return its
+    :class:`Split` when its lookup missed and its goal splits (the
+    scheduler's workers call this too; their trace envelope lives in
+    the scheduler).
     """
     start = time.perf_counter()
     roots = deserialize_terms(obligation.payload)
     goals = roots[: obligation.num_goals]
-    assumptions = roots[obligation.num_goals:]
-    if cache_dir:
-        # Sharded content-addressed store; grows a remote
-        # read-through/write-back tier when REPRO_REMOTE_STORE points at
-        # a store server.
-        from .store import open_store
+    solver = _WholeSolver(
+        obligation.name,
+        max_conflicts=max_conflicts,
+        timeout_s=timeout_s,
+        cache=_open_cache(cache_dir),
+    )
+    solver.add(*roots[obligation.num_goals:])
+    result = _discharge(obligation.name, solver, [mk_not(mk_and(*goals))], start)
+    if solver.split is not None:
+        solver.split.stats = result.stats
+        return solver.split
+    return result
 
-        cache = open_store(cache_dir)
-    else:
-        cache = None
-    solver = Solver(max_conflicts=max_conflicts, timeout_s=timeout_s, cache=cache)
-    solver.add(*assumptions)
-    try:
-        result = solver.check(mk_not(mk_and(*goals)))
-    except SolverTimeout:
-        stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
-        return ObligationResult(obligation.name, UNKNOWN, stats=stats)
-    stats = dict(solver.last_stats)
-    stats["time_s"] = time.perf_counter() - start
-    stats["cache_hit"] = bool(stats.get("cache_hit", False))
-    stats["cached"] = cache is not None and not stats.get("trivial", False)
-    if result.is_unsat:
-        return ObligationResult(obligation.name, PROVED, stats=stats)
-    if result.is_sat:
-        values = dict(result.model.items())
-        return ObligationResult(obligation.name, FAILED, model_values=values, stats=stats)
-    return ObligationResult(obligation.name, UNKNOWN, stats=stats)
+
+def _check_piece(
+    piece: Piece,
+    cache_dir: str | None,
+    max_conflicts: int | None,
+    timeout_s: float | None,
+) -> ObligationResult:
+    """Discharge one piece in the current process: its roots as given,
+    no goal negation."""
+    start = time.perf_counter()
+    roots = deserialize_terms(piece.payload)
+    solver = _PieceSolver(
+        piece.payload,
+        max_conflicts=max_conflicts,
+        timeout_s=timeout_s,
+        cache=_open_cache(cache_dir),
+    )
+    solver.add(*roots)
+    return _discharge(piece.name, solver, [], start)
+
+
+def _run_pieces(
+    split: Split,
+    cache_dir: str | None,
+    max_conflicts: int | None,
+    timeout_s: float | None,
+) -> ObligationResult:
+    """In-process: run a split's pieces in order until they decide the
+    whole obligation, and record the whole when it is proved."""
+    results: list[ObligationResult | None] = [None] * len(split.pieces)
+    for slot, piece in enumerate(split.pieces):
+        with _obs_span(piece.name, cat="scheduler") as sargs:
+            results[slot] = _check_piece(piece, cache_dir, max_conflicts, timeout_s)
+        if sargs is not None:
+            sargs["status"] = results[slot].status
+        verdict = split.verdict(results)
+        if verdict is not None:
+            break
+    if verdict.proved:
+        split.record(cache_dir)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +610,8 @@ def run_obligations(
         ob_start = time.perf_counter()
         with _obs_span(ob.name, cat="scheduler") as sargs:
             result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s)
+            if isinstance(result, Split):
+                result = _run_pieces(result, cache_dir, max_conflicts, timeout_s)
         _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
         if sargs is not None:
             sargs["status"] = result.status

@@ -23,7 +23,7 @@ def summarize(collector) -> dict:
     benchmark artifacts.
 
     Obligation rows come from the scheduler-category spans (one per
-    obligation, whichever process solved it); region rows are the
+    obligation or piece, whichever process solved it); region rows are the
     collector's region table (its own regions plus every absorbed
     worker's), ranked by the §3.2 score.
     """

@@ -12,7 +12,7 @@ the solver stack (``repro.smt.sat``, ``repro.smt.solver``,
 produced by a machine you do not control is checked by code that shares
 no line with the code that produced it; the wire format is the contract
 (docs/CERTIFICATES.md) and this file plus the format spec are the whole
-trusted base.  Three mirrors of solver-side logic therefore live here
+trusted base.  Four mirrors of solver-side logic therefore live here
 on purpose and must stay in semantic lockstep with their originals:
 
   * :func:`canonical_digest` mirrors ``terms.canonicalize_nodes`` (the
@@ -21,10 +21,13 @@ on purpose and must stay in semantic lockstep with their originals:
   * :func:`eval_nodes` mirrors ``evaluator.eval_term`` over the
     serialized ``[op, sort_tag, arg_idxs, payload]`` node schema
     (model replay for ``sat`` verdicts);
-  * :func:`rup_conflict` implements reverse unit propagation (clause
+  * :class:`_Propagator` implements reverse unit propagation (clause
     proof checking for ``unsat`` verdicts: every proof line must be a
     RUP consequence of the clauses before it, and the assumptions must
-    propagate to a conflict at the end).
+    propagate to a conflict at the end);
+  * :func:`piece_nodes` mirrors ``core.runner.piece_nodes`` (the query
+    ``R ∧ ¬ci`` a ``split`` certificate's pieces must be, conjunct by
+    conjunct).
 
 Exit codes: 0 all certificates valid, 1 any invalid (including a
 tampered digest), 2 usage/IO errors.  Missing certificates are
@@ -321,6 +324,49 @@ class _Propagator:
 
 
 # ---------------------------------------------------------------------------
+# Pieces (mirror of repro.core.runner.piece_nodes)
+
+
+def goal_conjuncts(query: dict) -> list[int]:
+    """Node indices of ``c1..cn`` when the query's last root is
+    ``not(and(c1..cn))`` with n >= 2, else empty."""
+    nodes = query["nodes"]
+    op, _sort_tag, args, _payload = nodes[query["roots"][-1]]
+    if op != "not":
+        return []
+    op, _sort_tag, args, _payload = nodes[args[0]]
+    return list(args) if op == "and" and len(args) >= 2 else []
+
+
+def piece_nodes(query: dict, conjunct: int) -> dict:
+    """The piece of ``query`` for the conjunct at node ``conjunct``:
+    its nodes plus ``["not", "b", [conjunct], None]``, rooted at the
+    other roots and that node, pruned to what the roots reach with the
+    stored order kept.  Syntactic by design: building ``¬ci`` with a
+    folding constructor would turn ``¬¬x`` into ``x``, and the digest
+    breaks ties between commutative operands by stored order, so any
+    other construction can hash differently."""
+    nodes = list(query["nodes"]) + [["not", "b", [conjunct], None]]
+    roots = list(query["roots"][:-1]) + [len(nodes) - 1]
+    reached: set[int] = set()
+    stack = list(roots)
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            stack.extend(nodes[i][2])
+    kept = sorted(reached)
+    index = {old: new for new, old in enumerate(kept)}
+    return {
+        "nodes": [
+            [op, sort_tag, [index[j] for j in args], payload]
+            for op, sort_tag, args, payload in (nodes[i] for i in kept)
+        ],
+        "roots": [index[r] for r in roots],
+    }
+
+
+# ---------------------------------------------------------------------------
 # Certificate checks
 
 
@@ -402,14 +448,54 @@ def check_model(cert: dict) -> dict:
     return {"roots": len(root_values), "model_vars": len(model), "funs": len(funs)}
 
 
+def check_split(cert: dict) -> dict:
+    """Verify a ``split`` certificate's own claims: its query's last root
+    is ``not(and(c1..cn))`` with n >= 2, and ``pieces`` lists, for each
+    conjunct in the ``and``'s operand order, the digest of that
+    conjunct's piece as :func:`piece_nodes` derives it.  That the pieces
+    are UNSAT is each piece's own ``drat`` certificate's claim, which
+    only a store holds (:func:`audit_store` checks it).  Returns summary
+    counters."""
+    _check_common(cert)
+    if cert.get("kind") != "split":
+        raise CheckFailure(f"expected kind 'split', got {cert.get('kind')!r}")
+    pieces = cert.get("pieces")
+    if not isinstance(pieces, list) or not all(isinstance(d, str) for d in pieces):
+        raise CheckFailure("split certificate needs a 'pieces' array of digests")
+    query = cert["query"]
+    try:
+        conjuncts = goal_conjuncts(query)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise CheckFailure(f"malformed query payload: {exc}") from None
+    if not conjuncts:
+        raise CheckFailure("split query's last root is not not(and(c1..cn)) with n >= 2")
+    if len(pieces) != len(conjuncts):
+        raise CheckFailure(
+            f"split lists {len(pieces)} pieces for {len(conjuncts)} conjuncts"
+        )
+    for i, (conjunct, claimed) in enumerate(zip(conjuncts, pieces)):
+        try:
+            derived = canonical_digest(piece_nodes(query, conjunct))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CheckFailure(f"piece {i} cannot be derived: {exc}") from None
+        if derived != claimed:
+            raise CheckFailure(
+                f"piece {i} is listed as {claimed!r}, but conjunct {i}'s piece "
+                f"hashes to {derived!r}"
+            )
+    return {"conjuncts": len(conjuncts), "pieces": len(set(pieces))}
+
+
 def check_certificate(cert: dict) -> dict:
-    """Verify either kind.  Returns summary counters; raises
+    """Verify any kind.  Returns summary counters; raises
     :class:`CheckFailure` on any problem."""
     kind = cert.get("kind") if isinstance(cert, dict) else None
     if kind == "drat":
         return check_drat(cert)
     if kind == "model":
         return check_model(cert)
+    if kind == "split":
+        return check_split(cert)
     raise CheckFailure(f"unknown certificate kind {kind!r}")
 
 
@@ -462,11 +548,16 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
     (``unsat``, or ``sat`` with an integer model) fails, certificate or
     not.  A verdict whose certificate is absent counts in ``missing`` (a
     failure only under ``require_certs``); a certificate whose kind
-    contradicts the stored verdict fails.
+    contradicts the stored verdict fails.  An ``unsat`` entry may carry
+    a ``split`` certificate only when every piece it lists has an
+    ``unsat`` entry in this store whose ``drat`` certificate checks.
     """
     checked = missing = 0
     failures: list[tuple[str, str]] = []
-    kinds = {"drat": 0, "model": 0}
+    kinds = {"drat": 0, "model": 0, "split": 0}
+    statuses: dict[str, str] = {}  # every verdict entry's status
+    verified: dict[str, str] = {}  # digest -> kind of its checked certificate
+    splits: list[tuple[str, list]] = []
     for digest, entry_path in iter_store_entries(store_dir):
         try:
             entry = _load_json(entry_path)
@@ -485,6 +576,7 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
         if not verdict:
             failures.append((digest, f"entry is not a verdict (status {status!r})"))
             continue
+        statuses[digest] = status
         cert_path = find_certificate(entry_path, digest)
         if cert_path is None:
             missing += 1
@@ -496,7 +588,7 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
         except (OSError, ValueError) as exc:
             failures.append((digest, f"unreadable certificate: {exc}"))
             continue
-        expected_kind = {"sat": "model", "unsat": "drat"}[status]
+        expected_kinds = {"sat": ("model",), "unsat": ("drat", "split")}[status]
         try:
             if isinstance(cert, dict) and cert.get("digest") != digest:
                 raise CheckFailure(
@@ -504,24 +596,48 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
                     f"stored under {digest!r}"
                 )
             kind = cert.get("kind") if isinstance(cert, dict) else None
-            if kind != expected_kind:
+            if kind not in expected_kinds:
                 raise CheckFailure(
-                    f"verdict {status!r} needs a {expected_kind!r} certificate, "
-                    f"found {kind!r}"
+                    f"verdict {status!r} needs a {' or '.join(map(repr, expected_kinds))} "
+                    f"certificate, found {kind!r}"
                 )
             check_certificate(cert)
         except CheckFailure as exc:
             failures.append((digest, str(exc)))
             continue
+        if kind == "split":
+            splits.append((digest, cert["pieces"]))
+            continue
+        verified[digest] = kind
         checked += 1
-        kinds[cert["kind"]] += 1
+        kinds[kind] += 1
         if verbose:
-            print(f"ok {digest} ({cert['kind']})")
+            print(f"ok {digest} ({kind})")
+    # A split holds only through its pieces, so it is judged once every
+    # entry's own certificate has been.
+    for digest, pieces in splits:
+        for piece in dict.fromkeys(pieces):
+            if piece not in statuses:
+                reason = "has no entry in the store"
+            elif statuses[piece] != "unsat":
+                reason = f"is {statuses[piece]!r}, not 'unsat'"
+            elif verified.get(piece) != "drat":
+                reason = "has no checked 'drat' certificate"
+            else:
+                continue
+            failures.append((digest, f"split piece {piece} {reason}"))
+            break
+        else:
+            checked += 1
+            kinds["split"] += 1
+            if verbose:
+                print(f"ok {digest} (split)")
     return {
         "checked": checked,
         "missing": missing,
         "drat": kinds["drat"],
         "model": kinds["model"],
+        "split": kinds["split"],
         "failures": failures,
     }
 
@@ -533,7 +649,7 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.smt.checkproof",
-        description="Verify proof certificates (DRAT refutations and model replays).",
+        description="Verify proof certificates (DRAT refutations, model replays and splits).",
     )
     parser.add_argument("certs", nargs="*", help="certificate files (.cert.json[.gz])")
     parser.add_argument("--store", help="audit every verdict in this store directory")
@@ -572,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(
             f"store {args.store}: {summary['checked']} certificates ok "
-            f"({summary['drat']} drat, {summary['model']} model), "
+            f"({summary['drat']} drat, {summary['model']} model, {summary['split']} split), "
             f"{summary['missing']} verdicts without certificates, "
             f"{len(summary['failures'])} failures"
         )

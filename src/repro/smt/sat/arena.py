@@ -793,57 +793,6 @@ class ArenaSolver:
         finally:
             self._assumed_count = 0
 
-    def add_lemma(self, lits: list[int]) -> bool:
-        """Keep the refutation ``solve_with`` just returned as a clause.
-
-        Call right after an "unsat" answer with ``lits`` holding the
-        negation of every assumption of that solve, optionally weakened
-        by extra literals.  The clause then follows from the final core
-        by reverse unit propagation, so it is a consequence of the
-        clause database exactly like a learned clause: it is stored and
-        watched as one (never as a trusted input clause, never as a
-        level-0 unit), and with a proof log attached it is logged with
-        the final core as its antecedents.
-
-        Returns whether the lemma was stored.  It is not when it is a
-        tautology or already satisfied at the root, when fewer than two
-        of its literals are open at the root (it would be a unit fact),
-        or when the proof log holds no final core to justify it.
-        """
-        self._backtrack(0)
-        if not self._ok:
-            return False
-        clause = list(dict.fromkeys(lits))
-        present = set(clause)
-        if any(-lit in present for lit in clause):
-            return False
-        open_lits, false_lits = [], []
-        for lit in clause:
-            val = self._value(lit)
-            if val is True:
-                return False
-            (open_lits if val is None else false_lits).append(lit)
-        if len(open_lits) < 2:
-            return False
-        proof = self.proof
-        if proof is not None:
-            final = proof.final
-            if final is None:
-                return False
-            # Root-level-false literals the final core leans on: their
-            # negated units make the lemma's RUP check go through.
-            zeros = set()
-            for core in (final["lits"], *map(self.proof_clause, final["keys"])):
-                for q in core:
-                    if self._value(q) is False:
-                        zeros.add(q)
-        off = self._store(open_lits + false_lits)
-        if proof is not None:
-            proof.learned(clause, final["keys"], sorted(zeros), key=off)
-        self._learned.append(off)
-        self._cla_act[off] = self._cla_inc
-        return True
-
     def maintain(self) -> None:
         """Between-solve housekeeping for long-lived (session) solvers:
         backtrack to the root level and trim the learned-clause DB.
@@ -899,9 +848,10 @@ class ArenaSolver:
     # the search moved on.
 
     def proof_clause(self, key: int) -> list[int]:
-        """Clause content for a proof key (an arena offset)."""
+        """Clause content for a proof key (an arena offset), as a fresh
+        list (a slice of the arena list is one)."""
         arena = self._arena
-        return list(arena[key + 1 : key + 1 + arena[key]])
+        return arena[key + 1 : key + 1 + arena[key]]
 
     def proof_reason(self, var: int):
         """Proof key of ``var``'s reason clause, or None for a
