@@ -38,6 +38,8 @@ from repro.smt.checkproof import (
     check_certificate,
     main as checkproof_main,
 )
+from repro.smt.proof import RawJSON, encode_certificate
+from repro.smt.solver import get_incremental_session
 
 
 def _unsat_query(prefix: str = "cq"):
@@ -104,6 +106,27 @@ class TestEmission:
         _, digest = _check(solver, _unsat_query("em_nc"))
         assert solver.cache.load_certificate(digest) is None
         assert "cert" not in solver.last_stats
+
+    def test_encoding_is_compact_json_with_raw_fields_verbatim(self):
+        plain = {"format": "repro-cert", "kind": "model", "model": {"v0": 3, "v1": True}, "funs": {}}
+        assert encode_certificate(plain) == json.dumps(plain, separators=(",", ":")).encode()
+        cert = {"kind": "drat", "cnf": RawJSON("[[1,-2],[3]]"), "proof": [[1]]}
+        decoded = json.loads(encode_certificate(cert))
+        assert decoded == {"kind": "drat", "cnf": [[1, -2], [3]], "proof": [[1]]}
+
+    def test_session_keeps_manifest_text_across_certificates(self, cached_solver):
+        first = _hard_unsat_query("kept")
+        _, digest_a = _check(cached_solver, first)
+        texts = get_incremental_session().sat.proof.clause_json
+        kept = dict(texts)
+        y = mk_var("kept_z", bv_sort(8))
+        result, digest_b = _check(cached_solver, first + [mk_ult(y, mk_bv(3, 8))])
+        assert result.is_unsat and digest_b != digest_a
+        # The second refutation rests on the first one's clauses: their
+        # text was kept, not written again, and both certificates check.
+        assert texts == kept
+        for digest in (digest_a, digest_b):
+            check_certificate(cached_solver.cache.load_certificate(digest))
 
     def test_uncached_solver_emits_nothing(self, tmp_path):
         solver = Solver()
