@@ -53,8 +53,9 @@ fi
 # DIMACS corpus verdicts (arena / arena-nochrono vs `c expect`), equal
 # obligation verdicts on a shared session, a per-obligation reset
 # session and the scheduler, equal JIT verdicts with and without the
-# session's verdict memo, the certificate audit, and the long pole's
-# split into proved piece obligations under an audited split certificate.
+# session's verdict memo, the certificate audit, a jobs=1 store that
+# answers every obligation at jobs=2, and the long pole's split into
+# proved piece obligations under an audited split certificate.
 run_job sat-stress python scripts/sat_stress.py
 
 # -- grid-cold / grid-warm -------------------------------------------

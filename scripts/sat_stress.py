@@ -3,7 +3,7 @@
 
 Usage: sat_stress.py [--corpus-only]
 
-Five layers of checking, mirroring the ``sat-stress`` CI job:
+Six layers of checking, mirroring the ``sat-stress`` CI job:
 
   * **DIMACS corpus** (``tests/data/*.cnf``): every instance is solved
     by the arena solver with chronological backtracking on and off;
@@ -25,6 +25,11 @@ Five layers of checking, mirroring the ``sat-stress`` CI job:
   * **Certificates**: the grid runs cache-backed once, and the
     independent checker audits the store in a child process
     (``python -m repro.smt.checkproof --store --require-certs``).
+  * **Store sharing across jobs**: with the two-worker pool forked
+    first, CertiKOS ``get_quota`` and Komodo ``map_secure`` at O0 are
+    proved at ``jobs=1`` into a fresh store, then again at ``jobs=2``
+    against it.  Every obligation must be a store hit (an obligation has
+    one digest in every process), and the store is audited as above.
   * **Long pole**: CertiKOS ``invalid`` at O1 is proved on two workers
     into a fresh store, which is audited the same way.  Its
     ``AF lock-step refinement`` obligation must split into one piece
@@ -301,6 +306,44 @@ def audit_store(store: str) -> int:
     return proc.returncode
 
 
+def check_store_sharing() -> int:
+    """Prove CertiKOS ``get_quota`` and Komodo ``map_secure`` at O0 at
+    ``jobs=1`` into a fresh store, then at ``jobs=2`` against it: every
+    obligation of the second pass must be a store hit, and the store
+    must pass the audit.  The pool is forked before either pass builds
+    a term, so its workers intern the obligations' terms in their own
+    order, as they do for any proof that starts after the pool."""
+    from repro.certikos import CertikosVerifier
+    from repro.core.scheduler import get_scheduler, shutdown_scheduler
+    from repro.komodo import KomodoVerifier
+
+    proofs = ((CertikosVerifier, "get_quota"), (KomodoVerifier, "map_secure"))
+    with tempfile.TemporaryDirectory(prefix="stress_share_") as store:
+        try:
+            get_scheduler(2).map(abs, [-1, -2])
+            for jobs in (1, 2):
+                hits = obligations = 0
+                for verifier, op in proofs:
+                    result = verifier(opt=0, jobs=jobs, cache_dir=store).prove_op(op)
+                    if not result.proved:
+                        print(f"FAIL: {op}.O0 not proved at jobs={jobs}", file=sys.stderr)
+                        return 1
+                    obligations += result.stats["obligations"]
+                    hits += result.stats["cache_hits"]
+        finally:
+            shutdown_scheduler()
+        print(f"store sharing: jobs=2 found {hits}/{obligations} obligations in the jobs=1 store")
+        if hits != obligations:
+            print("FAIL: an obligation has another digest at jobs=2", file=sys.stderr)
+            return 1
+        rc = audit_store(store)
+        if rc != 0:
+            print(f"FAIL: checkproof audit of the shared store exited {rc}", file=sys.stderr)
+            return 1
+    print("store sharing holds")
+    return 0
+
+
 def check_longpole() -> int:
     """Prove CertiKOS ``invalid`` at O1 on two workers into a fresh store
     and audit it: the long-pole refinement obligation runs as one piece
@@ -365,6 +408,7 @@ def main() -> int:
         rc = check_modes() or rc
         rc = check_jit_memo() or rc
         rc = check_certificates() or rc
+        rc = check_store_sharing() or rc
         rc = check_longpole() or rc
     return rc
 

@@ -11,9 +11,10 @@ memoization.
 
 This module makes those units explicit:
 
-  * :class:`Obligation` — a self-contained query (serialized term DAG
-    for the goal formulas plus assumptions) that can be shipped to a
-    worker process or hashed for the cache;
+  * :class:`Obligation` — a self-contained query (the serialized term
+    DAG of ``assumptions ∧ ¬(∧ goals)``, packaged once where the terms
+    were built) that can be shipped to a worker process or hashed for
+    the cache, and is keyed, solved and certified as given;
   * :func:`run_obligations` — dispatches obligations in-process or
     across worker processes and reduces results deterministically
     (input order, first failure wins);
@@ -39,14 +40,15 @@ verdicts are memoized in the sharded content-addressed store
 **Piece obligations** (§4's split-cases, one level below the VC): a
 refinement VC's goal is ``not(and(c1..cn))``, one conjunct per
 abstract-state field, and one such query can outweigh every other
-obligation of a proof.  When a whole obligation's lookup misses (the
-store, or the session memo without one) and its goal is such a
+obligation of a proof.  When an obligation's lookup misses (the
+store, or the session memo without one) and its last root is such a
 conjunction with n >= 2, the worker does not solve it: it answers with
-a :class:`Split`, one :class:`Piece` per distinct conjunct, each the
-query ``R ∧ ¬ci`` over the obligation's other roots ``R``.  Pieces run
-at the head of the scheduler's queue (in order, in this process, when
-the batch runs in-process), each an obligation of its own for budgets,
-retries, the store and certificates.  The first piece that is not proved, in
+a :class:`Split`, one piece obligation per distinct conjunct, each the
+query ``R ∧ ¬ci`` over the obligation's other roots ``R`` as
+:func:`piece_nodes` derives it.  Pieces run at the head of the
+scheduler's queue (in order, in this process, when the batch runs
+in-process), each an obligation of its own for budgets, retries, the
+store and certificates.  The first piece that is not proved, in
 conjunct order, decides the whole; when every piece is proved, the
 parent stores the whole digest as ``unsat`` with a ``split``
 certificate (docs/CERTIFICATES.md).  Callers see one result per
@@ -68,6 +70,7 @@ from ..smt import (
     deserialize_terms,
     mk_and,
     mk_not,
+    mk_true,
     serialize_terms,
 )
 from ..smt.proof import build_split_certificate, canonical_query_payload
@@ -82,7 +85,6 @@ from ..smt.solver import (
 __all__ = [
     "Obligation",
     "ObligationResult",
-    "Piece",
     "RunnerStats",
     "Split",
     "default_jobs",
@@ -104,18 +106,20 @@ def default_jobs() -> int:
 
 @dataclass
 class Obligation:
-    """One independent proof obligation.
+    """One independent proof obligation: the query its verdict is keyed,
+    solved and certified by.
 
-    ``payload`` is the portable serialization of ``goals + assumptions``
-    (see ``repro.smt.serialize_terms``); ``num_goals`` splits the two
-    groups back apart on the worker side.  The obligation is proved by
-    showing ``assumptions /\\ not(/\\ goals)`` unsatisfiable.
+    ``payload`` is the portable serialization (``repro.smt.serialize_terms``)
+    of ``assumptions /\\ not(/\\ goals)``: the assumptions other than
+    ``true``, then the negated goal as the last root.  The obligation is
+    proved by showing that query unsatisfiable.  It is serialized once,
+    where the terms were built (:meth:`from_terms`); every worker keys,
+    splits and solves the node list as given and never re-serializes
+    it, so an obligation has one digest in every process.
     """
 
     name: str
     payload: dict
-    num_goals: int
-    info: dict = field(default_factory=dict)
 
     @classmethod
     def from_terms(
@@ -123,54 +127,79 @@ class Obligation:
         name: str,
         goals: Sequence[Term],
         assumptions: Sequence[Term] = (),
-        **info,
     ) -> "Obligation":
-        goals = list(goals)
-        roots = goals + list(assumptions)
-        return cls(name, serialize_terms(roots), len(goals), dict(info))
+        roots = [a for a in assumptions if a is not mk_true()]
+        roots.append(mk_not(mk_and(*goals)))
+        return cls(name, serialize_terms(roots))
 
     def to_json(self) -> dict:
         """Wire format for shipping an obligation to a remote runner
         (``repro.serve`` batch jobs).  Everything inside is already
         JSON-safe: the payload is ``serialize_terms`` output."""
-        return {
-            "name": self.name,
-            "num_goals": self.num_goals,
-            "payload": self.payload,
-            "info": self.info,
-        }
+        return {"name": self.name, "payload": self.payload}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Obligation":
         """Rebuild an obligation from :meth:`to_json` output.
 
-        Validates shape only (types and payload structure) — the term
-        DAG itself is checked when a worker deserializes it, so a
+        Builds no terms.  The payload is keyed as given, so it must be a
+        query as ``serialize_terms`` lays one out: at least one root,
+        every argument an earlier node, every node reached from a root
+        (the digest fails on a variable no root reaches).  The terms
+        themselves are checked when a worker deserializes them, so a
         malformed batch degrades to per-obligation ``unknown`` verdicts
-        instead of taking the daemon down.  Raises ``ValueError`` on a
-        document that is not an obligation at all.
+        instead of taking the daemon down.  Unknown keys are ignored.
+        Raises ``ValueError`` on a document that is not an obligation.
         """
         if not isinstance(doc, dict):
             raise ValueError("obligation must be a JSON object")
+        if "num_goals" in doc:
+            raise ValueError(
+                "obligation.num_goals is no longer accepted: the payload is now the "
+                "query itself, its goal negated as the last root, and a goals-first "
+                "payload read as one would flip its verdict; re-package the "
+                "obligation with Obligation.from_terms"
+            )
         name = doc.get("name")
-        num_goals = doc.get("num_goals")
         payload = doc.get("payload")
         if not isinstance(name, str) or not name:
             raise ValueError("obligation.name must be a non-empty string")
-        if not isinstance(num_goals, int) or isinstance(num_goals, bool) or num_goals < 1:
-            raise ValueError("obligation.num_goals must be a positive integer")
         if (
             not isinstance(payload, dict)
             or not isinstance(payload.get("nodes"), list)
             or not isinstance(payload.get("roots"), list)
         ):
             raise ValueError("obligation.payload must carry serialized terms (nodes/roots)")
-        if num_goals > len(payload["roots"]):
-            raise ValueError("obligation.num_goals exceeds the payload's root count")
-        info = doc.get("info", {})
-        if not isinstance(info, dict):
-            raise ValueError("obligation.info must be an object")
-        return cls(name, payload, num_goals, dict(info))
+        nodes, roots = payload["nodes"], payload["roots"]
+        if not roots:
+            raise ValueError("obligation.payload has no roots")
+        for i, node in enumerate(nodes):
+            if not isinstance(node, list) or len(node) != 4 or not isinstance(node[2], list):
+                raise ValueError(f"obligation.payload node {i} is not [op, sort, args, payload]")
+            if not all(_is_index(arg, i) for arg in node[2]):
+                raise ValueError(f"obligation.payload node {i} has an argument that is not an earlier node")
+        if not all(_is_index(root, len(nodes)) for root in roots):
+            raise ValueError("obligation.payload has a root that is not a node")
+        unreached = set(range(len(nodes))) - _reached(nodes, roots)
+        if unreached:
+            raise ValueError(f"obligation.payload node {min(unreached)} is reached by no root")
+        return cls(name, payload)
+
+
+def _is_index(value, bound: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
+
+
+def _reached(nodes: list, roots: list) -> set[int]:
+    """The indices of the nodes some root of a node list reaches."""
+    reached: set[int] = set()
+    stack = list(roots)
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            stack.extend(nodes[i][2])
+    return reached
 
 
 @dataclass
@@ -262,8 +291,6 @@ def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc"
                 f"{prefix}[{i}]: {vc.message}",
                 [vc.formula],
                 assume_terms,
-                kind=vc.kind,
-                index=i,
             )
         )
     return out
@@ -275,13 +302,23 @@ def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc"
 
 def _conjuncts(query: dict) -> list[int]:
     """The node indices of ``c1..cn`` when a serialized query's last root
-    is ``not(and(c1..cn))`` with n >= 2, else empty (solve it whole)."""
+    is ``not(and(c1..cn))`` with n >= 2 and no ``ci`` itself an ``and``,
+    else empty (solve it whole).
+
+    A piece's last root is ``not(ci)``, so the flatness rule is what
+    keeps a piece from splitting again: every piece is solved, and each
+    piece of a ``split`` certificate carries a ``drat`` certificate.
+    ``mk_and`` flattens, so every goal :meth:`Obligation.from_terms`
+    packages is flat; only a hand-built payload is solved whole.
+    """
     nodes = query["nodes"]
     op, _tag, args, _payload = nodes[query["roots"][-1]]
     if op != "not":
         return []
     op, _tag, args, _payload = nodes[args[0]]
-    return list(args) if op == "and" and len(args) >= 2 else []
+    if op != "and" or len(args) < 2 or any(nodes[c][0] == "and" for c in args):
+        return []
+    return list(args)
 
 
 def piece_nodes(query: dict, conjunct: int) -> dict:
@@ -298,14 +335,7 @@ def piece_nodes(query: dict, conjunct: int) -> dict:
     """
     nodes = query["nodes"] + [["not", "b", [conjunct], None]]
     roots = query["roots"][:-1] + [len(nodes) - 1]
-    reached: set[int] = set()
-    stack = list(roots)
-    while stack:
-        i = stack.pop()
-        if i not in reached:
-            reached.add(i)
-            stack.extend(nodes[i][2])
-    order = sorted(reached)
+    order = sorted(_reached(nodes, roots))
     index = {old: new for new, old in enumerate(order)}
     return {
         "nodes": [
@@ -317,55 +347,44 @@ def piece_nodes(query: dict, conjunct: int) -> dict:
 
 
 @dataclass
-class Piece:
-    """One distinct conjunct's share of a split obligation: the query
-    ``R ∧ ¬ci`` as :func:`piece_nodes` derives it, keyed, solved and
-    certified as exactly that node list.  Not an :class:`Obligation`:
-    it carries no goal to negate (an obligation with no goals would
-    negate ``and()`` to ``false``, trivially UNSAT)."""
-
-    name: str
-    payload: dict
-    digest: str
-
-
-@dataclass
 class Split:
-    """A whole obligation whose lookup missed, answered by its pieces.
+    """An obligation whose lookup missed, answered by its pieces.
 
-    ``query`` is the whole query's node list (the one its ``digest``
+    ``query`` is the obligation's payload (the node list its ``digest``
     was computed from) and ``var_map`` its canonical renaming;
-    ``pieces`` holds one :class:`Piece` per distinct digest, in the
-    order of their first conjunct, and ``conjuncts`` maps every conjunct
-    of the goal to its piece's index.  ``stats`` are the whole lookup's.
+    ``pieces`` holds one piece obligation per distinct digest, in the
+    order of their first conjunct, ``digests`` their digests in
+    parallel, and ``conjuncts`` maps every conjunct of the goal to its
+    piece's index.  ``stats`` are the whole lookup's.
     """
 
     name: str
     digest: str
     query: dict
     var_map: dict
-    pieces: list[Piece]
+    pieces: list[Obligation]
+    digests: list[str]
     conjuncts: list[int]
     stats: dict = field(default_factory=dict)
 
     @classmethod
     def derive(cls, name: str, query: dict, digest: str, var_map: dict) -> "Split | None":
         """Every piece of ``query``, derived and canonicalized, one per
-        distinct digest; None when its last root is not a conjunction
-        of at least two conjuncts."""
-        pieces: list[Piece] = []
-        slots: dict[str, int] = {}
+        distinct digest; None when :func:`_conjuncts` finds no goal to
+        split."""
+        pieces: list[Obligation] = []
+        digests: list[str] = []
         conjuncts = []
         for i, node in enumerate(_conjuncts(query)):
             payload = piece_nodes(query, node)
             piece_digest, _ = canonicalize_nodes(payload)
-            if piece_digest not in slots:
-                slots[piece_digest] = len(pieces)
-                pieces.append(Piece(f"{name} / piece {i}", payload, piece_digest))
-            conjuncts.append(slots[piece_digest])
+            if piece_digest not in digests:
+                digests.append(piece_digest)
+                pieces.append(Obligation(f"{name} / piece {i}", payload))
+            conjuncts.append(digests.index(piece_digest))
         if not conjuncts:
             return None
-        return cls(name, digest, query, var_map, pieces, conjuncts)
+        return cls(name, digest, query, var_map, pieces, digests, conjuncts)
 
     def verdict(self, results: Sequence[ObligationResult | None]) -> ObligationResult | None:
         """The whole obligation's result once the piece results (by
@@ -416,7 +435,7 @@ class Split:
                 cert = build_split_certificate(
                     self.digest,
                     canonical_query_payload(None, self.var_map, self.query),
-                    [self.pieces[slot].digest for slot in self.conjuncts],
+                    [self.digests[slot] for slot in self.conjuncts],
                 )
             cache.store_certificate(self.digest, cert)
             _obs_count("solver.certs")
@@ -424,36 +443,28 @@ class Split:
         cache.store(self.digest, {}, CheckResult(UNSAT))
 
 
-class _WholeSolver(Solver):
-    """The solver of a whole obligation.  Its lookup is the ordinary
+class _ObligationSolver(Solver):
+    """The solver of an obligation: keyed, solved and certified as its
+    payload, never a re-serialization of it.  Its lookup is the ordinary
     check's; when that misses and the query splits, it derives the
     pieces into :attr:`split` instead of solving."""
 
-    def __init__(self, name: str, **kwargs):
+    def __init__(self, obligation: Obligation, **kwargs):
         super().__init__(**kwargs)
-        self.name = name
+        self.obligation = obligation
         self.split: Split | None = None
 
+    def _serialize(self, terms: list[Term]) -> dict:
+        return self.obligation.payload
+
     def _solve(self, terms, digest, var_map, start) -> CheckResult:
-        self.split = Split.derive(self.name, self._serialized_query, digest, var_map)
+        self.split = Split.derive(self.obligation.name, self.obligation.payload, digest, var_map)
         if self.split is None:
             return super()._solve(terms, digest, var_map, start)
         self.last_stats = {"time_s": time.perf_counter() - start}
         if self.cache is not None:
             self.last_stats["digest"] = digest
         return CheckResult(UNKNOWN, stats=self.last_stats)
-
-
-class _PieceSolver(Solver):
-    """The solver of a piece: keyed, solved and certified as the node
-    list the piece was derived as, never a re-serialization of it."""
-
-    def __init__(self, payload: dict, **kwargs):
-        super().__init__(**kwargs)
-        self._payload = payload
-
-    def _serialize(self, terms: list[Term]) -> dict:
-        return self._payload
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +481,9 @@ def _open_cache(cache_dir: str | None):
     return open_store(cache_dir)
 
 
-def _discharge(name: str, solver: Solver, extra: list[Term], start: float) -> ObligationResult:
+def _discharge(name: str, solver: Solver, start: float) -> ObligationResult:
     try:
-        result = solver.check(*extra)
+        result = solver.check()
     except SolverTimeout:
         stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
         return ObligationResult(name, UNKNOWN, stats=stats)
@@ -494,46 +505,25 @@ def _check_obligation(
     max_conflicts: int | None,
     timeout_s: float | None,
 ) -> ObligationResult | Split:
-    """Discharge one obligation in the current process, or return its
-    :class:`Split` when its lookup missed and its goal splits (the
-    scheduler's workers call this too; their trace envelope lives in
-    the scheduler).
+    """Discharge one obligation, a piece or not, in the current process:
+    its payload's roots as given, no goal negation.  Returns its
+    :class:`Split` instead when its lookup missed and its goal splits
+    (the scheduler's workers call this too; their trace envelope lives
+    in the scheduler).
     """
     start = time.perf_counter()
-    roots = deserialize_terms(obligation.payload)
-    goals = roots[: obligation.num_goals]
-    solver = _WholeSolver(
-        obligation.name,
+    solver = _ObligationSolver(
+        obligation,
         max_conflicts=max_conflicts,
         timeout_s=timeout_s,
         cache=_open_cache(cache_dir),
     )
-    solver.add(*roots[obligation.num_goals:])
-    result = _discharge(obligation.name, solver, [mk_not(mk_and(*goals))], start)
+    solver.add(*deserialize_terms(obligation.payload))
+    result = _discharge(obligation.name, solver, start)
     if solver.split is not None:
         solver.split.stats = result.stats
         return solver.split
     return result
-
-
-def _check_piece(
-    piece: Piece,
-    cache_dir: str | None,
-    max_conflicts: int | None,
-    timeout_s: float | None,
-) -> ObligationResult:
-    """Discharge one piece in the current process: its roots as given,
-    no goal negation."""
-    start = time.perf_counter()
-    roots = deserialize_terms(piece.payload)
-    solver = _PieceSolver(
-        piece.payload,
-        max_conflicts=max_conflicts,
-        timeout_s=timeout_s,
-        cache=_open_cache(cache_dir),
-    )
-    solver.add(*roots)
-    return _discharge(piece.name, solver, [], start)
 
 
 def _run_pieces(
@@ -543,11 +533,12 @@ def _run_pieces(
     timeout_s: float | None,
 ) -> ObligationResult:
     """In-process: run a split's pieces in order until they decide the
-    whole obligation, and record the whole when it is proved."""
+    whole obligation, and record the whole when it is proved.  A piece
+    never splits again (:func:`_conjuncts`)."""
     results: list[ObligationResult | None] = [None] * len(split.pieces)
     for slot, piece in enumerate(split.pieces):
         with _obs_span(piece.name, cat="scheduler") as sargs:
-            results[slot] = _check_piece(piece, cache_dir, max_conflicts, timeout_s)
+            results[slot] = _check_obligation(piece, cache_dir, max_conflicts, timeout_s)
         if sargs is not None:
             sargs["status"] = results[slot].status
         verdict = split.verdict(results)

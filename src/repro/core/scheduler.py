@@ -19,9 +19,9 @@ Scheduling discipline:
   * a retried task goes back to the *head* of the queue;
   * when a worker answers an obligation with a ``Split`` (its lookup
     missed and its goal is a conjunction, see ``repro.core.runner``),
-    one task per distinct piece goes to the *head* of the queue, in
-    conjunct order; the obligation is finalized once its pieces decide
-    it, and a proved one is stored whole;
+    one obligation task per distinct piece goes to the *head* of the
+    queue, in conjunct order; the obligation is finalized once its
+    pieces decide it, and a proved one is stored whole;
   * verdict reduction is by submission index, never completion order —
     every result lands in the slot it would have filled sequentially,
     so parallel runs report *identical* verdicts and first-failures to
@@ -56,7 +56,6 @@ from .runner import (
     Split,
     UNKNOWN,
     _check_obligation,
-    _check_piece,
     default_jobs,
 )
 
@@ -133,7 +132,7 @@ class _Task:
 
     def __init__(self, tid, kind, payload, ticket, index, max_attempts, name, parent=None, slot=0):
         self.tid = tid
-        self.kind = kind  # "ob" | "piece" | "call"
+        self.kind = kind  # "ob" | "call"
         self.payload = payload
         self.ticket = ticket
         self.index = index  # a piece shares its obligation's index
@@ -141,7 +140,8 @@ class _Task:
         self.max_attempts = max_attempts
         self.name = name
         self.queued_t = time.perf_counter()
-        # A piece: the obligation task it belongs to, and its slot there.
+        # A piece: the obligation task it belongs to, and its slot there
+        # (a piece is an "ob" task whose obligation the split derived).
         self.parent = parent
         self.slot = slot
         # An obligation answered by pieces: its Split, the results by
@@ -266,8 +266,6 @@ def _pool_context():
 def _run_task(kind: str, payload) -> object:
     if kind == "ob":
         return _check_obligation(*payload)
-    if kind == "piece":
-        return _check_piece(*payload)
     fn, item = payload
     return fn(item)
 
@@ -546,13 +544,14 @@ class ObligationScheduler:
             else:
                 ticket.piece_timeline.append(record)
             # Latency histograms go to the process-global collector (the
-            # daemon's process-lifetime session): obligation wall time
-            # and how long the task sat queued before a worker took it.
+            # daemon's process-lifetime session): how long every task sat
+            # queued before a worker took it, and the wall time of each
+            # submitted obligation (a split one's time to verdict).
             from ..obs import event as obs_event, observe as obs_observe
 
-            obs_observe("obligation.wall_seconds", wall)
             obs_observe("obligation.queue_wait_seconds", max(0.0, start - task.queued_t))
-            if task.kind == "ob":
+            if task.kind == "ob" and task.parent is None:
+                obs_observe("obligation.wall_seconds", wall)
                 status = result.status if isinstance(result, ObligationResult) else "?"
                 obs_event(
                     "info",
@@ -594,7 +593,7 @@ class ObligationScheduler:
             self._next_tid += 1
             self._tasks[tid] = _Task(
                 tid,
-                "piece",
+                "ob",
                 (piece, cache_dir, max_conflicts, timeout_s),
                 task.ticket,
                 task.index,

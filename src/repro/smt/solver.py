@@ -595,10 +595,11 @@ class Solver:
 
     def _serialize(self, terms: list[Term]) -> dict:
         """The node list a check is keyed, solved and certified by: the
-        serialization of its terms.  The runner's piece solver returns
-        the node list the piece was derived as instead, since a
-        re-serialization can order nodes differently and the digest
-        breaks ties between commutative operands by stored order."""
+        serialization of its terms.  The runner's obligation solver
+        returns the obligation's payload instead, packaged once where
+        its terms were built, since a re-serialization in another
+        process can order nodes differently and the digest breaks ties
+        between commutative operands by stored order."""
         return serialize_terms(terms)
 
     def _emit_certificate(
@@ -641,7 +642,7 @@ class Solver:
     def _solve(self, terms, digest, var_map, start) -> CheckResult:
         """Answer a query that missed the store (or the memo): blast it
         into the shared session and solve it under assumptions, with
-        decisions restricted to its cone.  The runner's whole-obligation
+        decisions restricted to its cone.  The runner's obligation
         solver overrides this to split a conjunctive goal into piece
         obligations instead of solving it."""
         session = get_incremental_session()

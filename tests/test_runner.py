@@ -196,5 +196,7 @@ class TestInvalidation:
             ctx.assert_prop((a + b) - b == a, "add-cancel")
             obs = obligations_from_context(ctx)
         assert len(obs) == 1
-        assert obs[0].info["kind"] == "assert"
-        assert "add-cancel" in obs[0].name
+        assert obs[0].name.startswith("vc[0]: ") and "add-cancel" in obs[0].name
+        # The payload is the VC's query: its goal, negated, is the last root.
+        payload = obs[0].payload
+        assert payload["nodes"][payload["roots"][-1]][0] == "not"

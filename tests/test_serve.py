@@ -8,6 +8,7 @@ one warm verdict store, a daemon restart marks live jobs
 work while keeping every record accounted for.
 """
 
+import copy
 import json
 import threading
 import time
@@ -50,6 +51,27 @@ def _slow_obligation(name: str, bits: int = 12) -> Obligation:
     lhs = mk_bvmul(mk_bvadd(x, one), mk_bvadd(y, one))
     rhs = mk_bvadd(mk_bvadd(mk_bvmul(x, y), mk_bvadd(x, y)), one)
     return Obligation.from_terms(name, [mk_eq(lhs, rhs)])
+
+
+def _rejected_obligations():
+    """Documents ``Obligation.from_json`` rejects, each with a fragment
+    of its message: not an obligation, a goals-first document of the
+    old format, and payloads that are not a query to key as given."""
+    good = _batch()[0].to_json()
+    nodes, roots = good["payload"]["nodes"], good["payload"]["roots"]
+    forward = copy.deepcopy(nodes)
+    forward[-1][2] = [len(nodes)]
+    stray = nodes + [["var", 8, [], "stray"]]
+    return [
+        (42, "JSON object"),
+        ({**good, "name": ""}, "name"),
+        ({**good, "payload": None}, "serialized terms"),
+        ({**good, "payload": {"nodes": []}}, "serialized terms"),
+        ({**good, "num_goals": 1}, "goal negated"),
+        ({**good, "payload": {"nodes": nodes, "roots": []}}, "no roots"),
+        ({**good, "payload": {"nodes": forward, "roots": roots}}, "not an earlier node"),
+        ({**good, "payload": {"nodes": stray, "roots": roots}}, "reached by no root"),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -214,13 +236,16 @@ class TestHttpSurface:
             (400, lambda: client.submit_grid("no-such-grid")),
             (400, lambda: client.submit_grid("fig11-quick", opt=7)),
             (400, lambda: client.submit_obligations([])),
-            (400, lambda: client.submit_obligations([{"name": "", "num_goals": 1}])),
             (400, lambda: client.submit_obligations(_batch(), jobs=-1)),
             (400, lambda: client.submit_obligations(_batch(), timeout_s=-2)),
             (400, lambda: client.submit_obligations(_batch(), max_conflicts=0)),
             (404, lambda: client.job("nope")),
             (404, lambda: client.cancel("nope")),
             (404, lambda: client._request("GET", "/nonsense")),
+        ]
+        cases += [
+            (400, lambda doc=doc: client.submit_obligations([doc]))
+            for doc, _message in _rejected_obligations()
         ]
         for code, call in cases:
             with pytest.raises(ServeError) as excinfo:
@@ -237,27 +262,19 @@ class TestHttpSurface:
 class TestWireFormat:
     def test_obligation_round_trip(self):
         original = _batch()[0]
-        clone = Obligation.from_json(json.loads(json.dumps(original.to_json())))
+        doc = json.loads(json.dumps(original.to_json()))
+        assert set(doc) == {"name", "payload"}
+        clone = Obligation.from_json(doc)
         assert clone.name == original.name
-        assert clone.num_goals == original.num_goals
         assert clone.payload == original.payload
+        # Unknown keys, a leftover ``info`` among them, are ignored.
+        assert Obligation.from_json({**doc, "info": "anything"}) == clone
         # The clone is verifiable, with the original's verdict.
         assert run_obligations([clone], jobs=1)[0][0].status == "proved"
 
     def test_obligation_validation(self):
-        good = _batch()[0].to_json()
-        bad_docs = [
-            42,
-            {**good, "name": ""},
-            {**good, "num_goals": 0},
-            {**good, "num_goals": True},
-            {**good, "num_goals": 10_000},
-            {**good, "payload": None},
-            {**good, "payload": {"nodes": []}},
-            {**good, "info": "not-a-dict"},
-        ]
-        for doc in bad_docs:
-            with pytest.raises(ValueError):
+        for doc, message in _rejected_obligations():
+            with pytest.raises(ValueError, match=message):
                 Obligation.from_json(doc)
 
     def test_result_wire_format_drops_non_scalars(self):
