@@ -41,6 +41,7 @@ fi
 
 # -- test-fast -------------------------------------------------------
 run_job test-fast python -m pytest -x -q -m "not slow"
+run_job test-fast-bench python -m pytest -x -q bench/tests
 
 # -- test-slow -------------------------------------------------------
 if [ "$skip_slow" -eq 1 ]; then

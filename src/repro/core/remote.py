@@ -21,8 +21,8 @@ tar.gz archives around:
     solver cache actually talks to.  A local hit stays untouched; a
     local miss consults the remote, verifies the fetched certificate
     with the independent ``repro.smt.checkproof`` checker *before*
-    adoption (``REPRO_REMOTE_VERIFY_CERTS=0`` skips), and adopts the
-    entry into the local store so the next process hits locally.
+    adoption, and adopts the entry into the local store so the next
+    process hits locally.
     Writes land locally first, then spool (``.remote-spool/`` marker
     files) and flush asynchronously with bounded retry/backoff.
 
@@ -45,11 +45,9 @@ dead server costs one timeout, not one per query.
 
 Knobs (read per call so tests can flip them):
 
-  * ``REPRO_REMOTE_STORE``        — base URL; empty disables the tier.
-  * ``REPRO_REMOTE_VERIFY_CERTS`` — ``0`` adopts fetched entries
-    without certificate verification (trusted-network mode).
-  * ``REPRO_REMOTE_TIMEOUT_S``    — per-request timeout (default 5).
-  * ``REPRO_REMOTE_BACKOFF_S``    — circuit-breaker cool-down after a
+  * ``REPRO_REMOTE_STORE``     — base URL; empty disables the tier.
+  * ``REPRO_REMOTE_TIMEOUT_S`` — per-request timeout (default 5).
+  * ``REPRO_REMOTE_BACKOFF_S`` — circuit-breaker cool-down after a
     network failure (default 30).
 """
 
@@ -74,11 +72,12 @@ __all__ = [
     "RemoteUnavailable",
     "RemoteStoreClient",
     "RemoteVerdictStore",
+    "RequestError",
     "StoreAPI",
     "StoreServer",
     "breaker_open",
+    "read_body",
     "remote_store_url",
-    "remote_verify_certs",
     "remote_timeout_s",
     "remote_backoff_s",
 ]
@@ -91,12 +90,6 @@ __all__ = [
 def remote_store_url() -> str:
     """Base URL of the remote store (``REPRO_REMOTE_STORE``), or ''."""
     return os.environ.get("REPRO_REMOTE_STORE", "").strip().rstrip("/")
-
-
-def remote_verify_certs() -> bool:
-    """Whether fetched entries need a checkable certificate to be
-    adopted (default on; ``REPRO_REMOTE_VERIFY_CERTS=0`` opts out)."""
-    return os.environ.get("REPRO_REMOTE_VERIFY_CERTS", "1") != "0"
 
 
 def remote_timeout_s() -> float:
@@ -474,6 +467,33 @@ class StoreAPI:
         )
 
 
+class RequestError(Exception):
+    """A request a server rejects; ``code`` is the HTTP status to answer
+    with."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def read_body(handler: BaseHTTPRequestHandler) -> bytes | None:
+    """The body of ``handler``'s request, or None when it has none: the
+    one body read of the store server and the daemon.  A
+    ``Content-Length`` that is not a decimal count raises
+    :class:`RequestError` 400, and one past :attr:`StoreAPI.MAX_BODY`
+    413; either closes the connection, whose unread body would be read
+    as the next request."""
+    header = (handler.headers.get("Content-Length") or "0").strip()
+    if not (header.isascii() and header.isdigit()):
+        handler.close_connection = True
+        raise RequestError(400, f"invalid Content-Length {header!r}")
+    length = int(header)
+    if length > StoreAPI.MAX_BODY:
+        handler.close_connection = True
+        raise RequestError(413, "request body too large")
+    return handler.rfile.read(length) if length else None
+
+
 class _StoreHandler(BaseHTTPRequestHandler):
     server_version = "repro-store/1.0"
     protocol_version = "HTTP/1.1"
@@ -497,14 +517,12 @@ class _StoreHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
-        body = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > StoreAPI.MAX_BODY:
-            self.close_connection = True
-            self._respond(413, b'{"error":"request body too large"}', "application/json", {})
+        try:
+            body = read_body(self)
+        except RequestError as exc:
+            error = json.dumps({"error": str(exc)}).encode()
+            self._respond(exc.code, error, "application/json", {})
             return
-        if length > 0:
-            body = self.rfile.read(length)
         # Test harnesses (the fault-injection fixture) hang a hook off
         # the server to inject 500s, stalls, and truncated replies
         # without forking the protocol implementation.
@@ -685,7 +703,6 @@ class RemoteVerdictStore(VerdictStore):
         self,
         path: str,
         url: str | None = None,
-        verify_certs: bool | None = None,
         timeout_s: float | None = None,
         client: RemoteStoreClient | None = None,
         async_flush: bool = True,
@@ -693,7 +710,6 @@ class RemoteVerdictStore(VerdictStore):
     ):
         super().__init__(path)
         self.remote_url = (url if url is not None else remote_store_url()).rstrip("/")
-        self._verify_certs = verify_certs
         self.async_flush = async_flush
         self._register = _register
         if client is not None:
@@ -702,13 +718,6 @@ class RemoteVerdictStore(VerdictStore):
             self.client = RemoteStoreClient(self.remote_url, timeout_s)
         else:
             self.client = None
-
-    def verify_certs_enabled(self) -> bool:
-        """Whether adoption requires a checkable certificate (ctor
-        override first, else ``REPRO_REMOTE_VERIFY_CERTS``)."""
-        if self._verify_certs is not None:
-            return self._verify_certs
-        return remote_verify_certs()
 
     # -- read-through ----------------------------------------------------
 
@@ -760,32 +769,26 @@ class RemoteVerdictStore(VerdictStore):
 
         Returns the entry dict on success, None on miss/rejection/
         failure.  Never raises: network trouble opens the circuit
-        breaker and counts ``store.remote.errors``.  An entry with a
-        ``split`` certificate is adopted only together with every piece
-        it names that this store lacks, each fetched and (when
-        certificates are verified) checked as an ``unsat`` entry with a
-        ``drat`` certificate of its own; short of that nothing is
-        adopted, which is a miss (a rejected one when a certificate
-        failed its check)."""
+        breaker and counts ``store.remote.errors``.  Only an entry whose
+        certificate checks (:func:`_cert_matches`) is adopted.  An entry
+        with a ``split`` certificate is adopted only together with every
+        piece it names that this store lacks, each fetched and checked
+        as an ``unsat`` entry with a ``drat`` certificate of its own;
+        short of that nothing is adopted, which is a miss (a rejected
+        one when a certificate failed its check)."""
         if _remote_down(self.remote_url):
             return None
         fetched = self._fetch(digest)
         if fetched is None:
             return None
-        verify = self.verify_certs_enabled()
         _raw, entry, _cert_raw, cert = fetched
-        if verify and (cert is None or not _cert_matches(digest, entry, cert)):
+        if cert is None or not _cert_matches(digest, entry, cert):
             # Unverifiable evidence: treat as a miss, solve locally.
             obs_count("store.remote.rejected_certs")
             return None
         adopt = [(digest, fetched)]
-        pieces = []
-        if cert is not None and cert.get("kind") == "split":
-            pieces = cert.get("pieces")
-            if not isinstance(pieces, list) or not all(
-                isinstance(piece, str) and _DIGEST_RE.match(piece) for piece in pieces
-            ):
-                return None  # only an unverified certificate gets here
+        # A checked split's pieces are the digests it derived.
+        pieces = cert["pieces"] if cert["kind"] == "split" else []
         for piece in dict.fromkeys(pieces):
             local = self._read_entry(piece)
             if local is not None:
@@ -796,9 +799,9 @@ class RemoteVerdictStore(VerdictStore):
             if fetched is None:
                 return None
             _raw, piece_entry, _cert_raw, piece_cert = fetched
-            if verify and (
+            if (
                 piece_cert is None
-                or piece_entry.get("status") != "unsat"
+                or piece_entry["status"] != "unsat"
                 or piece_cert.get("kind") != "drat"
                 or not _cert_matches(piece, piece_entry, piece_cert)
             ):
@@ -809,8 +812,7 @@ class RemoteVerdictStore(VerdictStore):
         # Pieces first: a local reader never sees a split without them.
         for key, (raw, _entry, cert_raw, _cert) in reversed(adopt):
             self.put_entry(key, raw)
-            if cert_raw is not None:
-                self.put_cert(key, cert_raw)
+            self.put_cert(key, cert_raw)
         obs_count("store.remote.hits")
         return entry
 

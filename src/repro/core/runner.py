@@ -434,37 +434,13 @@ class Split:
             with _obs_span("cert.build", cat="solver-cache"):
                 cert = build_split_certificate(
                     self.digest,
-                    canonical_query_payload(None, self.var_map, self.query),
+                    canonical_query_payload(self.query, self.var_map),
                     [self.digests[slot] for slot in self.conjuncts],
                 )
             cache.store_certificate(self.digest, cert)
             _obs_count("solver.certs")
             _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
         cache.store(self.digest, {}, CheckResult(UNSAT))
-
-
-class _ObligationSolver(Solver):
-    """The solver of an obligation: keyed, solved and certified as its
-    payload, never a re-serialization of it.  Its lookup is the ordinary
-    check's; when that misses and the query splits, it derives the
-    pieces into :attr:`split` instead of solving."""
-
-    def __init__(self, obligation: Obligation, **kwargs):
-        super().__init__(**kwargs)
-        self.obligation = obligation
-        self.split: Split | None = None
-
-    def _serialize(self, terms: list[Term]) -> dict:
-        return self.obligation.payload
-
-    def _solve(self, terms, digest, var_map, start) -> CheckResult:
-        self.split = Split.derive(self.obligation.name, self.obligation.payload, digest, var_map)
-        if self.split is None:
-            return super()._solve(terms, digest, var_map, start)
-        self.last_stats = {"time_s": time.perf_counter() - start}
-        if self.cache is not None:
-            self.last_stats["digest"] = digest
-        return CheckResult(UNKNOWN, stats=self.last_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -481,49 +457,56 @@ def _open_cache(cache_dir: str | None):
     return open_store(cache_dir)
 
 
-def _discharge(name: str, solver: Solver, start: float) -> ObligationResult:
-    try:
-        result = solver.check()
-    except SolverTimeout:
-        stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
-        return ObligationResult(name, UNKNOWN, stats=stats)
-    stats = dict(solver.last_stats)
-    stats["time_s"] = time.perf_counter() - start
-    stats["cache_hit"] = bool(stats.get("cache_hit", False))
-    stats["cached"] = solver.cache is not None and not stats.get("trivial", False)
-    if result.is_unsat:
-        return ObligationResult(name, PROVED, stats=stats)
-    if result.is_sat:
-        values = dict(result.model.items())
-        return ObligationResult(name, FAILED, model_values=values, stats=stats)
-    return ObligationResult(name, UNKNOWN, stats=stats)
-
-
 def _check_obligation(
     obligation: Obligation,
     cache_dir: str | None,
     max_conflicts: int | None,
     timeout_s: float | None,
 ) -> ObligationResult | Split:
-    """Discharge one obligation, a piece or not, in the current process:
-    its payload's roots as given, no goal negation.  Returns its
-    :class:`Split` instead when its lookup missed and its goal splits
-    (the scheduler's workers call this too; their trace envelope lives
-    in the scheduler).
+    """Discharge one obligation, a piece or not, in the current process.
+
+    Its payload is looked up as given (``Solver.lookup``), so a hit
+    builds no terms.  On a miss, an obligation whose goal splits is
+    answered by its :class:`Split`, still without terms; any other is
+    rebuilt (``deserialize_terms``) and solved.  The scheduler's
+    workers call this too; their trace envelope lives in the scheduler.
     """
     start = time.perf_counter()
-    solver = _ObligationSolver(
-        obligation,
+    solver = Solver(
         max_conflicts=max_conflicts,
         timeout_s=timeout_s,
         cache=_open_cache(cache_dir),
     )
-    solver.add(*deserialize_terms(obligation.payload))
-    result = _discharge(obligation.name, solver, start)
-    if solver.split is not None:
-        solver.split.stats = result.stats
-        return solver.split
-    return result
+    query = obligation.payload
+    digest, var_map, result = solver.lookup(query)
+    if result is None:
+        split = Split.derive(obligation.name, query, digest, var_map)
+        if split is not None:
+            split.stats = _stats(solver, start)
+            return split
+        # A ``true`` root asserts nothing: the solve leaves it out.
+        terms = [t for t in deserialize_terms(query) if t is not mk_true()]
+        try:
+            result = solver.solve(query, digest, var_map, terms)
+        except SolverTimeout:
+            stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
+            return ObligationResult(obligation.name, UNKNOWN, stats=stats)
+    stats = _stats(solver, start)
+    if result.is_unsat:
+        return ObligationResult(obligation.name, PROVED, stats=stats)
+    if result.is_sat:
+        values = dict(result.model.items())
+        return ObligationResult(obligation.name, FAILED, model_values=values, stats=stats)
+    return ObligationResult(obligation.name, UNKNOWN, stats=stats)
+
+
+def _stats(solver: Solver, start: float) -> dict:
+    """An obligation's stats: its solver's, timed from ``start``."""
+    stats = dict(solver.last_stats)
+    stats["time_s"] = time.perf_counter() - start
+    stats["cache_hit"] = bool(stats.get("cache_hit", False))
+    stats["cached"] = solver.cache is not None and not stats.get("trivial", False)
+    return stats
 
 
 def _run_pieces(

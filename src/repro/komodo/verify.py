@@ -132,9 +132,11 @@ def verify_all(
 ):
     """Prove refinement for the monitor interface (all calls by default).
 
-    With ``jobs > 1`` the per-call proofs share the process-wide
-    scheduler: each call's VCs are queued as they are produced, so
-    workers stay busy *across* calls instead of draining between them.
+    The calls are proved one after another.  With ``jobs > 1`` each
+    call's obligations run on the process-wide scheduler's workers, but
+    ``prove_op`` evaluates the call, dispatches its obligations and
+    waits for their verdicts before the next call starts, so the pool
+    drains between calls.
     To trace the sweep, call it inside ``with obs.tracing() as col:``.
     """
     verifier = KomodoVerifier(

@@ -50,7 +50,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core.remote import StoreAPI, breaker_open
+from ..core.remote import RequestError, StoreAPI, breaker_open, read_body
 from ..core.runner import Obligation
 from ..core.scheduler import get_scheduler, peek_scheduler
 from ..core.store import DEFAULT_STORE_DIR, VerdictStore
@@ -67,12 +67,8 @@ _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_-]+)(/verdicts|/certificates|/cancel
 MAX_WAIT_S = 30.0
 
 
-class ApiError(Exception):
+class ApiError(RequestError):
     """Request error carrying its HTTP status code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 class VerificationServer:
@@ -372,24 +368,42 @@ class VerificationServer:
             "recovered_jobs": list(self.registry.recovered),
         }
 
-    def metrics(self) -> dict:
+    def _snapshot(self) -> dict:
+        """One read of everything ``GET /metrics`` reports, in either
+        format, so a scrape reads each source once."""
         scheduler = peek_scheduler()
-        doc = {
+        collector = self._collector
+        return {
             "uptime_s": time.time() - self.started_t,
             "jobs": self.registry.counts(),
             "scheduler": scheduler.telemetry() if scheduler else None,
+            "entries": len(self.store.digests()),
+            "spool_pending": len(self.store.spool_pending()),
+            "breaker_open": breaker_open(),
+            "store_api": self.store_api.counters(),
+            "obs": collector.metrics() if collector is not None else None,
+            "events": collector.event_seq if collector is not None else None,
+        }
+
+    def metrics(self) -> dict:
+        """``GET /metrics``: the JSON document."""
+        snap = self._snapshot()
+        doc = {
+            "uptime_s": snap["uptime_s"],
+            "jobs": snap["jobs"],
+            "scheduler": snap["scheduler"],
             "store": {
                 "path": self.store.path,
-                "entries": len(self.store.digests()),
-                "spool_pending": len(self.store.spool_pending()),
-                "remote_breaker_open": breaker_open(),
-                **self.store_api.counters(),
+                "entries": snap["entries"],
+                "spool_pending": snap["spool_pending"],
+                "remote_breaker_open": snap["breaker_open"],
+                **snap["store_api"],
             },
         }
-        if self._collector is not None:
+        read = snap["obs"]
+        if read is not None:
             from ..obs import Histogram
 
-            read = self._collector.metrics()
             doc["obs"] = {
                 "counters": read["counters"],
                 "spans": read["spans"],
@@ -398,27 +412,9 @@ class VerificationServer:
                     name: Histogram.from_json(h).summary()
                     for name, h in read["histograms"].items()
                 },
-                "events": self._collector.event_seq,
+                "events": snap["events"],
             }
         return doc
-
-    def _gauges(self) -> dict:
-        """Point-in-time gauge set shared by both /metrics renderings."""
-        scheduler = peek_scheduler()
-        telemetry = scheduler.telemetry() if scheduler else {}
-        gauges = {
-            "serve.uptime_seconds": time.time() - self.started_t,
-            "scheduler.pool_workers": telemetry.get("pool_workers", 0),
-            "scheduler.queued": telemetry.get("queued", 0),
-            "scheduler.inflight": telemetry.get("inflight", 0),
-            "scheduler.max_queue_depth": telemetry.get("max_queue_depth", 0),
-            "store.entries": len(self.store.digests()),
-            "store.spool_pending": len(self.store.spool_pending()),
-            "store.remote.breaker_open": int(breaker_open()),
-        }
-        for state, n in self.registry.counts().items():
-            gauges[f"serve.jobs.{state}"] = n
-        return gauges
 
     def prometheus_metrics(self) -> str:
         """``GET /metrics`` with ``Accept: text/plain`` — the Prometheus
@@ -428,21 +424,29 @@ class VerificationServer:
         uptime)."""
         from ..obs.prom import render_prometheus
 
-        counters: dict = {}
-        histograms: dict = {}
-        if self._collector is not None:
-            read = self._collector.metrics()
-            counters.update(read["counters"])
-            histograms = read["histograms"]
-        for name, value in self.store_api.counters().items():
+        snap = self._snapshot()
+        read = snap["obs"] or {"counters": {}, "histograms": {}}
+        counters = dict(read["counters"])
+        for name, value in snap["store_api"].items():
             counters[f"store.{name}"] = value
-        scheduler = peek_scheduler()
-        if scheduler is not None:
-            telemetry = scheduler.telemetry()
+        telemetry = snap["scheduler"] or {}
+        if snap["scheduler"] is not None:
             for key in ("steals", "retries", "timeouts", "worker_restarts"):
                 counters[f"scheduler.{key}"] = telemetry.get(key, 0)
+        gauges = {
+            "serve.uptime_seconds": snap["uptime_s"],
+            "scheduler.pool_workers": telemetry.get("pool_workers", 0),
+            "scheduler.queued": telemetry.get("queued", 0),
+            "scheduler.inflight": telemetry.get("inflight", 0),
+            "scheduler.max_queue_depth": telemetry.get("max_queue_depth", 0),
+            "store.entries": snap["entries"],
+            "store.spool_pending": snap["spool_pending"],
+            "store.remote.breaker_open": int(snap["breaker_open"]),
+        }
+        for state, n in snap["jobs"].items():
+            gauges[f"serve.jobs.{state}"] = n
         return render_prometheus(
-            counters=counters, gauges=self._gauges(), histograms=histograms
+            counters=counters, gauges=gauges, histograms=read["histograms"]
         )
 
     def events(self, since: int = 0, level: str | None = None) -> list[dict]:
@@ -504,28 +508,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_store(self, method: str, path: str) -> None:
         """Forward a /store/... request to the object-store protocol
         handler shared with the standalone store server."""
-        body = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 64 * 1024 * 1024:
-            raise ApiError(413, "request body too large")
-        if length > 0:
-            body = self.rfile.read(length)
         status, payload, ctype, headers = self.app.store_api.handle(
             method,
             path,
-            body,
+            read_body(self),
             accept=self.headers.get("Accept", ""),
             trace=self.headers.get(TRACE_HEADER),
         )
         self._send_raw(status, payload, ctype, headers, send_body=(method != "HEAD"))
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = read_body(self)
+        if raw is None:
             raise ApiError(400, "request body required")
-        if length > 64 * 1024 * 1024:
-            raise ApiError(413, "request body too large")
-        raw = self.rfile.read(length)
         try:
             return json.loads(raw)
         except ValueError as exc:
@@ -593,7 +588,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             else:
                 raise ApiError(404, f"no route for {method} {path}")
-        except ApiError as exc:
+        except RequestError as exc:
             self._send_json(exc.code, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - handler isolation boundary
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})

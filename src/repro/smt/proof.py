@@ -51,8 +51,6 @@ import json
 from itertools import filterfalse
 from operator import neg
 
-from .terms import serialize_terms
-
 __all__ = [
     "ProofLog",
     "CertificateError",
@@ -188,30 +186,28 @@ class ProofLog:
 # Emission
 
 
-def canonical_query_payload(terms, var_map: dict[str, str], data: dict | None = None) -> dict:
-    """Serialize query terms with variables alpha-renamed canonically.
+def canonical_query_payload(query: dict, var_map: dict[str, str]) -> dict:
+    """A serialized query's node list with its variables alpha-renamed
+    canonically.
 
-    The renaming is digest-preserving (``canonicalize_query`` is
+    The renaming is digest-preserving (``canonicalize_nodes`` is
     alpha-blind), so the checker can recompute the canonical digest
     from the payload alone and compare it to the certificate's claim —
     the digest binding that ties a certificate to its store entry.
-    ``data`` may carry an already-serialized node list for ``terms``
-    (the frontend serializes once for the digest and reuses it here).
     """
-    if data is None:
-        data = serialize_terms(terms)
     nodes = [
         [op, sort_tag, args, var_map.get(str(payload), str(payload)) if op == "var" else payload]
-        for op, sort_tag, args, payload in data["nodes"]
+        for op, sort_tag, args, payload in query["nodes"]
     ]
-    return {"nodes": nodes, "roots": list(data["roots"])}
+    return {"nodes": nodes, "roots": list(query["roots"])}
 
 
-def build_unsat_certificate(sat, terms, digest, var_map, assumptions, serialized=None) -> dict:
+def build_unsat_certificate(sat, query, digest, var_map, assumptions) -> dict:
     """Trim the session proof log to this query's refutation.
 
-    ``assumptions`` are the query's root literals (the session solves
-    each query under assumptions, never asserting its roots).  Raises
+    ``query`` is the serialized node list the digest was computed from
+    and ``assumptions`` its root literals (the session solves each query
+    under assumptions, never asserting its roots).  Raises
     :class:`CertificateError` when the log carries no final core — an
     UNSAT answer the hooks did not see.
     """
@@ -301,18 +297,18 @@ def build_unsat_certificate(sat, terms, digest, var_map, assumptions, serialized
         # ignores it, and the exact maximum would need every literal
         # of the manifest, which is written from kept text.
         "num_vars": sat.num_vars,
-        "query": canonical_query_payload(terms, var_map, serialized),
+        "query": canonical_query_payload(query, var_map),
         "assumptions": list(assumptions),
         "cnf": RawJSON("[" + ",".join(cnf) + "]"),
         "proof": proof_lines,
     }
 
 
-def build_model_certificate(
-    sat, blaster, terms, digest, var_map, model_values, serialized=None
-) -> dict:
+def build_model_certificate(sat, blaster, terms, query, digest, var_map, model_values) -> dict:
     """Package a SAT answer as a replayable bit-level model.
 
+    ``terms`` are the roots of ``query``, the serialized node list the
+    digest was computed from, as the session blasted them.
     ``model_values`` maps the query's own variable names to values (the
     frontend already extracted them); the certificate stores them under
     canonical names so alpha-equivalent cache hits replay unchanged.
@@ -368,7 +364,7 @@ def build_model_certificate(
         "kind": "model",
         "digest": digest,
         "mode": "incremental",
-        "query": canonical_query_payload(terms, var_map, serialized),
+        "query": canonical_query_payload(query, var_map),
         "model": {
             var_map[name]: (int(value) if not isinstance(value, bool) else bool(value))
             for name, value in model_values.items()

@@ -42,12 +42,15 @@ stay exactly what a standalone solve would produce.  Why this is sound:
   hitting query's variables, so it satisfies that query; like every
   cache-less answer, it carries no certificate.
 
-Each check makes one solve.  A proof obligation whose goal is
-``not(and(c1..cn))`` is not split here: when its lookup misses, the
-runner (``repro.core.runner``) answers it with one piece obligation per
-distinct conjunct instead, through the two hooks a check goes through
-(:meth:`Solver._serialize`, the node list a query is keyed and
-certified by, and :meth:`Solver._solve`, the answer to a missed query).
+A check is two public steps over one serialized node list:
+:meth:`Solver.lookup` (the trivial-root check, canonicalize, then the
+session memo or the store) and :meth:`Solver.solve` (blast, SAT,
+certificate, record).  :meth:`Solver.check` serializes its terms once
+and calls both.  The runner (``repro.core.runner``) calls them directly
+on an obligation's payload, so a hit builds no terms: it looks the node
+list up as given, and on a miss either answers a goal
+``not(and(c1..cn))`` with one piece obligation per distinct conjunct
+or builds the terms and solves.  Each solve is one search.
 
 A check without a cache first consults the session's *verdict memo*
 (``IncrementalSession.memo``), keyed by the canonical digest the store
@@ -92,7 +95,7 @@ from .proof import (
 )
 from .sat import SAT, UNKNOWN, UNSAT, ArenaSolver
 from .sorts import BOOL
-from .terms import Term, canonicalize_nodes, mk_bool, serialize_terms
+from .terms import Term, canonicalize_nodes, mk_true, serialize_terms
 
 __all__ = [
     "Solver",
@@ -503,6 +506,9 @@ class Solver:
     optional ``cache`` memoizes verdicts across checks, processes, and
     runs; without one, the session's verdict memo answers repeats of
     an alpha-equivalent query for as long as the session lives.
+
+    A check is :meth:`lookup` then, on a miss, :meth:`solve`, over one
+    serialized node list; a caller holding the list calls them itself.
     """
 
     def __init__(
@@ -517,9 +523,8 @@ class Solver:
         self.timeout_s = timeout_s
         self.cache = cache
         self.last_stats: dict = {}
-        # Set per check(): the serialized node list behind the digest,
-        # reused by certificate emission to avoid a second traversal.
-        self._serialized_query: dict | None = None
+        # The budget clock, started by each lookup().
+        self._start = 0.0
 
     def add(self, *terms: Term) -> None:
         for t in terms:
@@ -541,50 +546,67 @@ class Solver:
 
     def check(self, *extra: Term) -> CheckResult:
         """Check satisfiability of the asserted formulas plus ``extra``."""
-        start = time.perf_counter()
+        # A ``true`` assertion asserts nothing, and keys nothing.
+        terms = [t for t in (*self._assertions, *extra) if t is not mk_true()]
+        query = serialize_terms(terms)
+        digest, var_map, hit = self.lookup(query)
+        return hit if hit is not None else self.solve(query, digest, var_map, terms)
+
+    def lookup(self, query: dict) -> tuple[str | None, dict[str, str], CheckResult | None]:
+        """Look a serialized query up as given: ``(digest, var_map,
+        hit)``, ``hit`` None when the query must be solved.  A ``false``
+        root answers UNSAT and only ``true`` roots SAT (empty model), with
+        no digest; any other query is canonicalized and looked up in the
+        store, or without one in the session's verdict memo.  A miss
+        leaves only a cache-backed digest in ``last_stats``.  Starts the
+        budget clock."""
+        self._start = time.perf_counter()
         obs_count("solver.queries")
-        terms = list(self._assertions) + list(extra)
-        # Fast path: syntactic trivialities.
-        if any(t is mk_bool(False) for t in terms):
+        # The roots' constant values, None for a root that is no constant.
+        nodes = query["nodes"]
+        consts = [nodes[r][3] if nodes[r][0] == "boolconst" else None for r in query["roots"]]
+        if False in consts or all(consts):
             obs_count("solver.trivial")
             self.last_stats = {"trivial": True, "time_s": 0.0}
-            return CheckResult(UNSAT, stats=self.last_stats)
-        terms = [t for t in terms if t is not mk_bool(True)]
-        if not terms:
-            obs_count("solver.trivial")
-            self.last_stats = {"trivial": True, "time_s": 0.0}
-            return CheckResult(SAT, Model({}), stats=self.last_stats)
+            status, model = (UNSAT, None) if False in consts else (SAT, Model({}))
+            return None, {}, CheckResult(status, model, stats=self.last_stats)
 
         with obs_span("canonicalize", cat="solver-cache") as cargs:
-            # Serialize once: the node list feeds both the digest and
-            # (on a store miss) the certificate's query payload.
-            self._serialized_query = self._serialize(terms)
-            digest, var_map = canonicalize_nodes(self._serialized_query)
+            digest, var_map = canonicalize_nodes(query)
         if cargs is not None:
             cargs["vars"] = len(var_map)
         if self.cache is None:
             entry = get_incremental_session().memo.get(digest)
-            if entry is not None:
-                obs_count("solver.memo.hits")
-                result = SolverCache._entry_to_result(entry, var_map, hit="memo_hit")
-                self.last_stats = result.stats
-                return result
-            obs_count("solver.memo.misses")
-        else:
-            with obs_span("cache.lookup", cat="solver-cache") as largs:
-                cached = self.cache.lookup(digest, var_map)
-            if largs is not None:
-                largs["hit"] = cached is not None
-            if cached is not None:
-                obs_count("solver.cache.hits")
-                self.last_stats = dict(cached.stats)
-                self.last_stats["digest"] = digest
-                cached.stats["digest"] = digest
-                return cached
+            if entry is None:
+                obs_count("solver.memo.misses")
+                self.last_stats = {}
+                return digest, var_map, None
+            obs_count("solver.memo.hits")
+            hit = SolverCache._entry_to_result(entry, var_map, hit="memo_hit")
+            self.last_stats = hit.stats
+            return digest, var_map, hit
+        with obs_span("cache.lookup", cat="solver-cache") as largs:
+            hit = self.cache.lookup(digest, var_map)
+        if largs is not None:
+            largs["hit"] = hit is not None
+        if hit is None:
             obs_count("solver.cache.misses")
+            self.last_stats = {"digest": digest}
+            return digest, var_map, None
+        obs_count("solver.cache.hits")
+        hit.stats["digest"] = digest
+        self.last_stats = dict(hit.stats)
+        return digest, var_map, hit
 
+    def solve(
+        self, query: dict, digest: str, var_map: dict[str, str], terms: list[Term]
+    ) -> CheckResult:
+        """Answer a query its :meth:`lookup` missed, given its roots as
+        ``terms``: blast them into the shared session, solve under them
+        as assumptions within their cone, certify the answer from
+        ``query`` and record it where the lookup looked."""
         try:
-            return self._solve(terms, digest, var_map, start)
+            return self._solve(query, digest, var_map, terms)
         except SolverTimeout:
             raise  # the session is backtracked and still consistent
         except BaseException:
@@ -593,36 +615,24 @@ class Solver:
             reset_incremental_session()
             raise
 
-    def _serialize(self, terms: list[Term]) -> dict:
-        """The node list a check is keyed, solved and certified by: the
-        serialization of its terms.  The runner's obligation solver
-        returns the obligation's payload instead, packaged once where
-        its terms were built, since a re-serialization in another
-        process can order nodes differently and the digest breaks ties
-        between commutative operands by stored order."""
-        return serialize_terms(terms)
-
     def _emit_certificate(
-        self, sat, blaster, terms, digest, var_map, status, model_values, assumptions
+        self, sat, blaster, terms, query, digest, var_map, status, model_values, assumptions
     ) -> None:
         """Assemble and store this query's certificate (cache-backed
         checks only).  Must run while the solver still holds the
         answer's assignment — before any maintain()/backtrack."""
         if self.cache is None or sat.proof is None or not certs_enabled():
             return
-        serialized = getattr(self, "_serialized_query", None)
         # CPU time, not wall: with more workers than cores, wall inside
         # this window counts the *other* workers' preemption as cert cost.
         emit_start = time.process_time()
         try:
             with obs_span("cert.build", cat="solver-cache"):
                 if status == UNSAT:
-                    cert = build_unsat_certificate(
-                        sat, terms, digest, var_map, assumptions, serialized
-                    )
+                    cert = build_unsat_certificate(sat, query, digest, var_map, assumptions)
                 elif status == SAT:
                     cert = build_model_certificate(
-                        sat, blaster, terms, digest, var_map, model_values, serialized
+                        sat, blaster, terms, query, digest, var_map, model_values
                     )
                 else:
                     return
@@ -639,12 +649,9 @@ class Solver:
             obs_count("solver.cert_errors")
             self.last_stats["cert_error"] = True
 
-    def _solve(self, terms, digest, var_map, start) -> CheckResult:
-        """Answer a query that missed the store (or the memo): blast it
-        into the shared session and solve it under assumptions, with
-        decisions restricted to its cone.  The runner's obligation
-        solver overrides this to split a conjunctive goal into piece
-        obligations instead of solving it."""
+    def _solve(self, query, digest, var_map, terms) -> CheckResult:
+        """The body of :meth:`solve`."""
+        start = self._start
         session = get_incremental_session()
         sat, blaster = session.sat, session.blaster
         session.checks += 1
@@ -724,7 +731,9 @@ class Solver:
         # Certificates read the live assignment (model bits) and the
         # root-level trail (unit justifications), so they must be built
         # before maintain() backtracks the session.
-        self._emit_certificate(sat, blaster, terms, digest, var_map, status, model_values, roots)
+        self._emit_certificate(
+            sat, blaster, terms, query, digest, var_map, status, model_values, roots
+        )
         if status == SAT:
             result = CheckResult(SAT, Model(model_values), stats=self.last_stats)
         elif status == UNSAT:

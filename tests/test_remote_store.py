@@ -16,11 +16,13 @@ Covers the properties the ``store-remote`` CI job leans on:
     one valid object server-side.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
 import random
 import time
+from urllib.parse import urlsplit
 import zlib
 
 import pytest
@@ -235,9 +237,7 @@ class TestReadThrough:
         finally:
             server.close()
 
-    def test_certless_entry_rejected_by_default_accepted_with_knob(
-        self, tmp_path, monkeypatch
-    ):
+    def test_certless_entry_rejected(self, tmp_path, monkeypatch):
         # Seed the server store without certificates.
         server_dir = str(tmp_path / "srv")
         monkeypatch.setenv("REPRO_NO_CERTS", "1")
@@ -250,29 +250,25 @@ class TestReadThrough:
                 assert strict.lookup(digest, {}) is None
             assert col.counters["store.remote.rejected_certs"] == 1
             assert strict.entry_bytes(digest) is None  # not adopted
-
-            trusting = RemoteVerdictStore(
-                str(tmp_path / "trust"), server.url, verify_certs=False
-            )
-            assert trusting.lookup(digest, {}).is_unsat
-            assert trusting.entry_bytes(digest) is not None
         finally:
             server.close()
 
     def test_entry_that_is_not_a_verdict_never_adopted(self, tmp_path):
-        """Even with certificate checks off, a served entry that is not a
-        verdict (here a model-less ``sat``) is a remote error, not a hit."""
+        """A served entry that is not a verdict (here a model-less
+        ``sat``) is a remote error, not a hit, before any certificate
+        is fetched."""
         server_dir = str(tmp_path / "srv")
         os.makedirs(os.path.join(server_dir, DIG[:2]))
         with open(os.path.join(server_dir, DIG[:2], f"{DIG}.json"), "w") as handle:
             json.dump({"status": "sat"}, handle)
         server = StoreServer(server_dir).start()
         try:
-            trusting = RemoteVerdictStore(str(tmp_path / "cli"), server.url, verify_certs=False)
+            local = RemoteVerdictStore(str(tmp_path / "cli"), server.url)
             with obs.tracing() as col:
-                assert trusting.lookup(DIG, {}) is None
+                assert local.lookup(DIG, {}) is None
             assert col.counters["store.remote.errors"] == 1
-            assert trusting.entry_bytes(DIG) is None  # not adopted
+            assert "store.remote.rejected_certs" not in col.counters
+            assert local.entry_bytes(DIG) is None  # not adopted
         finally:
             server.close()
 
@@ -635,9 +631,6 @@ class TestPropertyRoundTrip:
         rng = random.Random(0xC0FFEE)
         server = StoreServer(str(tmp_path / "srv")).start()
         client = RemoteStoreClient(server.url)
-        local = RemoteVerdictStore(
-            str(tmp_path / "cli"), server.url, verify_certs=False
-        )
         try:
             for trial in range(40):
                 digest = "".join(
@@ -664,11 +657,6 @@ class TestPropertyRoundTrip:
                     cert_raw = json.dumps(cert).encode()
                     client.put_cert(digest, cert_raw)
                     assert client.get_cert(digest) == cert_raw
-                # Adoption binds the payload to the digest it was PUT
-                # under: the local copy reads back identically.
-                result = local.lookup(digest, {})
-                assert result is not None and result.status == status
-                assert local.entry_bytes(digest) == raw
         finally:
             server.close()
 
@@ -742,5 +730,48 @@ class TestServeMount:
             metrics = server.metrics()
             assert metrics["store"]["puts"] >= 1
             assert metrics["store"]["entries"] == 1
+        finally:
+            server.close()
+
+
+# ---------------------------------------------------------------------------
+# Request bodies: one reader, one limit, in both HTTP servers
+
+
+def _send_length(url: str, method: str, path: str, length: str):
+    """``(status, JSON reply)`` of a bodiless request whose
+    ``Content-Length`` header reads ``length``."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestRequestBodies:
+    @pytest.mark.parametrize("kind", ["store-server", "daemon"])
+    def test_malformed_length_is_400_and_oversized_is_413(self, tmp_path, kind):
+        if kind == "store-server":
+            server = StoreServer(str(tmp_path / "srv")).start()
+            routes = [("PUT", f"/store/{DIG}")]
+        else:
+            serve_app = pytest.importorskip("repro.serve.app")
+            server = serve_app.VerificationServer(
+                store_dir=str(tmp_path / "srv"), trace=False
+            ).start()
+            routes = [("POST", "/jobs"), ("PUT", f"/store/{DIG}")]
+        try:
+            for method, path in routes:
+                for length in ("abc", "-1", "1e3"):
+                    status, doc = _send_length(server.url, method, path, length)
+                    assert (status, doc) == (400, {"error": f"invalid Content-Length {length!r}"})
+                status, doc = _send_length(server.url, method, path, str(StoreAPI.MAX_BODY + 1))
+                assert (status, doc) == (413, {"error": "request body too large"})
+            assert RemoteStoreClient(server.url).healthz()["ok"]
         finally:
             server.close()

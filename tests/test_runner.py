@@ -21,9 +21,18 @@ from repro.bpf.insn import alu
 from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
+from repro.core import runner
 from repro.core.runner import Obligation, obligations_from_context, reduce_results, run_obligations
 from repro.core.store import VerdictStore
-from repro.smt import SolverCache, eval_term, mk_bool, query_digest
+from repro.smt import (
+    SolverCache,
+    deserialize_terms,
+    eval_term,
+    mk_bool,
+    query_digest,
+    serialize_terms,
+)
+from repro.smt.solver import reset_incremental_session
 from repro.sym import check_batch, fresh_bv, new_context, verify_vcs
 
 
@@ -166,6 +175,72 @@ class TestCache:
         assert results[0].status == "proved"
         assert results[0].stats["trivial"]
         assert stats.cache_queries == 0 and stats.cache_hits == 0
+
+
+class TestLookupBeforeTerms:
+    """An obligation is looked up as its payload: only a solve builds
+    its terms (``runner.deserialize_terms``)."""
+
+    @staticmethod
+    def _obligations(prefix):
+        x = fresh_bv(f"{prefix}.x", 32)
+        y = fresh_bv(f"{prefix}.y", 32)
+        # Two conjuncts: a miss answers this one by its pieces.
+        whole = Obligation.from_terms(
+            "whole", [((x - y) + y == x).term, ((x & y) ^ (x | y) == x ^ y).term]
+        )
+        return _algebra_obligations(prefix) + [whole]
+
+    @staticmethod
+    def _count_deserialized(monkeypatch):
+        payloads = []
+
+        def counting(payload, *args, **kwargs):
+            payloads.append(payload)
+            return deserialize_terms(payload, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "deserialize_terms", counting)
+        return payloads
+
+    def test_warm_store_builds_no_terms(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        payloads = self._count_deserialized(monkeypatch)
+        cold, _ = run_obligations(self._obligations("lk.cold"), jobs=1, cache_dir=cache_dir)
+        solved = len(payloads)
+        del payloads[:]
+        warm, stats = run_obligations(self._obligations("lk.warm"), jobs=1, cache_dir=cache_dir)
+        assert payloads == []
+        # Four solved whole, two pieces; the split whole never.
+        assert solved == 6
+        assert stats.cache_hits == stats.cache_queries == 5
+        assert [(r.name, r.status) for r in warm] == [(r.name, r.status) for r in cold]
+        assert [r.name for r in warm if not r.proved] == ["bogus-shift"]
+
+    def test_split_whole_is_never_deserialized(self, tmp_path, monkeypatch):
+        reset_incremental_session()  # no memo hit from an earlier test
+        payloads = self._count_deserialized(monkeypatch)
+        whole = self._obligations("lk.split")[-1]
+        for cache_dir in (str(tmp_path / "cache"), None):
+            del payloads[:]
+            [result], _ = run_obligations([whole], jobs=1, cache_dir=cache_dir)
+            assert result.proved and result.stats["pieces"] == 2
+            assert len(payloads) == 2
+            assert all(payload is not whole.payload for payload in payloads)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trivial_payloads(self, tmp_path, jobs):
+        def lone(value):
+            return Obligation(f"lone {value}", serialize_terms([mk_bool(value)]))
+
+        results, stats = run_obligations(
+            [lone(False), lone(True)], jobs=jobs, cache_dir=str(tmp_path / "cache")
+        )
+        assert [(r.status, r.model_values) for r in results] == [
+            ("proved", None),
+            ("failed", {}),
+        ]
+        assert all(r.stats["trivial"] for r in results)
+        assert stats.cache_queries == 0
 
 
 class TestInvalidation:
