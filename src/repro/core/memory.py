@@ -173,7 +173,7 @@ class MUniform(Block):
         idx = SymBV(idx_term)
         # Optimistic rewrite's side condition (§4): the index stays in
         # bounds, so idx*size+C mod size == C and the rewrite is sound.
-        bug_on(idx >= len(self.elems), "uniform-block index out of bounds", block=repr(self))
+        bug_on(idx >= len(self.elems), "uniform-block index out of bounds")
         guards = [((idx == i), i) for i in range(len(self.elems))]
         return [(g.term, i) for g, i in guards], bv_val(const, offset.width)
 
@@ -394,7 +394,7 @@ class Memory:
         for r in self.regions:
             if r.contains(const):
                 offset = addr - r.base
-                bug_on(offset >= r.block.size(), "memory access outside region", region=r.name)
+                bug_on(offset >= r.block.size(), "memory access outside region")
                 return r, offset
         raise MemoryModelError(
             f"cannot anchor symbolic address {addr.term!r} (constant part {const:#x}) "
@@ -408,7 +408,7 @@ class Memory:
     def store(self, addr: SymBV, value: SymBV) -> None:
         region, offset = self.locate(addr)
         if not region.writable:
-            bug_on(True, "store to read-only region", region=region.name)
+            bug_on(True, "store to read-only region")
             return
         region.block.store(offset, value, self.opts)
 

@@ -78,7 +78,6 @@ from ..smt.solver import (
     CheckResult,
     Solver,
     UNSAT,
-    certs_enabled,
     get_incremental_session,
 )
 
@@ -427,19 +426,18 @@ class Split:
         from .store import open_store
 
         cache = open_store(cache_dir)
-        if certs_enabled():
-            # This thread's CPU: in the scheduler this runs on the
-            # dispatcher thread, beside the waiting callers.
-            emit_start = time.thread_time()
-            with _obs_span("cert.build", cat="solver-cache"):
-                cert = build_split_certificate(
-                    self.digest,
-                    canonical_query_payload(self.query, self.var_map),
-                    [self.digests[slot] for slot in self.conjuncts],
-                )
-            cache.store_certificate(self.digest, cert)
-            _obs_count("solver.certs")
-            _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
+        # This thread's CPU: in the scheduler this runs on the
+        # dispatcher thread, beside the waiting callers.
+        emit_start = time.thread_time()
+        with _obs_span("cert.build", cat="solver-cache"):
+            cert = build_split_certificate(
+                self.digest,
+                canonical_query_payload(self.query, self.var_map),
+                [self.digests[slot] for slot in self.conjuncts],
+            )
+        cache.store_certificate(self.digest, cert)
+        _obs_count("solver.certs")
+        _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
         cache.store(self.digest, {}, CheckResult(UNSAT))
 
 

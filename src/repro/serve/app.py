@@ -232,7 +232,6 @@ class VerificationServer:
             "jobs": self._jobs_knob(doc),
             "max_conflicts": max_conflicts,
             "timeout_s": timeout_s,
-            "cache": bool(doc.get("cache", True)),
         }
         job = self.registry.create("obligations", params, trace_id=trace_id)
         job.total = len(obligations)
@@ -309,7 +308,6 @@ class VerificationServer:
     def _run_obligations_job(self, job) -> None:
         params = job.params
         scheduler = get_scheduler(params["jobs"])
-        cache_dir = self.store_dir if params.get("cache", True) else None
 
         def on_result(index, result):
             # Dispatcher-thread callback: append + notify only, no
@@ -320,7 +318,7 @@ class VerificationServer:
 
         ticket = scheduler.submit_obligations(
             job.obligations,
-            cache_dir=cache_dir,
+            cache_dir=self.store_dir,
             max_conflicts=params.get("max_conflicts"),
             timeout_s=params.get("timeout_s"),
             job=job.id,

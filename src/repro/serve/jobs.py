@@ -7,7 +7,7 @@ mutable state: everything else (verdicts, the solver cache) lives in
 the content-addressed store shared with the CLI path.
 
 Durability: every state change is spooled to ``<spool>/<id>.json``
-(atomic tempfile + rename, same discipline as store entries).  On
+through the store's atomic write (``SolverCache._atomic_write``).  On
 startup the registry replays the spool; any job that was ``queued`` or
 ``running`` when the previous daemon died is marked ``interrupted`` —
 its verdicts-so-far are preserved, it is just no longer being driven.
@@ -29,9 +29,10 @@ import itertools
 import json
 import os
 import secrets
-import tempfile
 import threading
 import time
+
+from ..smt.solver import SolverCache
 
 __all__ = ["Job", "JobRegistry", "STATES", "TERMINAL_STATES"]
 
@@ -195,14 +196,12 @@ class JobRegistry:
     # -- durability ------------------------------------------------------
 
     def persist(self, job: Job) -> None:
-        """Spool the job snapshot atomically; a no-op without a spool."""
+        """Spool the job snapshot atomically; a no-op without a spool.  A
+        failed write leaves the previous record (and no tempfile): it
+        degrades durability, not service."""
         if not self.spool_dir:
             return
-        doc = job.snapshot(with_verdicts=True)
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.spool_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle)
-            os.replace(tmp, os.path.join(self.spool_dir, f"{job.id}.json"))
-        except OSError:
-            pass  # a lost spool write degrades durability, not service
+        SolverCache._atomic_write(
+            os.path.join(self.spool_dir, f"{job.id}.json"),
+            json.dumps(job.snapshot(with_verdicts=True)).encode(),
+        )

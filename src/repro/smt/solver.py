@@ -105,24 +105,10 @@ __all__ = [
     "IncrementalSession",
     "get_incremental_session",
     "reset_incremental_session",
-    "certs_enabled",
     "SAT",
     "UNSAT",
     "UNKNOWN",
 ]
-
-
-def certs_enabled() -> bool:
-    """Whether cached checks also produce proof certificates.
-
-    On by default; ``REPRO_NO_CERTS=1`` opts out (the escape hatch when
-    cert emission overhead matters more than store trustworthiness).
-    Certificates are only assembled for cache-backed checks — the
-    digest is the storage key — so without a cache this flag only
-    controls whether the incremental session carries a proof log.  Read
-    per call so tests can flip the environment without reimporting.
-    """
-    return os.environ.get("REPRO_NO_CERTS", "") != "1"
 
 
 class IncrementalSession:
@@ -133,11 +119,10 @@ class IncrementalSession:
 
     def __init__(self) -> None:
         self.sat = ArenaSolver()
-        if certs_enabled():
-            # Attached before the first clause so input units are never
-            # missed; must be present from session birth because any
-            # later query's refutation may lean on clauses blasted now.
-            self.sat.proof = ProofLog()
+        # Attached before the first clause so input units are never
+        # missed; must be present from session birth because any later
+        # query's refutation may lean on clauses blasted now.
+        self.sat.proof = ProofLog()
         self.blaster = BitBlaster(self.sat)
         self.checks = 0
         self.memo: dict[str, dict] = {}
@@ -621,7 +606,7 @@ class Solver:
         """Assemble and store this query's certificate (cache-backed
         checks only).  Must run while the solver still holds the
         answer's assignment — before any maintain()/backtrack."""
-        if self.cache is None or sat.proof is None or not certs_enabled():
+        if self.cache is None:
             return
         # CPU time, not wall: with more workers than cores, wall inside
         # this window counts the *other* workers' preemption as cert cost.
@@ -639,8 +624,8 @@ class Solver:
             self.cache.store_certificate(digest, cert)
             obs_count("solver.certs")
             # Emission seconds, accumulated as a float counter: the CI
-            # overhead gate divides this by the run's wall clock, which
-            # is immune to run-to-run wall noise in a two-run A/B.
+            # overhead gate divides this by the same run's wall clock,
+            # so it needs no second run and no wall differencing.
             obs_count("solver.cert_build_s", time.process_time() - emit_start)
             self.last_stats["cert"] = True
         except CertificateError:

@@ -17,8 +17,7 @@ the VCs below it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from ..smt import Term, mk_and, mk_bool, mk_implies, mk_not
 from .value import SymBool, _coerce_bool
@@ -33,7 +32,6 @@ class VC:
     formula: Term  # must be valid (i.e. its negation unsat)
     message: str
     kind: str = "assert"  # "assert" | "bug-on"
-    info: dict[str, Any] = field(default_factory=dict)
 
     def __repr__(self) -> str:
         return f"VC({self.kind}: {self.message})"
@@ -68,15 +66,15 @@ class Context:
 
     # -- verification conditions ----------------------------------------------
 
-    def assert_prop(self, cond, message: str = "assertion", **info) -> None:
+    def assert_prop(self, cond, message: str = "assertion") -> None:
         """Record that ``cond`` must hold under the current path."""
         cond = _coerce_bool(cond)
         formula = mk_implies(self.path, cond.term)
         if formula is mk_bool(True):
             return
-        self.vcs.append(VC(formula, message, "assert", info))
+        self.vcs.append(VC(formula, message, "assert"))
 
-    def bug_on(self, cond, message: str = "undefined behavior", **info) -> None:
+    def bug_on(self, cond, message: str = "undefined behavior") -> None:
         """Record that ``cond`` must be false under the current path (§3.3).
 
         This is Serval's ``bug-on``: interpreters call it for UB such
@@ -86,7 +84,7 @@ class Context:
         formula = mk_implies(self.path, mk_not(cond.term))
         if formula is mk_bool(True):
             return
-        self.vcs.append(VC(formula, message, "bug-on", info))
+        self.vcs.append(VC(formula, message, "bug-on"))
 
     def guard_bool(self, cond) -> SymBool:
         """``cond`` strengthened with the current path condition."""
@@ -116,14 +114,14 @@ def new_context():
         _stack.pop()
 
 
-def assert_prop(cond, message: str = "assertion", **info) -> None:
+def assert_prop(cond, message: str = "assertion") -> None:
     """Record ``cond`` as a VC in the current context (Rosette's ``assert``)."""
-    current().assert_prop(cond, message, **info)
+    current().assert_prop(cond, message)
 
 
-def bug_on(cond, message: str = "undefined behavior", **info) -> None:
+def bug_on(cond, message: str = "undefined behavior") -> None:
     """Record ``not cond`` as a VC: a bug reachable when ``cond`` holds (§4)."""
-    current().bug_on(cond, message, **info)
+    current().bug_on(cond, message)
 
 
 def path_condition() -> Term:

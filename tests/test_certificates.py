@@ -100,13 +100,6 @@ class TestEmission:
         assert cert["digest"] == digest
         assert cert["model"]
 
-    def test_no_certs_env_disables_emission(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CERTS", "1")
-        solver = Solver(cache=SolverCache(str(tmp_path / "nc")))
-        _, digest = _check(solver, _unsat_query("em_nc"))
-        assert solver.cache.load_certificate(digest) is None
-        assert "cert" not in solver.last_stats
-
     def test_encoding_is_compact_json_with_raw_fields_verbatim(self):
         plain = {"format": "repro-cert", "kind": "model", "model": {"v0": 3, "v1": True}, "funs": {}}
         assert encode_certificate(plain) == json.dumps(plain, separators=(",", ":")).encode()

@@ -332,10 +332,9 @@ class TestVerdictMemo:
         assert get_incremental_session() is not first
         assert "memo_hit" not in solver.last_stats
 
-    def test_cache_backed_check_bypasses_the_memo(self, tmp_path, monkeypatch):
+    def test_cache_backed_check_bypasses_the_memo(self, tmp_path):
         """A memoized query checked with a cache still misses the store,
         writes its entry and certificate, and never touches the memo."""
-        monkeypatch.delenv("REPRO_NO_CERTS", raising=False)
         Solver().check(*_factor_query("mca"))
         session = get_incremental_session()
         memo_before = dict(session.memo)

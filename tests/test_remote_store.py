@@ -237,12 +237,11 @@ class TestReadThrough:
         finally:
             server.close()
 
-    def test_certless_entry_rejected(self, tmp_path, monkeypatch):
-        # Seed the server store without certificates.
+    def test_certless_entry_rejected(self, tmp_path):
+        # Seed the server store, then take the certificate away.
         server_dir = str(tmp_path / "srv")
-        monkeypatch.setenv("REPRO_NO_CERTS", "1")
         [digest] = _seed(server_dir, ["rt_nc"])
-        monkeypatch.delenv("REPRO_NO_CERTS")
+        os.unlink(VerdictStore(server_dir)._cert_file(digest))
         server = StoreServer(server_dir).start()
         try:
             strict = RemoteVerdictStore(str(tmp_path / "strict"), server.url)

@@ -10,6 +10,7 @@ work while keeping every record accounted for.
 
 import copy
 import json
+import os
 import threading
 import time
 
@@ -220,6 +221,26 @@ class TestRestartContract:
         finally:
             srv.close()
 
+    def test_failed_spool_write_keeps_the_record_and_no_tempfile(
+        self, tmp_path, monkeypatch
+    ):
+        """A spool write whose rename fails raises nothing, keeps the
+        previous record, and leaves no tempfile in the spool."""
+        spool = tmp_path / "spool"
+        registry = JobRegistry(str(spool))
+        job = registry.create("grid", {"grid": "fig11-quick"})
+        with job.cond:
+            job.state = RUNNING
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        registry.persist(job)
+        monkeypatch.undo()
+        assert sorted(path.name for path in spool.iterdir()) == [f"{job.id}.json"]
+        assert json.loads((spool / f"{job.id}.json").read_text())["state"] == "queued"
+
 
 class TestHttpSurface:
     def test_healthz_and_metrics(self, client):
@@ -304,6 +325,19 @@ class TestCertificateEndpoints:
         for row in certified:
             assert row["certificate"]["digest"] == row["digest"]
             assert row["certificate"]["kind"] in ("drat", "model")
+
+    def test_obligation_jobs_always_use_the_store(self, server, client):
+        """There is no store-less obligation job: a ``cache`` key is
+        ignored like any other unknown key, so every record carries its
+        query digest and the certificate stored under it."""
+        job_id = client.submit_obligations(_batch(), jobs=2, cache=False)["id"]
+        assert client.wait(job_id, timeout_s=120)["state"] == "done"
+
+        rows = client._request("GET", f"/jobs/{job_id}/certificates")["certificates"]
+        assert len(rows) == 6
+        for row in rows:
+            assert row["digest"] is not None, row
+            assert row["certificate"]["digest"] == row["digest"]
 
     def test_verdicts_certs_flag_inlines_certificates(self, server, client):
         job_id = client.submit_obligations(_batch(), jobs=2)["id"]
