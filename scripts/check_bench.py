@@ -21,9 +21,13 @@ silently untraced run can never pass the gate.
 ``--serve`` mode gates the daemon load artifact written by
 ``scripts/load_serve.py``:
 
-  * warm-phase obligations/sec must not drop more than
-    ``--max-throughput-drop`` (default 25%) below the committed
-    ``BENCH_serve_baseline.json``;
+  * warm-phase jobs/sec (``warm.jobs / warm.wall_s``) must not drop
+    more than ``--max-throughput-drop`` (default 25%) below the
+    committed ``BENCH_serve_baseline.json``.  The unit is the job, not
+    the obligation: a job is one grid re-verified, so a daemon that
+    packages fewer obligations per job for the same verdicts reads
+    faster, not slower.  An artifact without ``warm.jobs`` or
+    ``warm.wall_s`` is a hard failure (exit 3);
   * the warm/cold speedup must stay above ``--min-speedup`` (default
     2.0) — the shared-cache contract, machine-independent.
 
@@ -68,30 +72,39 @@ def _load(path: str) -> dict:
         raise SystemExit(2)
 
 
+def _warm_jobs_per_s(doc: dict) -> float | None:
+    """``warm.jobs / warm.wall_s`` of a serve artifact, or None when
+    either field is missing or the wall is not positive."""
+    warm = doc.get("warm")
+    if not isinstance(warm, dict):
+        return None
+    jobs, wall = warm.get("jobs"), warm.get("wall_s")
+    if not isinstance(jobs, (int, float)) or not isinstance(wall, (int, float)) or wall <= 0:
+        return None
+    return jobs / wall
+
+
 def check_serve(current: dict, baseline: dict, args) -> int:
     """Gate the daemon load artifact (see module docstring)."""
     failures = []
+    rates = {}
     for name, doc in (("current", current), ("baseline", baseline)):
-        for phase in ("cold", "warm"):
-            if not isinstance(doc.get(phase), dict) or "obligations_per_s" not in doc[phase]:
-                print(
-                    f"FAIL: {name} artifact has no {phase}.obligations_per_s — "
-                    "generate it with scripts/load_serve.py",
-                    file=sys.stderr,
-                )
-                return 3
+        rates[name] = _warm_jobs_per_s(doc)
+        if rates[name] is None:
+            print(
+                f"FAIL: {name} artifact has no warm.jobs and positive warm.wall_s — "
+                "generate it with scripts/load_serve.py",
+                file=sys.stderr,
+            )
+            return 3
 
-    cur_tput = current["warm"]["obligations_per_s"]
-    base_tput = baseline["warm"]["obligations_per_s"]
+    cur_tput, base_tput = rates["current"], rates["baseline"]
     floor = base_tput * (1.0 - args.max_throughput_drop)
-    print(
-        f"warm obligations/sec: {cur_tput:.1f} vs baseline {base_tput:.1f} "
-        f"(floor {floor:.1f})"
-    )
-    if base_tput and cur_tput < floor:
+    print(f"warm jobs/sec: {cur_tput:.2f} vs baseline {base_tput:.2f} (floor {floor:.2f})")
+    if cur_tput < floor:
         failures.append(
-            f"warm obligations/sec dropped: {cur_tput:.1f} < {floor:.1f} "
-            f"(baseline {base_tput:.1f} - {args.max_throughput_drop:.0%})"
+            f"warm jobs/sec dropped: {cur_tput:.2f} < {floor:.2f} "
+            f"(baseline {base_tput:.2f} - {args.max_throughput_drop:.0%})"
         )
 
     speedup = current.get("speedup", 0.0)

@@ -95,7 +95,7 @@ run_job grid-assert python scripts/compare_runner_runs.py \
 # -- serve-load ------------------------------------------------------
 # Boots the repro.serve daemon on a fresh store, drives 8 concurrent
 # clients through the quick grid (cold then warm), checks verdict maps
-# against the sequential run, and gates warm throughput + the >= 2x
+# against the sequential run, and gates warm jobs/s + the >= 2x
 # shared-cache speedup against the committed baseline.  Mid-load it
 # scrapes /metrics as Prometheus text (every sample must parse) and
 # finishes with an obs.top --once --json snapshot (non-zero ob/s,
