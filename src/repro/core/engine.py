@@ -10,6 +10,12 @@ state (§3.2).  The engine below drives that evaluation:
     merged (Rosette's hybrid strategy), so diamonds stay polynomial
     while fetch/decode always see a concrete pc.
 
+  * The engine clones the caller's state once, at entry, and owns
+    every state after that.  A stepped state moves into its last
+    successor and is cloned only for the others, so a straight-line
+    step clones nothing: splitting "clones the program state for each
+    concrete value" (§4), and one value needs no clone.
+
   * With ``split_pc`` disabled (the paper's ablation: refinement
     proofs time out, §6.4), the pc stays symbolic.  ``fetch`` must
     then consider every instruction, producing guarded unions whose
@@ -57,8 +63,9 @@ class Interpreter:
     def set_pc(self, state, pc_val: int) -> None:
         """Overwrite the state's pc with a concrete value.
 
-        Called by ``split_pc`` after cloning the state for one leaf:
-        the concrete pc is what enables partial evaluation downstream.
+        Called by ``split_pc`` on each leaf's state (the stepped state
+        itself for the last leaf, a clone for the others): the concrete
+        pc is what enables partial evaluation downstream.
         """
         raise NotImplementedError
 
@@ -69,6 +76,9 @@ class Interpreter:
         raise NotImplementedError
 
     def copy_state(self, state):
+        """An independent copy of ``state``: executing either must not
+        change the other.  The engine calls it once on the caller's
+        state at entry and once per extra successor of a fork."""
         raise NotImplementedError
 
     def fetch(self, state):
@@ -110,10 +120,9 @@ class Paths:
         """Merge all final states into one (guards become ite trees)."""
         if not self.finals:
             raise ValueError("no final states")
-        guard, state = self.finals[0]
+        state = self.finals[0][1]
         for g, s in self.finals[1:]:
             state = merge_states(SymBool(g), s, state)
-            guard = mk_or(guard, g)
         return state
 
     def coverage(self) -> Term:
@@ -122,8 +131,12 @@ class Paths:
 
 
 def run_interpreter(interp: Interpreter, state, options: EngineOptions | None = None) -> Paths:
-    """Evaluate ``interp`` from ``state`` over all feasible paths."""
+    """Evaluate ``interp`` from ``state`` over all feasible paths.
+
+    ``state`` is left as it was: the engine runs on a clone of it.
+    """
     options = options or EngineOptions()
+    state = interp.copy_state(state)
     if options.split_pc and options.merge_states:
         return _run_split_merged(interp, state, options)
     if options.split_pc:
@@ -154,6 +167,28 @@ def _pc_leaves(interp: Interpreter, state, options: EngineOptions):
     return leaves
 
 
+def _successors(interp: Interpreter, guard: Term, st, options: EngineOptions):
+    """The ``(guard, pc, state)`` successors of a state the engine owns,
+    one per feasible concrete pc leaf, each state's pc set to its leaf.
+
+    Splitting "effectively clones the program state for each concrete
+    value, maximizing opportunities for partial evaluation" (§4).  One
+    value needs no clone: ``st`` moves into the last successor and is
+    copied only for the others, so the caller must not use it again.
+    """
+    leaves = []
+    for leaf_guard, pc_val in _pc_leaves(interp, st, options):
+        g = mk_and(guard, leaf_guard)
+        if g is not mk_bool(False):
+            leaves.append((g, pc_val))
+    out = []
+    for i, (g, pc_val) in enumerate(leaves):
+        succ = st if i == len(leaves) - 1 else interp.copy_state(st)
+        interp.set_pc(succ, pc_val)
+        out.append((g, pc_val, succ))
+    return out
+
+
 def _run_split_merged(interp: Interpreter, state, options: EngineOptions) -> Paths:
     """split-pc + state merging: the production configuration."""
     ctx = current()
@@ -166,24 +201,13 @@ def _run_split_merged(interp: Interpreter, state, options: EngineOptions) -> Pat
         if interp.is_halted(st):
             result.finals.append((guard, st))
             return
-        leaves = _pc_leaves(interp, st, options)
-        for leaf_guard, pc_val in leaves:
-            g = mk_and(guard, leaf_guard)
-            if g is mk_bool(False):
-                continue
-            # Clone the state for this concrete pc value ("doing so
-            # effectively clones the program state for each concrete
-            # value, maximizing opportunities for partial evaluation",
-            # §4).
-            clone = interp.copy_state(st)
-            interp.set_pc(clone, pc_val)
-            key = (pc_val, interp.merge_key(clone))
+        for g, pc_val, succ in _successors(interp, guard, st, options):
+            key = (pc_val, interp.merge_key(succ))
             if key in pending:
                 old_guard, old_state = pending[key]
-                merged = merge_states(SymBool(g), clone, old_state)
-                pending[key] = (mk_or(old_guard, g), merged)
+                pending[key] = (mk_or(old_guard, g), merge_states(SymBool(g), succ, old_state))
             else:
-                pending[key] = (g, clone)
+                pending[key] = (g, succ)
                 heapq.heappush(order, key)
 
     enqueue(mk_bool(True), state)
@@ -227,13 +251,7 @@ def _run_split_paths(interp: Interpreter, state, options: EngineOptions) -> Path
         if interp.is_halted(st):
             result.finals.append((guard, st))
             continue
-        for leaf_guard, pc_val in _pc_leaves(interp, st, options):
-            g = mk_and(guard, leaf_guard)
-            if g is mk_bool(False):
-                continue
-            clone = interp.copy_state(st)
-            interp.set_pc(clone, pc_val)
-            stack.append((g, clone))
+        stack.extend((g, succ) for g, _pc, succ in _successors(interp, guard, st, options))
     return result
 
 
@@ -258,14 +276,15 @@ def _run_merged_pc(interp: Interpreter, state, options: EngineOptions) -> Paths:
                     f"instruction union exceeded {options.max_union} alternatives"
                 )
             obs.count("sym.splits", len(insn))
-
-            def execute_alt(single, st=st):
-                fresh = interp.copy_state(st)
-                interp.execute(fresh, single)
-                return fresh
-
-            states = [(g, execute_alt(v)) for g, v in insn.alternatives]
-            guard0, merged = states[0]
+            # Each alternative runs on its own state: the last moves
+            # ``st``, the others run on clones of it.
+            last = len(insn) - 1
+            states = []
+            for i, (g, single) in enumerate(insn.alternatives):
+                alt = st if i == last else interp.copy_state(st)
+                interp.execute(alt, single)
+                states.append((g, alt))
+            merged = states[0][1]
             for g, s in states[1:]:
                 merged = merge_states(SymBool(g.term if isinstance(g, SymBool) else g), s, merged)
             st = merged

@@ -71,7 +71,7 @@ from ..smt import (
     mk_and,
     mk_not,
     mk_true,
-    serialize_terms,
+    serialize_with_prefix,
 )
 from ..smt.proof import build_split_certificate, canonical_query_payload
 from ..smt.solver import (
@@ -127,9 +127,23 @@ class Obligation:
         goals: Sequence[Term],
         assumptions: Sequence[Term] = (),
     ) -> "Obligation":
+        return cls.sharing_assumptions([(name, goals)], assumptions)[0]
+
+    @classmethod
+    def sharing_assumptions(
+        cls,
+        named_goals: Iterable[tuple[str, Sequence[Term]]],
+        assumptions: Sequence[Term] = (),
+    ) -> list["Obligation"]:
+        """:meth:`from_terms` for each ``(name, goals)`` under the same
+        ``assumptions``, which are serialized once
+        (``serialize_with_prefix``); each payload is the one
+        :meth:`from_terms` makes."""
+        named_goals = list(named_goals)
         roots = [a for a in assumptions if a is not mk_true()]
-        roots.append(mk_not(mk_and(*goals)))
-        return cls(name, serialize_terms(roots))
+        goal_roots = [mk_not(mk_and(*goals)) for _, goals in named_goals]
+        payloads = serialize_with_prefix(roots, goal_roots)
+        return [cls(name, payload) for (name, _), payload in zip(named_goals, payloads)]
 
     def to_json(self) -> dict:
         """Wire format for shipping an obligation to a remote runner
@@ -280,19 +294,13 @@ def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc"
     This is where the engine's path decomposition becomes explicit:
     every ``assert_prop``/``bug_on`` recorded under a path guard is an
     independent query.  ``assumptions`` may be ``SymBool``s or raw
-    boolean terms.
+    boolean terms; every VC shares them, so they are serialized once.
     """
     assume_terms = [a.term if hasattr(a, "term") else a for a in assumptions]
-    out = []
-    for i, vc in enumerate(ctx.vcs):
-        out.append(
-            Obligation.from_terms(
-                f"{prefix}[{i}]: {vc.message}",
-                [vc.formula],
-                assume_terms,
-            )
-        )
-    return out
+    return Obligation.sharing_assumptions(
+        ((f"{prefix}[{i}]: {vc.message}", [vc.formula]) for i, vc in enumerate(ctx.vcs)),
+        assume_terms,
+    )
 
 
 # ---------------------------------------------------------------------------

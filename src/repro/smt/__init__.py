@@ -76,6 +76,7 @@ _EXPORTS = {
         "mk_zext",
         "query_digest",
         "serialize_terms",
+        "serialize_with_prefix",
         "to_signed",
         "to_unsigned",
     ),

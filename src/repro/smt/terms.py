@@ -25,6 +25,7 @@ __all__ = [
     "TermManager",
     "manager",
     "serialize_terms",
+    "serialize_with_prefix",
     "deserialize_terms",
     "canonicalize_query",
     "query_digest",
@@ -948,6 +949,29 @@ def _sort_from_tag(tag) -> Sort:
     return BOOL if tag == "b" else bv_sort(int(tag))
 
 
+def _walk(root: Term, nodes: list[list], index: dict[int, int]) -> int:
+    """Append the terms ``root`` reaches that ``index`` (tid -> node
+    index) does not hold yet to ``nodes``, in post-order; returns
+    ``root``'s node index."""
+    # Iterative post-order: VC DAGs can be deeper than the interpreter
+    # recursion limit.
+    stack: list[tuple[Term, bool]] = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if t.tid in index:
+            continue
+        if expanded:
+            args = [index[a.tid] for a in t.args]
+            payload = list(t.payload) if isinstance(t.payload, tuple) else t.payload
+            nodes.append([t.op, _sort_tag(t.sort), args, payload])
+            index[t.tid] = len(nodes) - 1
+        else:
+            stack.append((t, True))
+            for a in t.args:
+                stack.append((a, False))
+    return index[root.tid]
+
+
 def serialize_terms(roots: Iterable[Term]) -> dict:
     """Flatten a set of root terms into a portable node list.
 
@@ -958,27 +982,26 @@ def serialize_terms(roots: Iterable[Term]) -> dict:
     """
     nodes: list[list] = []
     index: dict[int, int] = {}
+    return {"nodes": nodes, "roots": [_walk(r, nodes, index) for r in roots]}
 
-    def walk(root: Term) -> int:
-        # Iterative post-order: VC DAGs can be deeper than the
-        # interpreter recursion limit.
-        stack: list[tuple[Term, bool]] = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t.tid in index:
-                continue
-            if expanded:
-                args = [index[a.tid] for a in t.args]
-                payload = list(t.payload) if isinstance(t.payload, tuple) else t.payload
-                nodes.append([t.op, _sort_tag(t.sort), args, payload])
-                index[t.tid] = len(nodes) - 1
-            else:
-                stack.append((t, True))
-                for a in t.args:
-                    stack.append((a, False))
-        return index[root.tid]
 
-    return {"nodes": nodes, "roots": [walk(r) for r in roots]}
+def serialize_with_prefix(prefix: Iterable[Term], lasts: Iterable[Term]) -> list[dict]:
+    """``serialize_terms([*prefix, last])`` for each of ``lasts``, with
+    the prefix walked once.
+
+    The walk is deterministic, so each result is exactly that call's:
+    the prefix's nodes, then the nodes only ``last`` reaches.  The
+    results share the prefix's node entries; treat them as read-only.
+    """
+    nodes: list[list] = []
+    index: dict[int, int] = {}
+    roots = [_walk(r, nodes, index) for r in prefix]
+    out = []
+    for last in lasts:
+        ext_nodes, ext_index = list(nodes), dict(index)
+        root = _walk(last, ext_nodes, ext_index)
+        out.append({"nodes": ext_nodes, "roots": [*roots, root]})
+    return out
 
 
 def deserialize_terms(data: dict, mgr: TermManager | None = None) -> list[Term]:

@@ -12,6 +12,11 @@ flavors:
 Contexts nest: ``with ctx.under(guard)`` scopes a path-condition
 conjunct, which is how branch exploration communicates feasibility to
 the VCs below it.
+
+A VC is recorded once per kind, message and formula.  Terms are
+hash-consed, so a side condition that evaluation records again under
+the same path (the memory model's bounds checks, at every access) is
+the same formula, with the same verdict, and is not recorded again.
 """
 
 from __future__ import annotations
@@ -38,11 +43,13 @@ class VC:
 
 
 class Context:
-    """Collects path condition and verification conditions."""
+    """Collects path condition and verification conditions, each
+    ``(kind, message, formula)`` once, in first-recorded order."""
 
     def __init__(self) -> None:
         self._path: list[Term] = []
         self.vcs: list[VC] = []
+        self._recorded: set[tuple[str, str, Term]] = set()
 
     # -- path condition ----------------------------------------------------
 
@@ -66,13 +73,17 @@ class Context:
 
     # -- verification conditions ----------------------------------------------
 
+    def _record(self, formula: Term, message: str, kind: str) -> None:
+        key = (kind, message, formula)
+        if formula is mk_bool(True) or key in self._recorded:
+            return
+        self._recorded.add(key)
+        self.vcs.append(VC(formula, message, kind))
+
     def assert_prop(self, cond, message: str = "assertion") -> None:
         """Record that ``cond`` must hold under the current path."""
         cond = _coerce_bool(cond)
-        formula = mk_implies(self.path, cond.term)
-        if formula is mk_bool(True):
-            return
-        self.vcs.append(VC(formula, message, "assert"))
+        self._record(mk_implies(self.path, cond.term), message, "assert")
 
     def bug_on(self, cond, message: str = "undefined behavior") -> None:
         """Record that ``cond`` must be false under the current path (§3.3).
@@ -81,10 +92,7 @@ class Context:
         as out-of-bounds program counters (Figure 4, lines 27-28).
         """
         cond = _coerce_bool(cond)
-        formula = mk_implies(self.path, mk_not(cond.term))
-        if formula is mk_bool(True):
-            return
-        self.vcs.append(VC(formula, message, "bug-on"))
+        self._record(mk_implies(self.path, mk_not(cond.term)), message, "bug-on")
 
     def guard_bool(self, cond) -> SymBool:
         """``cond`` strengthened with the current path condition."""

@@ -288,5 +288,4 @@ def run_insns(program: list[X86Insn], state: X86State) -> X86State:
     """Run a straight-line-with-branches snippet to completion."""
     from ..core import EngineOptions, run_interpreter
 
-    out = state.copy()
-    return run_interpreter(X86Interp(program), out, EngineOptions(fuel=2000)).merged()
+    return run_interpreter(X86Interp(program), state, EngineOptions(fuel=2000)).merged()

@@ -8,6 +8,7 @@ from repro.core.engine import Interpreter, Paths
 from repro.core.errors import EngineFuelExhausted, UnconstrainedPc
 from repro.smt import mk_bool
 from repro.sym import SymBool, bv_val, fresh_bv, ite, merge, new_context, prove
+from repro.toyrisc import ToyCpu, ToyRISC, li, ret, sign_program
 
 
 class MiniState:
@@ -34,6 +35,7 @@ class MiniInterp(Interpreter):
     def __init__(self, program):
         self.program = program
         self.executed = []
+        self.copies = 0
 
     def pc_of(self, state):
         return state.pc
@@ -45,6 +47,7 @@ class MiniInterp(Interpreter):
         return state.halted
 
     def copy_state(self, state):
+        self.copies += 1
         return state.copy()
 
     def fetch(self, state):
@@ -159,6 +162,57 @@ class TestMergedWorklist:
         with new_context():
             paths = run_interpreter(MiniInterp(prog), fresh_state())
             assert len(paths.finals) >= 1
+
+
+STRATEGIES = {
+    "split-merged": EngineOptions(),
+    "split-paths": EngineOptions(merge_states=False),
+    "merged-pc": EngineOptions(split_pc=False, fuel=8, max_union=100),
+}
+PROGRAMS = {"diamond": sign_program, "straight-line": lambda: [li("a0", 7), ret()]}
+
+
+def _snapshot(cpu):
+    return (cpu.pc.term, tuple(r.term for r in cpu.regs), cpu.halted.term)
+
+
+class TestStateOwnership:
+    """The engine runs on a clone of the caller's state and clones
+    again only where a state forks."""
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_callers_state_is_unchanged(self, strategy, program):
+        with new_context():
+            cpu = ToyCpu.symbolic(8)
+            before = _snapshot(cpu)
+            try:
+                paths = run_interpreter(ToyRISC(PROGRAMS[program]()), cpu, STRATEGIES[strategy])
+            except EngineFuelExhausted:
+                # Without split-pc the diamond never halts (Figure 5);
+                # it has still stepped the state it ran on.
+                assert (strategy, program) == ("merged-pc", "diamond")
+            else:
+                assert paths.steps > 0
+                assert all(_snapshot(s) != before for _, s in paths.finals)
+            assert _snapshot(cpu) == before
+
+    @pytest.mark.parametrize("merge_states", [True, False])
+    def test_straight_line_clones_only_at_entry(self, merge_states):
+        prog = [add_to_x(1, 1), add_to_x(2, 2), goto(3), halt]
+        interp = MiniInterp(prog)
+        with new_context():
+            paths = run_interpreter(interp, fresh_state(), EngineOptions(merge_states=merge_states))
+        assert paths.steps == 4
+        assert interp.copies == 1
+
+    @pytest.mark.parametrize("merge_states", [True, False])
+    def test_diamond_clones_once_more_at_its_fork(self, merge_states):
+        prog = [branch_on_x(1, 2), add_to_x(1, 3), add_to_x(2, 3), halt]
+        interp = MiniInterp(prog)
+        with new_context():
+            run_interpreter(interp, fresh_state(), EngineOptions(merge_states=merge_states))
+        assert interp.copies == 2
 
 
 class TestPathsApi:

@@ -29,6 +29,7 @@ from repro.smt import (
     deserialize_terms,
     eval_term,
     mk_bool,
+    mk_not,
     query_digest,
     serialize_terms,
 )
@@ -275,3 +276,27 @@ class TestInvalidation:
         # The payload is the VC's query: its goal, negated, is the last root.
         payload = obs[0].payload
         assert payload["nodes"][payload["roots"][-1]][0] == "not"
+
+    def test_obligations_from_context_match_from_terms(self):
+        """The assumptions are serialized once for every VC, yet each
+        payload is ``serialize_terms`` of the assumptions other than
+        ``true`` and the negated VC, as ``Obligation.from_terms`` packages
+        one alone."""
+        with new_context() as ctx:
+            a = fresh_bv("share.a", 8)
+            b = fresh_bv("share.b", 8)
+            assumptions = [(a < 100).term, mk_bool(True), (b != 0).term]
+            ctx.assert_prop((a + b) - b == a, "add-cancel")
+            with ctx.under(a == b):
+                ctx.bug_on(a - b != 0, "sub-zero")
+            ctx.assert_prop(a < 100, "bounded")
+            obs = obligations_from_context(ctx, assumptions)
+        kept = [assumptions[0], assumptions[2]]
+        assert [ob.payload for ob in obs] == [
+            serialize_terms([*kept, mk_not(vc.formula)]) for vc in ctx.vcs
+        ]
+        assert [ob.payload for ob in obs] == [
+            Obligation.from_terms(ob.name, [vc.formula], assumptions).payload
+            for ob, vc in zip(obs, ctx.vcs)
+        ]
+        assert len(obs) == 3

@@ -37,6 +37,8 @@ from repro.smt import (
     mk_var,
     mk_xor,
     mk_zext,
+    serialize_terms,
+    serialize_with_prefix,
     to_signed,
 )
 
@@ -193,6 +195,22 @@ class TestShiftFolding:
         assert mk_bvashr(bv8(0x80), bv8(7)) is bv8(0xFF)
         assert mk_bvashr(bv8(0x40), bv8(7)) is bv8(0)
         assert mk_bvashr(bv8(0x80), bv8(100)) is bv8(0xFF)
+
+
+class TestSerializeWithPrefix:
+    def test_each_result_is_serialize_terms_of_prefix_and_last(self):
+        x = mk_bvadd(A, B)
+        prefix = [mk_ult(x, bv8(9)), mk_or(P, Q)]
+        lasts = [
+            mk_not(mk_eq(x, A)),  # shares the prefix's bvadd
+            mk_and(P, mk_ult(A, B)),  # shares a prefix variable
+            mk_ult(x, bv8(9)),  # entirely inside the prefix
+            mk_xor(P, mk_eq(mk_bvmul(A, B), bv8(3))),
+        ]
+        got = serialize_with_prefix(prefix, lasts)
+        assert got == [serialize_terms([*prefix, last]) for last in lasts]
+        assert serialize_with_prefix([], lasts) == [serialize_terms([last]) for last in lasts]
+        assert serialize_with_prefix(prefix, []) == []
 
 
 class TestStructural:

@@ -174,6 +174,63 @@ class TestContextVCs:
             assert verify_vcs(ctx).proved
 
 
+class TestVcDedup:
+    """A VC is recorded once per kind, message and formula."""
+
+    def test_repeated_vc_is_recorded_once(self):
+        with new_context() as ctx:
+            a = fresh_bv("tv_dd", 8)
+            for _ in range(3):
+                ctx.bug_on(a == 7, "seven")
+                ctx.assert_prop(a != 9, "not nine")
+        assert [(vc.kind, vc.message) for vc in ctx.vcs] == [
+            ("bug-on", "seven"),
+            ("assert", "not nine"),
+        ]
+
+    def test_repeat_under_the_same_path_is_recorded_once(self):
+        with new_context() as ctx:
+            a, b = fresh_bv("tv_dd2a", 8), fresh_bv("tv_dd2b", 8)
+            for _ in range(2):
+                with ctx.under(b == 1):
+                    ctx.bug_on(a == 7, "seven")
+            assert len(ctx.vcs) == 1
+            # Another path makes another formula.
+            with ctx.under(b == 2):
+                ctx.bug_on(a == 7, "seven")
+            assert len(ctx.vcs) == 2
+
+    def test_same_formula_under_another_message_or_kind_is_kept(self):
+        with new_context() as ctx:
+            a = fresh_bv("tv_dd3", 8)
+            ctx.bug_on(a == 7, "seven")
+            ctx.bug_on(a == 7, "also seven")
+            ctx.assert_prop(a != 7, "seven")
+        assert [(vc.kind, vc.message) for vc in ctx.vcs] == [
+            ("bug-on", "seven"),
+            ("bug-on", "also seven"),
+            ("assert", "seven"),
+        ]
+        assert ctx.vcs[0].formula is ctx.vcs[1].formula is ctx.vcs[2].formula
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_repeat_names_the_first_instance(self, jobs):
+        with new_context() as ctx:
+            a, b = fresh_bv("tv_dd4a", 8), fresh_bv("tv_dd4b", 8)
+            ctx.assert_prop((a & 1) <= 1, "low bit bounded")
+            for _ in range(2):
+                with ctx.under(b == 1):
+                    ctx.bug_on(a == 5, "five")
+                ctx.assert_prop((a | 1) != 0, "odd is nonzero")
+            result = verify_vcs(ctx, jobs=jobs)
+        assert [vc.message for vc in ctx.vcs] == ["low bit bounded", "five", "odd is nonzero"]
+        assert not result.proved
+        assert result.failed_vc is ctx.vcs[1]
+        # The only counterexample of the first failing VC.
+        assert result.counterexample.evaluate(a.term) == 5
+        assert result.counterexample.evaluate(b.term) == 1
+
+
 class TestSolveProve:
     def test_solve_returns_model(self):
         a = fresh_bv("tv_s", 8)
