@@ -83,6 +83,7 @@ has_engine_step_row() {
 run_job grid-profile-regions has_engine_step_row
 run_job grid-cold-export python -m repro.core.store \
     --store "$tmp/store-cold" export "$tmp/verdicts.tar.gz"
+run_job grid-store-stats python -m repro.core.store --store "$tmp/store-cold" stats
 run_job grid-warm-import python -m repro.core.store \
     --store "$tmp/store-warm" import "$tmp/verdicts.tar.gz"
 run_job grid-warm python benchmarks/bench_fig11_verify.py \

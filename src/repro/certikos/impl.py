@@ -18,6 +18,8 @@ optimization level, giving Figure 11 its -O0/-O1/-O2 axis.
 
 from __future__ import annotations
 
+import functools
+
 from ..cc import (
     Arg,
     Assign,
@@ -170,8 +172,13 @@ def _emit_pcb_addr(asm: Assembler, dest: str, scratch: str) -> None:
     asm.add(dest, dest, scratch)
 
 
+@functools.cache
 def build_image(opt: int = 1) -> Image:
-    """Assemble the complete monitor at the given optimization level."""
+    """Assemble the complete monitor at the given optimization level.
+
+    Built once per ``opt`` and process: the image is a function of
+    ``opt`` alone, and nothing writes an image after assembly, so every
+    verifier at one level shares it."""
     return _build_asm(opt).assemble()
 
 

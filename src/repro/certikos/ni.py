@@ -195,9 +195,6 @@ def prove_nickel(max_conflicts: int | None = None) -> dict[str, ProofResult]:
     """Nickel unwinding over the explicit-PID spec."""
     policy = nickel_policy()
 
-    def wrap2(fn):
-        return lambda s, a, b: fn(s, a, b)
-
     actions = [
         Action(
             "get_quota",

@@ -60,6 +60,7 @@ import re
 import socket
 import threading
 import time
+import traceback
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,10 +73,13 @@ __all__ = [
     "RemoteUnavailable",
     "RemoteStoreClient",
     "RemoteVerdictStore",
+    "HTTPService",
     "RequestError",
+    "RequestHandler",
     "StoreAPI",
     "StoreServer",
     "breaker_open",
+    "json_reply",
     "read_body",
     "remote_store_url",
     "remote_timeout_s",
@@ -279,6 +283,12 @@ class RemoteStoreClient:
 _STORE_PATH = re.compile(r"^/([0-9a-f]{16,64})(/cert)?$")
 
 
+def json_reply(status: int, doc, headers: dict | None = None):
+    """A JSON reply in the ``(status, payload, content_type, headers)``
+    shape every route of both HTTP servers returns."""
+    return status, json.dumps(doc).encode(), "application/json", headers or {}
+
+
 class StoreAPI:
     """Pure request handler over a :class:`VerdictStore`.
 
@@ -317,12 +327,8 @@ class StoreAPI:
 
     # -- plumbing --------------------------------------------------------
 
-    @staticmethod
-    def _json(status: int, doc: dict, headers: dict | None = None):
-        return status, json.dumps(doc).encode(), "application/json", headers or {}
-
     def _error(self, status: int, message: str):
-        return self._json(status, {"error": message})
+        return json_reply(status, {"error": message})
 
     def counters(self) -> dict:
         """Request counters for /metrics and healthz documents."""
@@ -368,7 +374,7 @@ class StoreAPI:
         if method == "GET" and sub == "/metrics":
             return self._metrics(accept)
         if method == "GET" and sub in ("", "/", "/healthz"):
-            return self._json(
+            return json_reply(
                 200,
                 {
                     "ok": True,
@@ -381,7 +387,7 @@ class StoreAPI:
         if method == "GET" and sub == "/index":
             doc = self.store.summary()
             doc["spool_pending"] = len(self.store.spool_pending())
-            return self._json(200, doc)
+            return json_reply(200, doc)
         if method == "POST" and sub == "/manifest":
             return self._manifest(body)
         match = _STORE_PATH.match(sub)
@@ -415,7 +421,7 @@ class StoreAPI:
 
             text = render_prometheus(counters=counters, gauges=gauges)
             return 200, text.encode(), CONTENT_TYPE, {}
-        return self._json(200, {"counters": counters, "gauges": gauges})
+        return json_reply(200, {"counters": counters, "gauges": gauges})
 
     def _manifest(self, body: bytes | None):
         try:
@@ -434,7 +440,7 @@ class StoreAPI:
                 continue
             entries[digest] = os.path.exists(self.store._entry_path(digest))
             certs[digest] = self.store._cert_file(digest) is not None
-        return self._json(200, {"entries": entries, "certs": certs})
+        return json_reply(200, {"entries": entries, "certs": certs})
 
     def _put(self, digest: str, is_cert: bool, body: bytes | None):
         if body is None or not body:
@@ -460,7 +466,7 @@ class StoreAPI:
             # exactly like import_archive.  Idempotent success.
             with self._lock:
                 self.put_conflicts += 1
-        return self._json(
+        return json_reply(
             201 if created else 200,
             {"digest": digest, "stored": created},
             {"ETag": f'"{digest}"'},
@@ -477,8 +483,8 @@ class RequestError(Exception):
 
 
 def read_body(handler: BaseHTTPRequestHandler) -> bytes | None:
-    """The body of ``handler``'s request, or None when it has none: the
-    one body read of the store server and the daemon.  A
+    """The body of ``handler``'s request, or None when it has none:
+    :class:`RequestHandler` reads it before routing.  A
     ``Content-Length`` that is not a decimal count raises
     :class:`RequestError` 400, and one past :attr:`StoreAPI.MAX_BODY`
     413; either closes the connection, whose unread body would be read
@@ -494,13 +500,25 @@ def read_body(handler: BaseHTTPRequestHandler) -> bytes | None:
     return handler.rfile.read(length) if length else None
 
 
-class _StoreHandler(BaseHTTPRequestHandler):
-    server_version = "repro-store/1.0"
+class RequestHandler(BaseHTTPRequestHandler):
+    """The request plumbing of both HTTP servers, the store server and
+    the daemon.  Every request, on every route, goes the same way: the
+    body is read first (:func:`read_body`), so none is left on a
+    keep-alive connection; :meth:`route` maps it to a
+    ``(status, payload, content_type, headers)`` reply; a
+    :class:`RequestError` becomes its JSON error and any other
+    exception a 500 JSON; and a HEAD reply carries the headers only."""
+
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
+        if self.server.app.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
+
+    def route(self, method: str, path: str, body: bytes | None):
+        """The reply to one request, or None when the route has written
+        its own (a test's fault hook).  ``path`` has no query string."""
+        raise NotImplementedError
 
     def _respond(self, status, payload, ctype, headers, send_body=True):
         self.send_response(status)
@@ -516,27 +534,16 @@ class _StoreHandler(BaseHTTPRequestHandler):
                 pass  # client went away mid-reply
 
     def _handle(self, method: str) -> None:
-        path = self.path.split("?", 1)[0]
         try:
             body = read_body(self)
+            reply = self.route(method, self.path.split("?", 1)[0], body)
         except RequestError as exc:
-            error = json.dumps({"error": str(exc)}).encode()
-            self._respond(exc.code, error, "application/json", {})
-            return
-        # Test harnesses (the fault-injection fixture) hang a hook off
-        # the server to inject 500s, stalls, and truncated replies
-        # without forking the protocol implementation.
-        hook = getattr(self.server, "fault_hook", None)
-        if hook is not None and hook(self, method, path, body):
-            return
-        status, payload, ctype, headers = self.server.api.handle(
-            method,
-            path,
-            body,
-            accept=self.headers.get("Accept", ""),
-            trace=self.headers.get(TRACE_HEADER),
-        )
-        self._respond(status, payload, ctype, headers, send_body=(method != "HEAD"))
+            reply = json_reply(exc.code, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 - handler isolation boundary
+            self.log_error("%s %s failed:\n%s", method, self.path, traceback.format_exc())
+            reply = json_reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+        if reply is not None:
+            self._respond(*reply, send_body=(method != "HEAD"))
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         self._handle("GET")
@@ -551,7 +558,71 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self._handle("PUT")
 
 
-class StoreServer:
+class HTTPService:
+    """One threaded HTTP listener whose requests ``handler`` (a
+    :class:`RequestHandler`) serves, with ``self`` as its
+    ``server.app``: the lifecycle of the store server and the daemon."""
+
+    def __init__(self, handler: type, host: str, port: int, verbose: bool):
+        self.verbose = verbose
+        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd.daemon_threads = True
+        self._httpd.app = self
+        self._serve_thread: threading.Thread | None = None
+        self._closed = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._httpd.server_address[:2]
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def start(self):
+        """Serve in a background thread (tests, embedded use)."""
+        self._serve_thread = threading.Thread(
+            target=self._httpd.serve_forever, name=type(self).__name__, daemon=True
+        )
+        self._serve_thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread (the CLI entrypoints)."""
+        self._httpd.serve_forever()
+
+    def close(self) -> None:
+        """Stop listening (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._serve_thread is not None:
+            self._serve_thread.join(timeout=5.0)
+
+
+class _StoreHandler(RequestHandler):
+    server_version = "repro-store/1.0"
+
+    def route(self, method, path, body):
+        # Test harnesses (the fault-injection fixture) hang a hook off
+        # the server to inject 500s, stalls, and truncated replies
+        # without forking the protocol implementation.
+        hook = self.server.fault_hook
+        if hook is not None and hook(self, method, path, body):
+            return None
+        return self.server.app.api.handle(
+            method,
+            path,
+            body,
+            accept=self.headers.get("Accept", ""),
+            trace=self.headers.get(TRACE_HEADER),
+        )
+
+
+class StoreServer(HTTPService):
     """Standalone HTTP object-store daemon over one local store
     directory (``python -m repro.core.store serve``).  It opens no
     tracing session: request events reach a session only if the
@@ -566,44 +637,8 @@ class StoreServer:
     ):
         self.store = VerdictStore(store_dir)
         self.api = StoreAPI(self.store)
-        self._httpd = ThreadingHTTPServer((host, port), _StoreHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.api = self.api
+        super().__init__(_StoreHandler, host, port, verbose)
         self._httpd.fault_hook = None
-        self._httpd.verbose = verbose
-        self._serve_thread: threading.Thread | None = None
-        self._closed = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "StoreServer":
-        """Serve in a background thread (tests, embedded use)."""
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-store", daemon=True
-        )
-        self._serve_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI entrypoint)."""
-        self._httpd.serve_forever()
-
-    def close(self) -> None:
-        """Stop listening (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------

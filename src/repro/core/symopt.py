@@ -11,9 +11,16 @@ catalog, and where each item lives here:
   * symbolic memory addresses -> offset concretization: implemented in
     the memory model (``repro.core.memory``); toggled via
     ``MemoryOptions.concretize_offsets``.
+  * monolithic dispatching -> split-cases: the monitors' verifiers fix
+    the call-number register ``a7`` to each handler's concrete value
+    when they build the initial state (``make_impl``); toggled via
+    ``SymOptConfig.split_cases``.
   * symbolic system registers -> representation-invariant rewriting:
-    ``rewrite_with_invariant`` below.
-  * monolithic dispatching -> ``split_cases`` below.
+    no monitor applies it.
+
+``split_cases``, ``split_cases_value``, ``concretize`` and
+``rewrite_with_invariant`` below are library forms of these rewrites.
+``tests/test_core_symopt.py`` tests each; no monitor calls them.
 
 ``SymOptConfig`` bundles the toggles so the monitors' verification
 harnesses (and the E5 ablation bench) can switch them together.
@@ -36,18 +43,10 @@ class SymOptConfig:
     split_pc: bool = True
     split_cases: bool = True
     concretize_offsets: bool = True
-    concrete_sysregs: bool = True
-    # The §6.4 "one new optimization" that brought -O1/-O2 close to
-    # -O0: realized here as the term-layer normalization rules (ite
-    # absorption, self-subsuming resolution, De Morgan
-    # canonicalization — see DESIGN.md and repro.smt.terms), which
-    # collapse the guard shapes optimized code produces.  The flag is
-    # advisory; the rules are sound identities and always active.
-    flatten_conditionals: bool = True
 
     @classmethod
     def none(cls) -> "SymOptConfig":
-        return cls(False, False, False, False, False)
+        return cls(False, False, False)
 
 
 def split_cases_value(x: SymBV, values: list[int]) -> SymBV:

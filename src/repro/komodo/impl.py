@@ -13,6 +13,8 @@ untouched; failures write -1 into the *caller's* bank.
 
 from __future__ import annotations
 
+import functools
+
 from ..cc import (
     Arg,
     Assign,
@@ -340,7 +342,10 @@ def boot_address(opt: int = 1) -> int:
     return _BOOT_ADDR_CACHE[opt]
 
 
+@functools.cache
 def build_image(opt: int = 1) -> Image:
+    """Assemble the monitor at ``opt``, once per level and process (as
+    ``repro.certikos.impl.build_image``)."""
     return _build_asm(opt).assemble()
 
 

@@ -23,13 +23,12 @@ the endpoint table, and ``scripts/load_serve.py`` for the CI load/soak
 driver.
 """
 
-from .app import ApiError, VerificationServer
+from .app import VerificationServer
 from .client import ServeClient, ServeError
 from .grids import GRIDS, grid_ops, run_grid
 from .jobs import Job, JobRegistry
 
 __all__ = [
-    "ApiError",
     "GRIDS",
     "Job",
     "JobRegistry",

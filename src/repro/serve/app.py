@@ -48,9 +48,15 @@ import json
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core.remote import RequestError, StoreAPI, breaker_open, read_body
+from ..core.remote import (
+    HTTPService,
+    RequestError,
+    RequestHandler,
+    StoreAPI,
+    breaker_open,
+    json_reply,
+)
 from ..core.runner import Obligation
 from ..core.scheduler import get_scheduler, peek_scheduler
 from ..core.store import DEFAULT_STORE_DIR, VerdictStore
@@ -58,7 +64,7 @@ from ..obs.events import TRACE_HEADER, new_trace_id, parse_trace_header, trace_c
 from .grids import GRIDS, run_grid
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, JobRegistry
 
-__all__ = ["VerificationServer", "ApiError"]
+__all__ = ["VerificationServer"]
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_-]+)(/verdicts|/certificates|/cancel)?$")
 
@@ -67,11 +73,7 @@ _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_-]+)(/verdicts|/certificates|/cancel
 MAX_WAIT_S = 30.0
 
 
-class ApiError(RequestError):
-    """Request error carrying its HTTP status code."""
-
-
-class VerificationServer:
+class VerificationServer(HTTPService):
     """The daemon: owns the registry, the store, and the HTTP listener.
 
     ``default_jobs`` is how many scheduler workers a job uses unless
@@ -102,7 +104,6 @@ class VerificationServer:
         self.spool_dir = spool_dir or os.path.join(self.store_dir, "jobs")
         self.registry = JobRegistry(self.spool_dir)
         self.default_jobs = default_jobs
-        self.verbose = verbose
         self.started_t = time.time()
         self._collector = None
         self._trace_ctx = None
@@ -111,46 +112,15 @@ class VerificationServer:
 
             self._trace_ctx = tracing(absorb=False)
             self._collector = self._trace_ctx.__enter__()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = self
-        self._serve_thread: threading.Thread | None = None
-        self._closed = False
+        super().__init__(_Handler, host, port, verbose)
 
     # -- lifecycle -------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "VerificationServer":
-        """Serve in a background thread (tests, embedded use)."""
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
-        )
-        self._serve_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``python -m`` entrypoint)."""
-        self._httpd.serve_forever()
 
     def close(self) -> None:
         """Stop listening.  Running jobs stay in the spool as
         ``running``; the next daemon marks them ``interrupted`` — the
         restart contract tests rely on.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
+        super().close()
         if self._trace_ctx is not None:
             self._trace_ctx.__exit__(None, None, None)
             self._trace_ctx = None
@@ -159,14 +129,14 @@ class VerificationServer:
 
     def submit(self, doc: dict, trace_id: str | None = None):
         """Validate a ``POST /jobs`` body, register the job, and start
-        its runner thread.  Raises :class:`ApiError` on a bad body.
+        its runner thread.  Raises :class:`RequestError` on a bad body.
 
         ``trace_id`` is the client's correlation id (``X-Repro-Trace``);
         jobs submitted without one get a fresh daemon-generated id, so
         every job is traceable either way.
         """
         if not isinstance(doc, dict):
-            raise ApiError(400, "request body must be a JSON object")
+            raise RequestError(400, "request body must be a JSON object")
         trace_id = trace_id or new_trace_id()
         kind = doc.get("kind")
         if kind == "grid":
@@ -174,7 +144,7 @@ class VerificationServer:
         elif kind == "obligations":
             job = self._submit_obligations(doc, trace_id)
         else:
-            raise ApiError(400, f"kind must be 'grid' or 'obligations', got {kind!r}")
+            raise RequestError(400, f"kind must be 'grid' or 'obligations', got {kind!r}")
         threading.Thread(
             target=self._run_job, args=(job,), name=f"job-{job.id}", daemon=True
         ).start()
@@ -183,7 +153,7 @@ class VerificationServer:
     def _jobs_knob(self, doc: dict) -> int:
         jobs = doc.get("jobs", self.default_jobs)
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
-            raise ApiError(400, "jobs must be a non-negative integer")
+            raise RequestError(400, "jobs must be a non-negative integer")
         return jobs or self.default_jobs
 
     def _budget_knobs(self, doc: dict) -> tuple[int | None, float | None]:
@@ -191,21 +161,21 @@ class VerificationServer:
         if max_conflicts is not None and (
             not isinstance(max_conflicts, int) or max_conflicts < 1
         ):
-            raise ApiError(400, "max_conflicts must be a positive integer")
+            raise RequestError(400, "max_conflicts must be a positive integer")
         timeout_s = doc.get("timeout_s")
         if timeout_s is not None and (
             not isinstance(timeout_s, (int, float)) or timeout_s <= 0
         ):
-            raise ApiError(400, "timeout_s must be a positive number")
+            raise RequestError(400, "timeout_s must be a positive number")
         return max_conflicts, timeout_s
 
     def _submit_grid(self, doc: dict, trace_id: str | None = None):
         grid = doc.get("grid", "fig11-quick")
         if grid not in GRIDS:
-            raise ApiError(400, f"unknown grid {grid!r}; one of {sorted(GRIDS)}")
+            raise RequestError(400, f"unknown grid {grid!r}; one of {sorted(GRIDS)}")
         opt = doc.get("opt", 1)
         if opt not in (0, 1, 2):
-            raise ApiError(400, "opt must be 0, 1, or 2")
+            raise RequestError(400, "opt must be 0, 1, or 2")
         max_conflicts, timeout_s = self._budget_knobs(doc)
         params = {
             "grid": grid,
@@ -221,11 +191,11 @@ class VerificationServer:
     def _submit_obligations(self, doc: dict, trace_id: str | None = None):
         raw = doc.get("obligations")
         if not isinstance(raw, list) or not raw:
-            raise ApiError(400, "obligations must be a non-empty list")
+            raise RequestError(400, "obligations must be a non-empty list")
         try:
             obligations = [Obligation.from_json(entry) for entry in raw]
         except ValueError as exc:
-            raise ApiError(400, str(exc))
+            raise RequestError(400, str(exc))
         max_conflicts, timeout_s = self._budget_knobs(doc)
         params = {
             "count": len(obligations),
@@ -455,74 +425,15 @@ class VerificationServer:
 
 
 # ---------------------------------------------------------------------------
-# HTTP plumbing
+# HTTP routes
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(RequestHandler):
     server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
 
     @property
     def app(self) -> VerificationServer:
         return self.server.app
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.app.verbose:
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _send_json(self, code: int, doc: dict) -> None:
-        payload = json.dumps(doc).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        try:
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-reply
-
-    def _send_raw(
-        self,
-        code: int,
-        payload: bytes,
-        ctype: str,
-        headers: dict,
-        send_body: bool = True,
-    ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(payload)))
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        if send_body and payload:
-            try:
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away mid-reply
-
-    def _route_store(self, method: str, path: str) -> None:
-        """Forward a /store/... request to the object-store protocol
-        handler shared with the standalone store server."""
-        status, payload, ctype, headers = self.app.store_api.handle(
-            method,
-            path,
-            read_body(self),
-            accept=self.headers.get("Accept", ""),
-            trace=self.headers.get(TRACE_HEADER),
-        )
-        self._send_raw(status, payload, ctype, headers, send_body=(method != "HEAD"))
-
-    def _read_body(self) -> dict:
-        raw = read_body(self)
-        if raw is None:
-            raise ApiError(400, "request body required")
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise ApiError(400, f"invalid JSON body: {exc}")
 
     def _query(self) -> dict:
         from urllib.parse import parse_qs, urlsplit
@@ -532,76 +443,76 @@ class _Handler(BaseHTTPRequestHandler):
     def _job_or_404(self, job_id: str):
         job = self.app.registry.get(job_id)
         if job is None:
-            raise ApiError(404, f"no such job {job_id!r}")
+            raise RequestError(404, f"no such job {job_id!r}")
         return job
 
-    def _route(self, method: str) -> None:
+    def route(self, method, path, body):
         from ..obs import count
 
         count("serve.http.requests")
-        try:
-            path = self.path.split("?", 1)[0]
-            if path == "/store" or path.startswith("/store/"):
-                self._route_store(method, path)
-                return
-            match = _JOB_PATH.match(path)
-            if method == "GET" and path == "/healthz":
-                self._send_json(200, self.app.healthz())
-            elif method == "GET" and path == "/metrics":
-                if "text/plain" in (self.headers.get("Accept") or ""):
-                    from ..obs.prom import CONTENT_TYPE
+        if path == "/store" or path.startswith("/store/"):
+            return self.app.store_api.handle(
+                method,
+                path,
+                body,
+                accept=self.headers.get("Accept", ""),
+                trace=self.headers.get(TRACE_HEADER),
+            )
+        match = _JOB_PATH.match(path)
+        if method == "GET" and path == "/healthz":
+            return json_reply(200, self.app.healthz())
+        if method == "GET" and path == "/metrics":
+            if "text/plain" in (self.headers.get("Accept") or ""):
+                from ..obs.prom import CONTENT_TYPE
 
-                    self._send_raw(
-                        200, self.app.prometheus_metrics().encode(), CONTENT_TYPE, {}
-                    )
-                else:
-                    self._send_json(200, self.app.metrics())
-            elif method == "GET" and path == "/events":
-                self._get_events()
-            elif method == "GET" and path == "/jobs":
-                self._send_json(
-                    200, {"jobs": [job.snapshot() for job in self.app.registry.jobs()]}
-                )
-            elif method == "POST" and path == "/jobs":
-                trace_id, _ = parse_trace_header(self.headers.get(TRACE_HEADER))
-                job = self.app.submit(self._read_body(), trace_id=trace_id)
-                self._send_json(
-                    201,
-                    {"id": job.id, "state": job.state, "kind": job.kind,
-                     "trace_id": job.trace_id, "location": f"/jobs/{job.id}"},
-                )
-            elif match and method == "GET" and match.group(2) is None:
-                job = self._job_or_404(match.group(1))
-                self._send_json(200, job.snapshot())
-            elif match and method == "GET" and match.group(2) == "/verdicts":
-                self._get_verdicts(self._job_or_404(match.group(1)))
-            elif match and method == "GET" and match.group(2) == "/certificates":
-                self._get_certificates(self._job_or_404(match.group(1)))
-            elif match and method == "POST" and match.group(2) == "/cancel":
-                job = self._job_or_404(match.group(1))
-                accepted = self.app.cancel(job)
-                self._send_json(
-                    202 if accepted else 409,
-                    {"id": job.id, "state": job.state, "cancelling": accepted},
-                )
-            else:
-                raise ApiError(404, f"no route for {method} {path}")
-        except RequestError as exc:
-            self._send_json(exc.code, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - handler isolation boundary
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+                return 200, self.app.prometheus_metrics().encode(), CONTENT_TYPE, {}
+            return json_reply(200, self.app.metrics())
+        if method == "GET" and path == "/events":
+            return self._get_events()
+        if method == "GET" and path == "/jobs":
+            return json_reply(
+                200, {"jobs": [job.snapshot() for job in self.app.registry.jobs()]}
+            )
+        if method == "POST" and path == "/jobs":
+            if body is None:
+                raise RequestError(400, "request body required")
+            try:
+                doc = json.loads(body)
+            except ValueError as exc:
+                raise RequestError(400, f"invalid JSON body: {exc}")
+            trace_id, _ = parse_trace_header(self.headers.get(TRACE_HEADER))
+            job = self.app.submit(doc, trace_id=trace_id)
+            return json_reply(
+                201,
+                {"id": job.id, "state": job.state, "kind": job.kind,
+                 "trace_id": job.trace_id, "location": f"/jobs/{job.id}"},
+            )
+        if match and method == "GET" and match.group(2) is None:
+            return json_reply(200, self._job_or_404(match.group(1)).snapshot())
+        if match and method == "GET" and match.group(2) == "/verdicts":
+            return self._get_verdicts(self._job_or_404(match.group(1)))
+        if match and method == "GET" and match.group(2) == "/certificates":
+            return self._get_certificates(self._job_or_404(match.group(1)))
+        if match and method == "POST" and match.group(2) == "/cancel":
+            job = self._job_or_404(match.group(1))
+            accepted = self.app.cancel(job)
+            return json_reply(
+                202 if accepted else 409,
+                {"id": job.id, "state": job.state, "cancelling": accepted},
+            )
+        raise RequestError(404, f"no route for {method} {path}")
 
-    def _get_events(self) -> None:
+    def _get_events(self):
         """``GET /events?since=N&level=L`` — the daemon's structured
         event ring, paged by sequence number."""
         query = self._query()
         try:
             since = int(query.get("since", 0))
         except ValueError:
-            raise ApiError(400, "since must be an integer")
+            raise RequestError(400, "since must be an integer")
         level = query.get("level")
         records = self.app.events(since=since, level=level)
-        self._send_json(
+        return json_reply(
             200,
             {
                 "since": since,
@@ -624,15 +535,15 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return self.app.store.load_certificate(digest)
 
-    def _get_verdicts(self, job) -> None:
+    def _get_verdicts(self, job):
         query = self._query()
         try:
             since = int(query.get("since", 0))
             wait_s = min(float(query.get("wait_s", 0)), MAX_WAIT_S)
         except ValueError:
-            raise ApiError(400, "since must be an integer, wait_s a number")
+            raise RequestError(400, "since must be an integer, wait_s a number")
         if since < 0:
-            raise ApiError(400, "since must be >= 0")
+            raise RequestError(400, "since must be >= 0")
         with_certs = query.get("certs") in ("1", "true")
         deadline = time.monotonic() + wait_s
         with job.cond:
@@ -653,7 +564,7 @@ class _Handler(BaseHTTPRequestHandler):
                 else record
                 for record in records
             ]
-        self._send_json(
+        return json_reply(
             200,
             {
                 "id": job.id,
@@ -664,7 +575,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _get_certificates(self, job) -> None:
+    def _get_certificates(self, job):
         """Certificates for every verdict the job has produced so far.
 
         One row per verdict record: ``{index, name, digest,
@@ -689,7 +600,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "certificate": self._record_certificate(record),
                 }
             )
-        self._send_json(
+        return json_reply(
             200,
             {
                 "id": job.id,
@@ -698,15 +609,3 @@ class _Handler(BaseHTTPRequestHandler):
                 "certificates": rows,
             },
         )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._route("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        self._route("PUT")
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
-        self._route("HEAD")

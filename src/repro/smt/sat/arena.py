@@ -259,9 +259,6 @@ class ArenaSolver:
         self._reason[var] = reason
         self._trail.append(lit)
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _backtrack(self, level: int) -> None:
         """Unassign everything whose *semantic* level exceeds ``level``.
 

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..smt import Term, mk_and, mk_bool, mk_implies, mk_not
-from .value import SymBool, _coerce_bool
+from .value import _coerce_bool
 
 __all__ = ["VC", "Context", "current", "new_context", "assert_prop", "bug_on", "path_condition"]
 
@@ -67,10 +67,6 @@ class Context:
         finally:
             self._path.pop()
 
-    def path_is_infeasible(self) -> bool:
-        """Cheap syntactic feasibility check (False constant only)."""
-        return self.path is mk_bool(False)
-
     # -- verification conditions ----------------------------------------------
 
     def _record(self, formula: Term, message: str, kind: str) -> None:
@@ -93,11 +89,6 @@ class Context:
         """
         cond = _coerce_bool(cond)
         self._record(mk_implies(self.path, mk_not(cond.term)), message, "bug-on")
-
-    def guard_bool(self, cond) -> SymBool:
-        """``cond`` strengthened with the current path condition."""
-        cond = _coerce_bool(cond)
-        return SymBool(mk_and(self.path, cond.term))
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,17 @@ class TestImageApi:
     def test_text_range_spans_words(self):
         img = Image(base=0x1000, word_size=4, words={0x1000: 1, 0x1008: 2})
         assert img.text_range() == (0x1000, 0x100C)
+
+
+class TestMonitorImages:
+    @pytest.mark.parametrize("monitor", ["certikos", "komodo"])
+    def test_verifiers_at_one_opt_share_one_image(self, monitor):
+        """A monitor's image is built once per optimization level, so a
+        daemon that makes a verifier per op compiles each image once."""
+        if monitor == "certikos":
+            from repro.certikos import CertikosVerifier as Verifier
+        else:
+            from repro.komodo import KomodoVerifier as Verifier
+        first, second = Verifier(opt=1), Verifier(opt=1)
+        assert first.image is second.image
+        assert Verifier(opt=0).image is not first.image

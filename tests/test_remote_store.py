@@ -752,6 +752,35 @@ def _send_length(url: str, method: str, path: str, length: str):
         conn.close()
 
 
+def _start(kind: str, tmp_path):
+    """A started store server or daemon over a fresh store, and the path
+    of its health route."""
+    if kind == "store-server":
+        return StoreServer(str(tmp_path / "srv")).start(), "/store/healthz"
+    serve_app = pytest.importorskip("repro.serve.app")
+    server = serve_app.VerificationServer(store_dir=str(tmp_path / "srv"), trace=False)
+    return server.start(), "/healthz"
+
+
+def _then_health(url: str, method: str, path: str, body: bytes | None, health: str):
+    """``(status, payload)`` of ``method path`` sent with ``body``, then
+    the status and JSON reply of a ``GET health`` sent after it on the
+    same keep-alive connection."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        first = conn.getresponse()
+        payload = first.read()
+        sock = conn.sock
+        conn.request("GET", health)
+        second = conn.getresponse()
+        assert sock is not None and conn.sock is sock, "the connection was not kept alive"
+        return (first.status, payload), (second.status, json.loads(second.read()))
+    finally:
+        conn.close()
+
+
 class TestRequestBodies:
     @pytest.mark.parametrize("kind", ["store-server", "daemon"])
     def test_malformed_length_is_400_and_oversized_is_413(self, tmp_path, kind):
@@ -772,5 +801,47 @@ class TestRequestBodies:
                 status, doc = _send_length(server.url, method, path, str(StoreAPI.MAX_BODY + 1))
                 assert (status, doc) == (413, {"error": "request body too large"})
             assert RemoteStoreClient(server.url).healthz()["ok"]
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("kind", ["store-server", "daemon"])
+    def test_malformed_length_on_a_get_route(self, tmp_path, kind):
+        """A route that ignores bodies still rejects a bad
+        ``Content-Length``: every route reads its body first."""
+        server, health = _start(kind, tmp_path)
+        try:
+            for length in ("abc", "-1", "1e3"):
+                status, doc = _send_length(server.url, "GET", health, length)
+                assert (status, doc) == (400, {"error": f"invalid Content-Length {length!r}"})
+            status, doc = _send_length(server.url, "GET", health, str(StoreAPI.MAX_BODY + 1))
+            assert (status, doc) == (413, {"error": "request body too large"})
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("kind", ["store-server", "daemon"])
+    def test_head_reply_has_no_body(self, tmp_path, kind):
+        """HEAD on a route with no HEAD handler gets the 404's headers
+        and no body, so the next request on the connection parses."""
+        server, health = _start(kind, tmp_path)
+        try:
+            first, second = _then_health(server.url, "HEAD", health, None, health)
+            assert first == (404, b"")
+            assert second[0] == 200 and second[1]["ok"]
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("kind", ["store-server", "daemon"])
+    def test_body_a_route_ignores_is_consumed(self, tmp_path, kind):
+        """A body sent to a route that reads none does not stay on the
+        connection to be parsed as the next request."""
+        server, health = _start(kind, tmp_path)
+        routes = [("GET", health, 200)]
+        if kind == "daemon":
+            routes.append(("POST", "/jobs/nosuch/cancel", 404))
+        try:
+            for method, path, status in routes:
+                first, second = _then_health(server.url, method, path, b'{"x":1}', health)
+                assert first[0] == status
+                assert second[0] == 200 and second[1]["ok"]
         finally:
             server.close()
