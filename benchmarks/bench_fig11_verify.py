@@ -43,27 +43,22 @@ import time
 from conftest import FULL, banner, emit, guard_divergence, record_runner_run, run_once
 import pytest
 
-# Defaults cover each interface proportionally (CertiKOS^s has 3 calls,
-# Komodo^s has 12 — which is exactly why the paper's Komodo^s rows cost
-# more); REPRO_FULL=1 adds the heavy residual cases (spawn, invalid).
-CERTIKOS_OPS = ["get_quota", "yield"] + (["spawn", "invalid"] if FULL else [])
-KOMODO_OPS = [
-    "init_addrspace", "init_thread", "map_secure", "enter", "exit", "stop", "remove",
-] + (
-    ["init_l2ptable", "init_l3ptable", "map_insecure", "finalize", "resume", "invalid"]
-    if FULL
-    else []
-)
+from repro.serve.grids import grid_ops, verifier_class
+
+# The ops come from the daemon's grid table (repro.serve.grids.GRIDS).
+# The default grid covers each interface proportionally (CertiKOS^s has
+# 3 calls, Komodo^s has 12 — which is exactly why the paper's Komodo^s
+# rows cost more); REPRO_FULL=1 adds the heavy residual cases (spawn,
+# invalid) and the rest of Komodo^s.
+GRID = "fig11-full" if FULL else "fig11"
+CERTIKOS_OPS = [op for monitor, op in grid_ops(GRID) if monitor == "certikos"]
+KOMODO_OPS = [op for monitor, op in grid_ops(GRID) if monitor == "komodo"]
 
 RESULTS: dict[tuple, float] = {}
 
 
 def _verifier(monitor: str, opt: int, jobs: int = 1, cache_dir: str | None = None):
-    if monitor == "certikos":
-        from repro.certikos import CertikosVerifier as Verifier
-    else:
-        from repro.komodo import KomodoVerifier as Verifier
-    return Verifier(opt=opt, jobs=jobs, cache_dir=cache_dir)
+    return verifier_class(monitor)(opt=opt, jobs=jobs, cache_dir=cache_dir)
 
 
 def _refine(monitor: str, opt: int, ops, jobs: int = 1, cache_dir: str | None = None):
@@ -165,10 +160,7 @@ def test_zz_report(benchmark):
 
 
 def _cli_obligation_set(quick: bool):
-    ops = [("certikos", op) for op in CERTIKOS_OPS]
-    if not quick:
-        ops += [("komodo", op) for op in KOMODO_OPS]
-    return ops
+    return [(monitor, op) for monitor, op in grid_ops(GRID) if not quick or monitor == "certikos"]
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,6 @@ from .spec import (
     spec_yield,
     state_invariant,
 )
-from .verify import CertikosVerifier, prove_boot, verify_all
+from .verify import CertikosVerifier
 
 __all__ = [name for name in dir() if not name.startswith("_")]

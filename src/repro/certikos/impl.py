@@ -182,7 +182,16 @@ def build_image(opt: int = 1) -> Image:
     return _build_asm(opt).assemble()
 
 
+def boot_address(opt: int = 1) -> int:
+    """Address of the boot entry point in the built image."""
+    return _build_asm(opt).addr_of("boot")
+
+
+@functools.cache
 def _build_asm(opt: int) -> Assembler:
+    """The monitor's assembly at ``opt``, compiled once per level and
+    process; the image and the boot address both read it, and nothing
+    writes it."""
     asm = Assembler(base=TEXT_BASE, xlen=XLEN)
     for name, addr, size, shape in DATA_SYMBOLS:
         asm.data_symbol(name, addr, size, shape)
@@ -237,15 +246,6 @@ def _build_asm(opt: int) -> Assembler:
 # Initial memory quota granted to the root process at boot.
 INIT_QUOTA = 16
 
-_BOOT_ADDR_CACHE: dict[int, int] = {}
-
-
-def boot_address(opt: int = 1) -> int:
-    """Address of the boot entry point in the built image."""
-    if opt not in _BOOT_ADDR_CACHE:
-        asm = _build_asm(opt)
-        _BOOT_ADDR_CACHE[opt] = asm.addr_of("boot")
-    return _BOOT_ADDR_CACHE[opt]
 # Where the (untrusted) S-mode loader starts after boot.
 S_MODE_START = 0x0010_0000
 

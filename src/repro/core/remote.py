@@ -53,6 +53,7 @@ Knobs (read per call so tests can flip them):
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -502,9 +503,9 @@ def read_body(handler: BaseHTTPRequestHandler) -> bytes | None:
 
 class RequestHandler(BaseHTTPRequestHandler):
     """The request plumbing of both HTTP servers, the store server and
-    the daemon.  Every request, on every route, goes the same way: the
-    body is read first (:func:`read_body`), so none is left on a
-    keep-alive connection; :meth:`route` maps it to a
+    the daemon.  Every request, whatever its method and route, goes the
+    same way: the body is read first (:func:`read_body`), so none is
+    left on a keep-alive connection; :meth:`route` maps it to a
     ``(status, payload, content_type, headers)`` reply; a
     :class:`RequestError` becomes its JSON error and any other
     exception a 500 JSON; and a HEAD reply carries the headers only."""
@@ -545,17 +546,12 @@ class RequestHandler(BaseHTTPRequestHandler):
         if reply is not None:
             self._respond(*reply, send_body=(method != "HEAD"))
 
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._handle("GET")
-
-    def do_HEAD(self):  # noqa: N802 - stdlib naming
-        self._handle("HEAD")
-
-    def do_POST(self):  # noqa: N802 - stdlib naming
-        self._handle("POST")
-
-    def do_PUT(self):  # noqa: N802 - stdlib naming
-        self._handle("PUT")
+    def __getattr__(self, name: str):
+        # The stdlib calls ``do_<METHOD>``; every method goes to
+        # _handle, so an unrouted one gets a JSON error, not a 501 page.
+        if name.startswith("do_"):
+            return functools.partial(self._handle, name[3:])
+        raise AttributeError(name)
 
 
 class HTTPService:

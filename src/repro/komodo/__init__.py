@@ -11,6 +11,6 @@ from .ni import (
     prove_removed_enclave_unobservable,
 )
 from .spec import KomodoState, SPEC_CALLS, state_invariant
-from .verify import KomodoVerifier, prove_boot, verify_all
+from .verify import KomodoVerifier
 
 __all__ = [name for name in dir() if not name.startswith("_")]

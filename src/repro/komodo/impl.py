@@ -332,16 +332,6 @@ def _emit_pcb_addr(asm: Assembler, dest: str, scratch: str) -> None:
     asm.add(dest, dest, scratch)
 
 
-_BOOT_ADDR_CACHE: dict[int, int] = {}
-
-
-def boot_address(opt: int = 1) -> int:
-    """Address of the boot entry point in the built image."""
-    if opt not in _BOOT_ADDR_CACHE:
-        _BOOT_ADDR_CACHE[opt] = _build_asm(opt).addr_of("boot")
-    return _BOOT_ADDR_CACHE[opt]
-
-
 @functools.cache
 def build_image(opt: int = 1) -> Image:
     """Assemble the monitor at ``opt``, once per level and process (as
@@ -349,7 +339,16 @@ def build_image(opt: int = 1) -> Image:
     return _build_asm(opt).assemble()
 
 
+def boot_address(opt: int = 1) -> int:
+    """Address of the boot entry point in the built image."""
+    return _build_asm(opt).addr_of("boot")
+
+
+@functools.cache
 def _build_asm(opt: int) -> Assembler:
+    """The monitor's assembly at ``opt``, compiled once per level and
+    process; the image and the boot address both read it, and nothing
+    writes it."""
     asm = Assembler(base=TEXT_BASE, xlen=XLEN)
     for name, addr, size, shape in DATA_SYMBOLS:
         asm.data_symbol(name, addr, size, shape)

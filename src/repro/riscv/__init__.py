@@ -10,6 +10,7 @@ from .decode import DecodeError, decode, decode_validated
 from .encode import EncodeError, encode
 from .insn import CSRS, Insn, REG_NAMES, REG_NUMBERS, reg_num
 from .interp import RiscvInterp
+from .monitor import MonitorVerifier
 from .pmp import PmpRegion, QuirkConfig, counter_readable, napot_region, pmp_check, pmp_regions_of
 
 __all__ = [name for name in dir() if not name.startswith("_")]

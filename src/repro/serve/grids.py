@@ -1,9 +1,10 @@
 """Named verifier runs the daemon can execute by name.
 
-The grid names mirror the Figure 11 benchmark's obligation sets
-(``benchmarks/bench_fig11_verify.py``), so a daemon grid job and the
-standalone CLI produce the *same verdict map keys* — ``monitor.op`` —
-and CI can diff them byte-for-byte.
+``GRIDS`` is the one table of the Figure 11 obligation sets: the
+benchmark (``benchmarks/bench_fig11_verify.py``) reads its ops from it
+and builds its verifiers with :func:`verifier_class`, so a daemon grid
+job and the standalone CLI produce the *same verdict map keys* —
+``monitor.op`` — and CI can diff them byte-for-byte.
 
 Symbolic evaluation builds terms in the global hash-consing
 ``TermManager``, which is not safe under concurrent mutation from
@@ -21,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 
-__all__ = ["GRIDS", "grid_ops", "run_grid"]
+__all__ = ["GRIDS", "grid_ops", "run_grid", "verifier_class"]
 
 # Representative subsets first (the bench's defaults), full interfaces
 # after — same ops, same order, same names.
@@ -50,14 +51,17 @@ def grid_ops(name: str) -> list[tuple[str, str]]:
     return list(GRIDS[name])
 
 
-def _make_verifier(monitor: str, opt: int, jobs: int, cache_dir: str | None):
+def verifier_class(monitor: str):
+    """The verifier class of a grid's monitor name."""
     if monitor == "certikos":
-        from ..certikos import CertikosVerifier as Verifier
-    elif monitor == "komodo":
-        from ..komodo import KomodoVerifier as Verifier
-    else:
-        raise ValueError(f"unknown monitor {monitor!r}")
-    return Verifier(opt=opt, jobs=jobs, cache_dir=cache_dir)
+        from ..certikos import CertikosVerifier
+
+        return CertikosVerifier
+    if monitor == "komodo":
+        from ..komodo import KomodoVerifier
+
+        return KomodoVerifier
+    raise ValueError(f"unknown monitor {monitor!r}")
 
 
 def run_grid(
@@ -91,11 +95,13 @@ def run_grid(
             break
         start = time.perf_counter()
         with _EVAL_LOCK:
-            verifier = _make_verifier(monitor, opt, jobs, cache_dir)
-            if max_conflicts is not None:
-                verifier.max_conflicts = max_conflicts
-            if timeout_s is not None:
-                verifier.timeout_s = timeout_s
+            verifier = verifier_class(monitor)(
+                opt=opt,
+                max_conflicts=max_conflicts,
+                timeout_s=timeout_s,
+                jobs=jobs,
+                cache_dir=cache_dir,
+            )
             result = verifier.prove_op(op)
         label = f"{monitor}.{op}"
         verdicts[label] = bool(result.proved)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .evaluator import eval_term
-from .terms import Term, to_signed
+from .terms import Term
 
 
 class Model:
@@ -33,9 +33,6 @@ class Model:
     def evaluate(self, term: Term) -> int | bool:
         """Evaluate a term under this model (bitvectors as unsigned)."""
         return eval_term(term, self._values)
-
-    def evaluate_signed(self, term: Term) -> int:
-        return to_signed(int(self.evaluate(term)), term.width)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v:#x}" if isinstance(v, int) and not isinstance(v, bool) else f"{k}={v}" for k, v in sorted(self._values.items()))

@@ -123,11 +123,6 @@ class Term:
     def is_const(self) -> bool:
         return self.op in ("bvconst", "boolconst")
 
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError(f"term {self!r} is not a constant")
-        return self.payload
-
     def __repr__(self) -> str:
         if self.op == "bvconst":
             return f"bv{self.width}({self.payload:#x})"
@@ -174,9 +169,6 @@ class TermManager:
     def fresh_name(self, prefix: str) -> str:
         self._fresh_counter += 1
         return f"{prefix}!{self._fresh_counter}"
-
-    def num_terms(self) -> int:
-        return len(self._table)
 
 
 manager = TermManager()

@@ -2,66 +2,17 @@
 
 Rosette's symbolic reflection (§2.3 of the Rosette paper; used in §4
 of Serval) lets symbolic optimizations examine and rewrite the term
-DAGs behind symbolic values.  The pattern helpers here are what
-``split_pc``, ``split_cases``, and the memory-offset concretization
-build on.
+DAGs behind symbolic values.  ``split_pc`` builds on
+:func:`split_concrete`, and the memory-offset concretization on
+:func:`destruct_linear`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..smt import Term
 from .value import SymBV
 
-__all__ = [
-    "ite_leaves",
-    "concrete_leaves",
-    "destruct_ite",
-    "destruct_linear",
-    "is_ite",
-    "term_size",
-    "term_depth",
-]
-
-
-def is_ite(value: SymBV | Term) -> bool:
-    """True if the underlying term is an if-then-else node."""
-    term = value.term if isinstance(value, SymBV) else value
-    return term.op == "ite"
-
-
-def destruct_ite(value: SymBV | Term):
-    """Return (cond, then, else) terms of an ite, or None."""
-    term = value.term if isinstance(value, SymBV) else value
-    if term.op != "ite":
-        return None
-    return term.args[0], term.args[1], term.args[2]
-
-
-def ite_leaves(value: SymBV | Term, limit: int = 4096) -> Iterator[tuple[list[Term], Term]]:
-    """Iterate (path-guards, leaf-term) pairs of a nested ite tree.
-
-    This is how ``split_pc`` recursively breaks an ite value (§4,
-    "Symbolic program counters") to evaluate each branch with a
-    concrete value.
-    """
-    term = value.term if isinstance(value, SymBV) else value
-    stack: list[tuple[list[Term], Term]] = [([], term)]
-    count = 0
-    while stack:
-        guards, t = stack.pop()
-        if t.op == "ite":
-            cond, then, els = t.args
-            stack.append((guards + [cond], then))
-            from ..smt import mk_not
-
-            stack.append((guards + [mk_not(cond)], els))
-        else:
-            count += 1
-            if count > limit:
-                raise ValueError(f"ite tree has more than {limit} leaves")
-            yield guards, t
+__all__ = ["NotConcretizable", "destruct_linear", "split_concrete"]
 
 
 class NotConcretizable(Exception):
@@ -112,17 +63,6 @@ def split_concrete(value: SymBV | Term, limit: int = 4096) -> list[tuple[list[Te
     return out
 
 
-def concrete_leaves(value: SymBV | Term) -> list[int] | None:
-    """The set of concrete values an ite tree can take, or None if any
-    leaf is non-constant (an opaque symbolic value, §4)."""
-    leaves = []
-    for _, leaf in ite_leaves(value):
-        if leaf.op != "bvconst":
-            return None
-        leaves.append(leaf.payload)
-    return leaves
-
-
 def destruct_linear(term: Term, width: int) -> tuple[Term | None, int, int]:
     """Destructure ``a*scale + offset`` with concrete scale/offset.
 
@@ -150,29 +90,3 @@ def destruct_linear(term: Term, width: int) -> tuple[Term | None, int, int]:
         term = term.args[0]
     return term, scale, offset
 
-
-def term_size(term: Term) -> int:
-    """Number of distinct DAG nodes reachable from ``term``."""
-    seen: set[int] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if t.tid in seen:
-            continue
-        seen.add(t.tid)
-        stack.extend(t.args)
-    return len(seen)
-
-
-def term_depth(term: Term) -> int:
-    """Height of the term DAG (a leaf has depth 1)."""
-    depth: dict[int, int] = {}
-
-    def walk(t: Term) -> int:
-        if t.tid in depth:
-            return depth[t.tid]
-        d = 1 + max((walk(a) for a in t.args), default=0)
-        depth[t.tid] = d
-        return d
-
-    return walk(term)

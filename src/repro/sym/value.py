@@ -48,7 +48,6 @@ from ..smt import (
     mk_var,
     mk_xor,
     mk_zext,
-    to_signed,
 )
 
 __all__ = [
@@ -185,9 +184,6 @@ class SymBV:
         if not self.is_concrete:
             raise SymbolicBranchError(f"symbolic bitvector has no concrete value: {self.term!r}")
         return self.term.payload
-
-    def as_signed_int(self) -> int:
-        return to_signed(self.as_int(), self.width)
 
     def __bool__(self) -> bool:
         raise SymbolicBranchError(

@@ -118,19 +118,13 @@ class TestBootCode:
     """§3.4: boot-code verification from the architectural reset state."""
 
     def test_certikos_boot_establishes_ri(self):
-        from repro.certikos import prove_boot
-
-        assert prove_boot(1).proved
+        assert CertikosVerifier(opt=1).prove_boot().proved
 
     def test_komodo_boot_establishes_ri(self):
-        from repro.komodo import prove_boot
-
-        assert prove_boot(1).proved
+        assert KomodoVerifier(opt=1).prove_boot().proved
 
     def test_boot_at_o0(self):
-        from repro.certikos import prove_boot
-
-        assert prove_boot(0).proved
+        assert CertikosVerifier(opt=0).prove_boot().proved
 
 
 class TestKomodo:

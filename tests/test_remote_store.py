@@ -831,6 +831,36 @@ class TestRequestBodies:
             server.close()
 
     @pytest.mark.parametrize("kind", ["store-server", "daemon"])
+    def test_every_method_gets_a_json_reply(self, tmp_path, kind):
+        """A method no route serves gets a JSON error, not the standard
+        library's 501 page, and the connection stays open."""
+        server, health = _start(kind, tmp_path)
+        parts = urlsplit(server.url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            replies = {}
+            sockets = set()
+            for method, path in [
+                ("DELETE", f"/store/{DIG}"),
+                ("PATCH", "/jobs"),
+                ("OPTIONS", "/store/healthz"),
+                ("GET", health),
+            ]:
+                conn.request(method, path)
+                response = conn.getresponse()
+                assert response.getheader("Content-Type") == "application/json"
+                replies[method] = (response.status, json.loads(response.read()))
+                sockets.add(id(conn.sock))
+            assert replies["DELETE"][0] == 405 and "error" in replies["DELETE"][1]
+            for method in ("PATCH", "OPTIONS"):
+                assert replies[method][0] in (404, 405) and "error" in replies[method][1]
+            assert replies["GET"][0] == 200 and replies["GET"][1]["ok"]
+            assert len(sockets) == 1, "the connection was not kept alive"
+        finally:
+            conn.close()
+            server.close()
+
+    @pytest.mark.parametrize("kind", ["store-server", "daemon"])
     def test_body_a_route_ignores_is_consumed(self, tmp_path, kind):
         """A body sent to a route that reads none does not stay on the
         connection to be parsed as the next request."""
