@@ -34,13 +34,10 @@ A0, A1, A2, A7 = 10, 11, 12, 17
 class MonitorVerifier:
     """Verification harness for one build of a monitor.
 
-    A subclass declares the monitor: ``NAME`` (the proofs' prefix),
-    ``XLEN``, ``OPERATIONS`` (op name -> ``(call number, spec)``, the
-    number passed in a7, or None for the call outside the interface,
-    and ``spec(s, a0, a1, a2)`` the specification step), ``abstract``
-    (AF) and ``rep_invariant`` (RI) over a :class:`CpuState`, and the
-    methods :meth:`build_image`, :meth:`invalid_call`,
-    :meth:`boot_address` and :meth:`initial_spec_state`.
+    A subclass declares the monitor: the class attributes below, where
+    ``NAME`` prefixes the proofs and ``OPERATIONS`` maps an op name to
+    ``(call number in a7, or None for the call outside the interface;
+    spec(s, a0, a1, a2))``, and the four methods a monitor declares.
     """
 
     NAME: ClassVar[str]
@@ -65,7 +62,7 @@ class MonitorVerifier:
         self.image = self.build_image()
         self.interp = RiscvInterp(self.image, xlen=self.XLEN)
 
-    # -- what a monitor declares ------------------------------------------------
+    # -- what a monitor declares ---------------------------------------------
 
     def build_image(self) -> Image:
         """The monitor binary at ``self.opt``; its first instruction is
@@ -84,7 +81,7 @@ class MonitorVerifier:
         """The specification state boot must reach."""
         raise NotImplementedError
 
-    # -- the workflow ---------------------------------------------------------------
+    # -- the workflow --------------------------------------------------------
 
     def make_cpu(self) -> CpuState:
         """The trap-entry state: symbolic registers, CSRs and memory."""
