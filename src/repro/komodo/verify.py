@@ -15,7 +15,7 @@ from ..sym import bv_val
 from .impl import CALL_NAMES, boot_address, build_image
 from .invariants import abstract, rep_invariant
 from .layout import HOST, NENC, NPAGES, NSAVED, XLEN
-from .spec import SPEC_CALLS, KomodoState
+from .spec import KomodoState, SPEC_CALLS
 
 __all__ = ["KomodoVerifier"]
 

@@ -20,7 +20,7 @@ from ..core.image import Image, build_memory
 from ..core.memory import MemoryOptions
 from ..core.spec import Refinement, SpecStruct
 from ..core.symopt import SymOptConfig
-from ..sym import ProofResult, SymBool, SymBV, bv_val, new_context, verify_vcs
+from ..sym import ProofResult, SymBV, SymBool, bv_val, new_context, verify_vcs
 from .cpu import CpuState
 from .interp import RiscvInterp
 
