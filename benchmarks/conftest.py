@@ -126,7 +126,8 @@ def banner(title: str) -> None:
 
 
 # Scheduler telemetry carried per-run into the artifact when present
-# (SchedulerStats.as_dict() emits them; an in-process run does not).
+# (RunnerStats.as_dict() emits them at every jobs; ProofResult.stats
+# of a proof that packaged no obligation does not).
 _SCHEDULER_FIELDS = (
     "retries",
     "timeouts",
@@ -139,8 +140,8 @@ _SCHEDULER_FIELDS = (
 
 def record_runner_run(label: str, stats: dict, wall_time_s: float | None = None) -> None:
     """Log one runner invocation (``stats`` from ``ProofResult.stats``
-    or ``RunnerStats``/``SchedulerStats`` ``.as_dict()``) into the
-    artifact, including scheduler telemetry when present."""
+    or ``RunnerStats.as_dict()``) into the artifact, including
+    scheduler telemetry when present."""
     entry = {
         "label": label,
         "obligations": stats.get("obligations", 0),

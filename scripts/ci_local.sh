@@ -53,7 +53,9 @@ fi
 # -- sat-stress ------------------------------------------------------
 # DIMACS corpus verdicts (arena / arena-nochrono vs `c expect`), equal
 # obligation verdicts on a shared session, a per-obligation reset
-# session and the scheduler, equal JIT verdicts with and without the
+# session and the scheduler, a malformed-payload and timeout batch that
+# reduces alike at jobs=1 and jobs=2 (statuses, worker_error,
+# timed_out, retries, timeouts), equal JIT verdicts with and without the
 # session's verdict memo, the certificate audit, a jobs=1 store that
 # answers every obligation at jobs=2, and the long pole's split into
 # proved piece obligations under an audited split certificate.

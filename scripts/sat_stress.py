@@ -10,12 +10,16 @@ Six layers of checking, mirroring the ``sat-stress`` CI job:
     both verdicts must match the instance's ``c expect`` header, and
     every SAT model is checked against the clauses.
   * **Session and dispatch modes**: a small verification grid runs
-    in-process on one shared incremental session, then with the session
-    reset before every obligation (which behaves exactly like a fresh
-    solver), then through the obligation scheduler with two workers.
-    The per-obligation verdict lists must be identical, and the shared
-    run must answer at least one obligation from the session's verdict
-    memo (the grid repeats three goal shapes over fresh variables).
+    at ``jobs=1`` on one shared incremental session, then with the
+    session reset before every obligation (which behaves exactly like a
+    fresh solver), then on the scheduler's two-worker pool.  The
+    per-obligation verdict lists must be identical, and the shared run
+    must answer at least one obligation from the session's verdict memo
+    (the grid repeats three goal shapes over fresh variables).  Then a
+    failure batch (a malformed payload and two goals that time out)
+    runs at ``jobs=1`` and ``jobs=2``: each obligation's status,
+    ``worker_error`` and ``timed_out``, and the run's retries and
+    timeouts, must be equal.
   * **JIT verdict memo**: a seeded battery of register-redrawn BPF
     instructions over both fixed JITs, plus the 15 bug witnesses (each
     also moved to other registers) on their buggy JITs, runs on one
@@ -137,6 +141,32 @@ def stress_grid(prefix: str):
     return obligations
 
 
+def failure_batch(prefix: str):
+    """A payload the worker cannot rebuild (sort tag ``zz``), then two
+    goals whose negation ``x*x != x+k`` needs a real 32-bit search."""
+    from repro.core.runner import Obligation
+    from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvadd, mk_bvmul, mk_eq
+
+    malformed = {"nodes": [["var", "zz", [], "y"], ["not", "b", [0], None]], "roots": [1]}
+    obligations = [Obligation.from_json({"name": f"{prefix}malformed", "payload": malformed})]
+    x = fresh_var(f"{prefix}x", bv_sort(32))
+    for offset in (3, 5):
+        goal = mk_eq(mk_bvmul(x, x), mk_bvadd(x, mk_bv(offset, 32)))
+        obligations.append(Obligation.from_terms(f"{prefix}hard{offset}", [goal]))
+    return obligations
+
+
+def failure_reduction(jobs: int):
+    """The failure batch at ``jobs`` under a 1 ms timeout and one retry:
+    each obligation's (status, worker_error, timed_out), and the run's
+    retries and timeouts."""
+    from repro.core.runner import run_obligations
+
+    results, stats = run_obligations(failure_batch("fail"), jobs=jobs, timeout_s=0.001, retries=1)
+    reduced = [(r.status, r.stats.get("worker_error"), bool(r.stats.get("timed_out"))) for r in results]
+    return reduced, stats.retries, stats.timeouts
+
+
 def check_modes() -> int:
     from repro import obs
     from repro.core.runner import run_obligations
@@ -163,12 +193,18 @@ def check_modes() -> int:
         verdicts["reset"] += statuses(run_obligations([ob], jobs=1)[0])
     try:
         verdicts["jobs=2"] = statuses(run_obligations(obligations, jobs=2)[0])
+        failures = {jobs: failure_reduction(jobs) for jobs in (1, 2)}
     finally:
         shutdown_scheduler()
     for mode, got in verdicts.items():
         print(f"{mode:8s} {got}")
     if any(got != verdicts["shared"] for got in verdicts.values()):
         print(f"FAIL: verdicts differ across modes: {verdicts}", file=sys.stderr)
+        return 1
+    for jobs, (reduced, retries, timeouts) in failures.items():
+        print(f"failures jobs={jobs}: {[r[0] for r in reduced]}, retries {retries}, timeouts {timeouts}")
+    if failures[1] != failures[2]:
+        print(f"FAIL: the failure batch reduces differently across jobs: {failures}", file=sys.stderr)
         return 1
     print("mode agreement holds")
     return 0

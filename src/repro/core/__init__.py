@@ -32,8 +32,8 @@ from .runner import (
     run_obligations,
 )
 from .scheduler import (
+    InlineScheduler,
     ObligationScheduler,
-    SchedulerStats,
     get_scheduler,
     shutdown_scheduler,
 )

@@ -15,9 +15,9 @@ This module makes those units explicit:
     DAG of ``assumptions ∧ ¬(∧ goals)``, packaged once where the terms
     were built) that can be shipped to a worker process or hashed for
     the cache, and is keyed, solved and certified as given;
-  * :func:`run_obligations` — dispatches obligations in-process or
-    across worker processes and reduces results deterministically
-    (input order, first failure wins);
+  * :func:`run_obligations` — hands obligations to a scheduler, in
+    the calling thread or across worker processes, and reduces results
+    deterministically (input order, first failure wins);
   * the persistent verdict store (``repro.core.store``, in the format
     of ``repro.smt.SolverCache``) keyed by the canonical hash-consed
     DAG digest, so alpha-equivalent queries hit across runs and across
@@ -29,13 +29,14 @@ Everything above the solver boundary funnels through here:
 ``repro.sym.check_batch``, ``Refinement.prove(jobs=...)`` and the
 verifiers' ``jobs``/``cache_dir`` knobs ride on it.
 
-There are exactly two dispatch modes, over the same obligations.
-``jobs=1`` runs them in-process, in order; ``jobs > 1`` feeds the
-**process-wide scheduler** (``repro.core.scheduler``): one persistent
-pool shared by every ``run_obligations`` call, fed from one FIFO
-queue, with per-obligation timeout + bounded retry.  Either way,
-verdicts are memoized in the sharded content-addressed store
-(``repro.core.store.VerdictStore``) when a ``cache_dir`` is given.
+There is one dispatcher, the scheduler (``repro.core.scheduler``): one
+FIFO queue, per-obligation timeout + bounded retry, deterministic
+reduction.  ``jobs > 1`` feeds the **process-wide** scheduler, one
+persistent pool shared by every ``run_obligations`` call; ``jobs=1``
+runs the same queue and policy in the calling thread
+(``InlineScheduler``).  Either way, verdicts are memoized in the
+sharded content-addressed store (``repro.core.store.VerdictStore``)
+when a ``cache_dir`` is given.
 
 **Piece obligations** (§4's split-cases, one level below the VC): a
 refinement VC's goal is ``not(and(c1..cn))``, one conjunct per
@@ -46,9 +47,8 @@ conjunction with n >= 2, the worker does not solve it: it answers with
 a :class:`Split`, one piece obligation per distinct conjunct, each the
 query ``R ∧ ¬ci`` over the obligation's other roots ``R`` as
 :func:`piece_nodes` derives it.  Pieces run at the head of the
-scheduler's queue (in order, in this process, when the batch runs
-in-process), each an obligation of its own for budgets, retries, the
-store and certificates.  The first piece that is not proved, in
+scheduler's queue, each an obligation of its own for budgets, retries,
+the store and certificates.  The first piece that is not proved, in
 conjunct order, decides the whole; when every piece is proved, the
 parent stores the whole digest as ``unsat`` with a ``split``
 certificate (docs/CERTIFICATES.md).  Callers see one result per
@@ -57,12 +57,12 @@ obligation they submitted, never a piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import os
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..obs import count as _obs_count, observe as _obs_observe, span as _obs_span
+from ..obs import count as _obs_count, span as _obs_span
 from ..smt import (
     SolverTimeout,
     Term,
@@ -265,27 +265,33 @@ class ObligationResult:
 
 @dataclass
 class RunnerStats:
-    """Aggregate statistics for one ``run_obligations`` call."""
+    """Aggregate statistics for one ``run_obligations`` call, with the
+    scheduler's telemetry at every ``jobs``.
+
+    ``utilization`` is the fraction of pool worker-seconds spent running
+    tasks during this run's wall time (1.0 = every worker busy the whole
+    time; 0.0 with no pool, at ``jobs=1``); ``max_queue_depth`` is the
+    deepest the queue got while the run was live.
+    """
 
     obligations: int = 0
     jobs: int = 1
     wall_time_s: float = 0.0
     cache_queries: int = 0
     cache_hits: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    max_queue_depth: int = 0
+    worker_restarts: int = 0
+    pool_workers: int = 0
+    utilization: float = 0.0
 
     @property
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.cache_queries if self.cache_queries else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "obligations": self.obligations,
-            "jobs": self.jobs,
-            "wall_time_s": self.wall_time_s,
-            "cache_queries": self.cache_queries,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
+        return dict(asdict(self), cache_hit_rate=self.cache_hit_rate)
 
 
 def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc") -> list[Obligation]:
@@ -434,8 +440,8 @@ class Split:
         from .store import open_store
 
         cache = open_store(cache_dir)
-        # This thread's CPU: in the scheduler this runs on the
-        # dispatcher thread, beside the waiting callers.
+        # This thread's CPU: on the pool this runs on the dispatcher
+        # thread, beside the waiting callers.
         emit_start = time.thread_time()
         with _obs_span("cert.build", cat="solver-cache"):
             cert = build_split_certificate(
@@ -474,8 +480,8 @@ def _check_obligation(
     Its payload is looked up as given (``Solver.lookup``), so a hit
     builds no terms.  On a miss, an obligation whose goal splits is
     answered by its :class:`Split`, still without terms; any other is
-    rebuilt (``deserialize_terms``) and solved.  The scheduler's
-    workers call this too; their trace envelope lives in the scheduler.
+    rebuilt (``deserialize_terms``) and solved.  The scheduler's task
+    executor calls this, in a worker or in the calling thread.
     """
     start = time.perf_counter()
     solver = Solver(
@@ -515,29 +521,6 @@ def _stats(solver: Solver, start: float) -> dict:
     return stats
 
 
-def _run_pieces(
-    split: Split,
-    cache_dir: str | None,
-    max_conflicts: int | None,
-    timeout_s: float | None,
-) -> ObligationResult:
-    """In-process: run a split's pieces in order until they decide the
-    whole obligation, and record the whole when it is proved.  A piece
-    never splits again (:func:`_conjuncts`)."""
-    results: list[ObligationResult | None] = [None] * len(split.pieces)
-    for slot, piece in enumerate(split.pieces):
-        with _obs_span(piece.name, cat="scheduler") as sargs:
-            results[slot] = _check_obligation(piece, cache_dir, max_conflicts, timeout_s)
-        if sargs is not None:
-            sargs["status"] = results[slot].status
-        verdict = split.verdict(results)
-        if verdict is not None:
-            break
-    if verdict.proved:
-        split.record(cache_dir)
-    return verdict
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 
@@ -549,61 +532,38 @@ def run_obligations(
     timeout_s: float | None = None,
     retries: int = 1,
 ) -> tuple[list[ObligationResult], RunnerStats]:
-    """Discharge obligations, optionally across worker processes.
+    """Discharge obligations through the scheduler.
 
-    ``jobs=1`` runs in-process (no multiprocessing overhead, the
-    sequential baseline); ``jobs=0`` means one worker per core.  With
-    ``jobs > 1`` the obligations feed the process-wide scheduler
-    (``repro.core.scheduler``): one persistent pool shared by every
-    concurrent caller, per-obligation ``timeout_s`` with ``retries``
-    bounded re-runs.  Both modes use the sharded verdict store at
-    ``cache_dir``.
+    ``jobs=0`` means one worker per core.  With ``jobs > 1`` and more
+    than one obligation, the batch feeds the process-wide scheduler's
+    pool (``repro.core.scheduler``), shared by every concurrent caller;
+    otherwise, and always inside a worker, an ``InlineScheduler`` runs
+    it in the calling thread (no multiprocessing overhead, the
+    sequential baseline).  Either way each obligation gets
+    ``timeout_s`` with ``retries`` bounded re-runs, a task that raises
+    is reported ``unknown`` with ``worker_error``, and the sharded
+    verdict store at ``cache_dir`` is used.
 
     The reduction is deterministic regardless of worker scheduling:
     results come back in input order, so "first failing obligation"
     is stable across parallel runs — parallel and sequential runs
     produce identical verdicts in identical order.
     """
-    from .scheduler import in_worker
+    from .scheduler import InlineScheduler, get_scheduler, in_worker
 
     if jobs == 0:
         jobs = default_jobs()
     if in_worker():
         jobs = 1
-    if jobs > 1 and len(obligations) > 1:
-        from .scheduler import get_scheduler
-
-        return get_scheduler(jobs).run(
-            obligations,
-            cache_dir=cache_dir,
-            max_conflicts=max_conflicts,
-            timeout_s=timeout_s,
-            retries=retries,
-            jobs_hint=jobs,
-        )
-    # In-process: solver/sym events already record straight into the
-    # caller's collector; only the per-obligation scheduler-layer span
-    # needs adding.
-    start = time.perf_counter()
-    results = []
-    for ob in obligations:
-        ob_start = time.perf_counter()
-        with _obs_span(ob.name, cat="scheduler") as sargs:
-            result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s)
-            if isinstance(result, Split):
-                result = _run_pieces(result, cache_dir, max_conflicts, timeout_s)
-        _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
-        if sargs is not None:
-            sargs["status"] = result.status
-        results.append(result)
-    stats = RunnerStats(
-        obligations=len(obligations),
-        jobs=1,
-        wall_time_s=time.perf_counter() - start,
-        cache_queries=sum(1 for r in results if r.stats.get("cached")),
-        cache_hits=sum(1 for r in results if r.stats.get("cache_hit")),
+    scheduler = get_scheduler(jobs) if jobs > 1 and len(obligations) > 1 else InlineScheduler()
+    return scheduler.run(
+        obligations,
+        cache_dir=cache_dir,
+        max_conflicts=max_conflicts,
+        timeout_s=timeout_s,
+        retries=retries,
+        jobs_hint=jobs,
     )
-    return results, stats
 
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
@@ -633,8 +593,8 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
 def reduce_results(results: Sequence[ObligationResult]) -> ObligationResult | None:
     """Deterministic reduction: the first non-proved result, or None.
 
-    Mirrors the sequential runner's "stop at first failure" semantics
-    without depending on which worker finished first.
+    "Stop at first failure" semantics, without depending on which
+    worker finished first.
     """
     for result in results:
         if not result.proved:

@@ -366,13 +366,8 @@ def _build_asm(opt: int) -> Assembler:
 
     for name in CALL_NAMES:
         asm.label(f"do_{name}")
-        if name in ("enter", "resume"):
-            # enter(eid) arrives with eid in a0 already.
-            asm.call(f"c_{name}")
-        elif name == "map_secure":
-            asm.call("c_map_secure")
-        else:
-            asm.call(f"c_{name}")
+        # Every call's arguments arrive in a0.. already.
+        asm.call(f"c_{name}")
         asm.j("restore" if name in SWITCHING else "save_ret")
 
     asm.label("save_ret")

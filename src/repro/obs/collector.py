@@ -585,13 +585,16 @@ class _Tracing:
         return self.collector
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        # Remove this session, which need not be the innermost: the
+        # daemon's may close inside a session opened after it.
         global _active
-        _stack.pop()
+        at = len(_stack) - 1 - _stack[::-1].index(self.collector)
+        del _stack[at]
         _active = _stack[-1] if _stack else None
         if not _stack:
             _set_sym_hooks(None, None)
-        if self._absorb and _active is not None:
-            _active.absorb(self.collector.snapshot())
+        if self._absorb and at > 0:
+            _stack[at - 1].absorb(self.collector.snapshot())
         return False
 
 

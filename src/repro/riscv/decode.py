@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from .encode import encode
 from .insn import (
     AUIPC,
@@ -136,12 +138,15 @@ def decode(word: int, xlen: int = 64) -> Insn:
     raise DecodeError(f"unknown opcode {opcode:#04x} in word {word:#010x}")
 
 
+@functools.cache
 def decode_validated(word: int, xlen: int = 64) -> Insn:
     """Decode and validate via the encoder (§3.4).
 
     Re-encodes the decoded instruction and checks the bytes match the
     original word, removing the decoder (and any external disassembler)
-    from the trusted computing base.
+    from the trusted computing base.  A pure function of ``(word,
+    xlen)`` returning a frozen ``Insn``, so each word is decoded once
+    per process, however many interpreters fetch it.
     """
     insn = decode(word, xlen)
     reencoded = encode(insn, xlen)

@@ -2,8 +2,8 @@
 
 Implements RV32I/RV64I + M + Zicsr plus the privileged instructions
 the monitors use.  Decoding is validated against the encoder (§3.4),
-and decoded instructions are cached per address — the program text is
-concrete, so decode work is done once.
+and ``decode_validated`` caches each word — the program text is
+concrete, so decode work is done once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class RiscvInterp(Interpreter):
     def __init__(self, image: Image, xlen: int = 64):
         self.image = image
         self.xlen = xlen
-        self._decode_cache: dict[int, Insn] = {}
 
     # -- engine protocol ----------------------------------------------------------
 
@@ -49,14 +48,10 @@ class RiscvInterp(Interpreter):
             if not pc.is_concrete:
                 raise AssertionError("riscv fetch requires split-pc (concrete pc)")
             addr = pc.as_int()
-            insn = self._decode_cache.get(addr)
-            if insn is None:
-                word = self.image.words.get(addr)
-                if word is None:
-                    raise KeyError(f"fetch outside text section: pc={addr:#x}")
-                insn = decode_validated(word, self.xlen)
-                self._decode_cache[addr] = insn
-            return insn
+            word = self.image.words.get(addr)
+            if word is None:
+                raise KeyError(f"fetch outside text section: pc={addr:#x}")
+            return decode_validated(word, self.xlen)
 
     # -- execution ----------------------------------------------------------------
 

@@ -147,7 +147,6 @@ class ArenaSolver:
         # (and re-propagating) hundreds of variables per conflict.
         # None disables (always use the non-chronological backjump).
         self.chrono_threshold: int | None = 64
-        self._assumed_count = 0
         # Cone restriction for the current solve: None = all variables.
         self._rel: set[int] | None = None
         # Optional proof sink (repro.smt.proof.ProofLog).  None keeps
@@ -601,7 +600,8 @@ class ArenaSolver:
         timeout_s: float | None = None,
         relevant: set[int] | None = None,
     ) -> str:
-        """Search for a model consistent with ``assumptions``.
+        """Search for a model consistent with ``assumptions``, literals
+        kept as pseudo-decisions below every real decision.
 
         Returns "sat", "unsat", or "unknown" (budget exhausted).  After
         "sat", use :meth:`value` to read the model.  Two budgets bound
@@ -663,7 +663,7 @@ class ArenaSolver:
             return UNSAT
         self._rebuild_order()
 
-        num_assumed = self._assumed_count
+        num_assumed = len(assumptions)
         restart_idx = 0
         conflicts_until_restart = 100 * luby(restart_idx)
         budget_left = max_conflicts
@@ -770,25 +770,6 @@ class ArenaSolver:
             if len(self._trail_lim) > self.max_decision_level:
                 self.max_decision_level = len(self._trail_lim)
             self._enqueue(lit, -1)
-
-    def solve_with(
-        self,
-        assumptions: list[int],
-        max_conflicts: int | None = None,
-        timeout_s: float | None = None,
-        relevant: set[int] | None = None,
-    ) -> str:
-        """Solve under assumptions (kept as pseudo-decisions)."""
-        self._assumed_count = len(assumptions)
-        try:
-            return self.solve(
-                list(assumptions),
-                max_conflicts=max_conflicts,
-                timeout_s=timeout_s,
-                relevant=relevant,
-            )
-        finally:
-            self._assumed_count = 0
 
     def maintain(self) -> None:
         """Between-solve housekeeping for long-lived (session) solvers:

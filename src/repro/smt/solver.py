@@ -679,7 +679,7 @@ class Solver:
         if self.timeout_s is not None:
             sat_budget_s = max(self.timeout_s - blast_time, 0.0)
         with obs_span("sat.solve", cat="sat") as sargs:
-            status = sat.solve_with(
+            status = sat.solve(
                 roots,
                 max_conflicts=self.max_conflicts,
                 timeout_s=sat_budget_s,

@@ -63,14 +63,14 @@ class TestLearnedRetention:
                 for i2 in range(i1 + 1, n):
                     s.add_clause([-p[(i1, j)], -p[(i2, j)]])
         gate = s.new_var()  # free selector so the formula stays assumption-relative
-        assert s.solve_with([gate]) == UNSAT
+        assert s.solve([gate]) == UNSAT
         kept = s.stats()["learned_kept"]
         assert kept > 0
         first_conflicts = s.conflicts
         # Re-solving under the flipped selector reuses the learned DB:
         # still UNSAT (the pigeonhole core is selector-independent) and
         # the retained clauses are still there.
-        assert s.solve_with([-gate]) == UNSAT
+        assert s.solve([-gate]) == UNSAT
         assert s.stats()["learned_kept"] >= 1
         assert s.conflicts <= first_conflicts
 

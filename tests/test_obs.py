@@ -97,6 +97,25 @@ class TestSpans:
         assert [e.name for e in outer.spans] == ["inner-only"]
         assert inner.counters["k"] == 2
 
+    def test_session_may_close_out_of_order(self):
+        """The daemon holds its session open until ``close()``; a caller
+        may open a session after starting it and close the daemon inside
+        that block.  Later counts reach the caller's session, which on
+        exit folds into the session directly outside it."""
+        with obs.tracing() as base:
+            daemon = obs.tracing(absorb=False)
+            daemon_col = daemon.__enter__()
+            with obs.tracing() as inner:
+                obs.count("k", 1)
+                daemon.__exit__(None, None, None)
+                assert obs.get_collector() is inner
+                obs.count("k", 2)
+            assert obs.get_collector() is base
+        assert inner.counters["k"] == 3
+        assert daemon_col.counters == {}
+        assert base.counters["k"] == 3
+        assert not obs.enabled()
+
     def test_span_cap_drops_and_counts(self):
         col = obs.Collector(max_spans=3)
         with obs.tracing(collector=col):

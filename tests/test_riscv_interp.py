@@ -373,3 +373,28 @@ class TestRv32:
     def test_li_rv32(self):
         final = run_program(lambda a: a.li("a2", 0xDEADB000 - (1 << 32)), {}, xlen=32)
         assert reg_val(final, "a2") == 0xDEADB000
+
+
+class TestDecodeOnce:
+    def test_two_interpreters_over_one_image_decode_each_word_once(self):
+        """Decoding is a function of the word: a second interpreter over
+        the same image fetches every instruction without decoding it."""
+        from repro.riscv import decode_validated
+
+        asm = Assembler(base=0x1000, xlen=XLEN)
+        asm.add("a2", "a0", "a1")
+        asm.sub("a3", "a2", "a1")
+        asm.xor("a4", "a3", "a0")
+        asm.mret()
+        image = asm.assemble()
+        decode_validated.cache_clear()
+        for _ in range(2):
+            interp = RiscvInterp(image, xlen=XLEN)
+            with new_context():
+                cpu = CpuState.symbolic(XLEN, 0x1000, Memory([], addr_width=XLEN))
+                for addr in sorted(image.words):
+                    interp.set_pc(cpu, addr)
+                    interp.fetch(cpu)
+        info = decode_validated.cache_info()
+        assert info.misses == len(set(image.words.values())) == 4
+        assert info.hits == 4

@@ -9,6 +9,8 @@ obligation — must be exactly the sequential baseline's.
 import threading
 import time
 
+import pytest
+
 from repro import obs
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler, get_scheduler, in_worker, peek_scheduler
@@ -82,17 +84,21 @@ class TestDeterminism:
         assert not in_worker()
 
 
+def _hard_obligations():
+    x = fresh_var("x", bv_sort(32))
+    hard = []
+    for offset in (3, 5):
+        goal = mk_eq(mk_bvmul(x, x), mk_bvadd(x, mk_bv(offset, 32)))
+        # The negation (x*x != x+offset) needs a real SAT search.
+        hard.append(Obligation.from_terms(f"hard{offset}", [goal]))
+    return hard
+
+
 class TestTimeouts:
     def test_timeout_retries_then_unknown(self):
         """A diverging query is interrupted mid-solve, retried once,
         and reduced as unknown — never a wrong verdict."""
-        x = fresh_var("x", bv_sort(32))
-        hard = []
-        for offset in (3, 5):
-            goal = mk_eq(mk_bvmul(x, x), mk_bvadd(x, mk_bv(offset, 32)))
-            # The negation (x*x != x+offset) needs a real SAT search.
-            hard.append(Obligation.from_terms(f"hard{offset}", [goal]))
-
+        hard = _hard_obligations()
         sched = ObligationScheduler(workers=2)
         try:
             results, stats = sched.run(hard, timeout_s=0.001, retries=1, jobs_hint=2)
@@ -102,6 +108,13 @@ class TestTimeouts:
         assert all(r.stats.get("timed_out") for r in results)
         assert stats.retries == len(hard)  # one bounded retry each
         assert stats.timeouts == 2 * len(hard)  # initial attempt + retry
+
+    def test_inline_run_retries_a_timeout(self):
+        """``jobs=1`` is the same policy with the calling thread as the
+        one worker: each timed-out goal is retried once, as on the pool."""
+        results, stats = run_obligations(_hard_obligations(), jobs=1, timeout_s=0.001, retries=1)
+        assert [(r.status, r.stats.get("timed_out")) for r in results] == [("unknown", True)] * 2
+        assert (stats.retries, stats.timeouts) == (2, 4)
 
     def test_no_timeout_when_budget_sufficient(self):
         x = fresh_var("x", bv_sort(8))
@@ -261,6 +274,61 @@ class TestTracing:
         assert sorted(e.name for e in spans) == [ob.name for ob in obligations]
         assert all(e.tid.startswith("worker-") for e in spans)
         assert col.counters["solver.queries"] == len(obligations)
+
+
+class TestOneDispatcher:
+    def test_malformed_payload_reduces_alike_at_every_jobs(self):
+        """A payload ``from_json`` accepts but no worker can rebuild (sort
+        tag ``zz``) is an ``unknown`` verdict with ``worker_error`` at
+        every ``jobs``; the batch's other verdicts are unaffected."""
+        x = fresh_var("x", bv_sort(8))
+        batch = [
+            Obligation.from_terms("valid", [mk_eq(x, mk_bv(5, 8))]),
+            Obligation.from_json(
+                {
+                    "name": "malformed",
+                    "payload": {"nodes": [["var", "zz", [], "y"], ["not", "b", [0], None]], "roots": [1]},
+                }
+            ),
+        ]
+        reduced = {}
+        for jobs in (1, 2):
+            results, stats = run_obligations(batch, jobs=jobs)
+            reduced[jobs] = [(r.status, "worker_error" in r.stats) for r in results]
+            assert stats.retries == 1  # the crashed task's one retry
+        assert reduced[1] == reduced[2] == [("failed", False), ("unknown", True)]
+
+    def test_interrupt_reaches_the_caller_inline(self):
+        """Inline, only ``Exception`` becomes a verdict: an interrupt
+        raised by a task stops the run."""
+        from repro.core.scheduler import InlineScheduler
+
+        sched = InlineScheduler()
+        with pytest.raises(KeyboardInterrupt):
+            sched.submit_calls(_interrupt, [0])
+
+    def test_inline_run_records_the_pool_telemetry(self):
+        """At ``jobs=1`` each obligation gets the pool's ``scheduler``
+        span arguments, on track ``main``, and its ``obligation.done``
+        event and queue-wait observation."""
+        obligations = _obligation_set()
+        with obs.tracing() as col:
+            results, stats = run_obligations(obligations, jobs=1)
+        spans = [e for e in col.spans if e.cat == "scheduler"]
+        assert [e.name for e in spans] == [ob.name for ob in obligations]
+        for span, result in zip(spans, results):
+            assert span.tid == "main"
+            assert span.args["status"] == result.status
+            assert span.args["attempts"] == 1 and span.args["worker"] == "main"
+            assert span.args["queued_s"] >= 0.0
+        done = [e for e in col.events if e["msg"] == "obligation.done"]
+        assert [e["name"] for e in done] == [ob.name for ob in obligations]
+        assert col.histograms["obligation.queue_wait_seconds"].count == len(obligations)
+        assert stats.max_queue_depth == len(obligations) and stats.pool_workers == 0
+
+
+def _interrupt(_item):
+    raise KeyboardInterrupt
 
 
 class TestTelemetry:

@@ -130,15 +130,24 @@ class TestBasics:
 
 
 class TestAssumptions:
+    def test_solve_honours_its_assumptions(self, solver_cls):
+        """``solve`` is the one entry point: the literals it is given
+        hold in every model it reports, and the next solve drops them."""
+        s = solver_cls()
+        a, b = s.new_var(), s.new_var()
+        s.add_clause([a, b])
+        assert s.solve([-a, -b]) == UNSAT
+        assert s.solve() == SAT
+
     def test_assumptions_flip(self, solver_cls):
         s = solver_cls()
         a, b = s.new_var(), s.new_var()
         s.add_clause([a, b])
-        assert s.solve_with([-a]) == SAT
+        assert s.solve([-a]) == SAT
         assert s.value(b) is True
-        assert s.solve_with([-b]) == SAT
+        assert s.solve([-b]) == SAT
         assert s.value(a) is True
-        assert s.solve_with([-a, -b]) == UNSAT
+        assert s.solve([-a, -b]) == UNSAT
         # Solver remains usable after an assumption-UNSAT answer.
         assert s.solve() == SAT
 
@@ -146,8 +155,8 @@ class TestAssumptions:
         s = solver_cls()
         a = s.new_var()
         s.add_clause([a])
-        assert s.solve_with([-a]) == UNSAT
-        assert s.solve_with([a]) == SAT
+        assert s.solve([-a]) == UNSAT
+        assert s.solve([a]) == SAT
 
 
 class TestLuby:
@@ -204,7 +213,7 @@ def test_implementations_agree_on_random_instances():
             base = s.solve() if ok else UNSAT
             if base == SAT:
                 check_model(s, clauses)
-            assumed = s.solve_with([1, -2]) if ok else UNSAT
+            assumed = s.solve([1, -2]) if ok else UNSAT
             if assumed == SAT:
                 check_model(s, clauses + [[1], [-2]])
             assert (base == SAT, assumed == SAT) == expected, clauses
