@@ -34,6 +34,7 @@ from repro.core.remote import (
     StoreAPI,
     StoreServer,
     _reset_breakers,
+    _stop_flushers,
 )
 from repro.core.runner import Obligation, run_obligations
 from repro.core.store import VerdictStore, main as store_main
@@ -58,9 +59,12 @@ from repro.smt.checkproof import audit_store, check_certificate
 @pytest.fixture(autouse=True)
 def _fresh_breakers():
     """Each test starts with every circuit breaker closed, however the
-    previous test left the (process-global) breaker table."""
+    previous test left the (process-global) breaker table, and leaves
+    no spool flusher behind to count its failures into a later test's
+    session."""
     _reset_breakers()
     yield
+    _stop_flushers()
     _reset_breakers()
 
 
