@@ -55,7 +55,10 @@ fi
 # obligation verdicts on a shared session, a per-obligation reset
 # session and the scheduler, a malformed-payload and timeout batch that
 # reduces alike at jobs=1 and jobs=2 (statuses, worker_error,
-# timed_out, retries, timeouts), equal JIT verdicts with and without the
+# timed_out, retries, timeouts), a batch of task messages over 64 KiB
+# each that reduces alike at jobs=1 and jobs=2, a pool whose idle
+# worker is SIGKILLed between two batches giving the second batch the
+# jobs=1 verdicts, equal JIT verdicts with and without the
 # session's verdict memo, the certificate audit, a jobs=1 store that
 # answers every obligation at jobs=2, and the long pole's split into
 # proved piece obligations under an audited split certificate.

@@ -19,7 +19,11 @@ Six layers of checking, mirroring the ``sat-stress`` CI job:
     failure batch (a malformed payload and two goals that time out)
     runs at ``jobs=1`` and ``jobs=2``: each obligation's status,
     ``worker_error`` and ``timed_out``, and the run's retries and
-    timeouts, must be equal.
+    timeouts, must be equal.  So must the verdicts of a batch whose
+    task messages each outgrow a 64 KiB pipe buffer.  Last, one idle
+    worker of the two-worker pool is killed (SIGKILL) between two
+    batches: the pool must replace it, and the second batch must get
+    the ``jobs=1`` verdicts.
   * **JIT verdict memo**: a seeded battery of register-redrawn BPF
     instructions over both fixed JITs, plus the 15 bug witnesses (each
     also moved to other registers) on their buggy JITs, runs on one
@@ -48,6 +52,7 @@ Exits nonzero on any disagreement.
 import argparse
 import glob
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -122,13 +127,12 @@ def check_corpus() -> int:
     return 1 if failures else 0
 
 
-def stress_grid(prefix: str):
-    """A small obligation grid: valid identities plus invalid goals."""
-    from repro.core.runner import Obligation
+def stress_goals(prefix: str, count: int = 10):
+    """``(name, goal)`` pairs: valid identities plus invalid goals."""
     from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
 
-    obligations = []
-    for i in range(10):
+    goals = []
+    for i in range(count):
         x = fresh_var(f"{prefix}x", bv_sort(8))
         y = fresh_var(f"{prefix}y", bv_sort(8))
         if i % 4 == 3:
@@ -137,22 +141,34 @@ def stress_grid(prefix: str):
             goal = mk_ule(mk_bvand(x, mk_bv(0x3F, 8)), mk_bv(0x3F, 8))
         else:
             goal = mk_eq(mk_bvxor(mk_bvxor(x, y), y), mk_bvand(x, mk_bv(0xFF, 8)))
-        obligations.append(Obligation.from_terms(f"{prefix}{i}", [goal]))
-    return obligations
+        goals.append((f"{prefix}{i}", goal))
+    return goals
+
+
+def stress_grid(prefix: str):
+    """A small obligation grid: one obligation per stress goal."""
+    from repro.core.runner import Obligation
+
+    return [Obligation.from_terms(name, [goal]) for name, goal in stress_goals(prefix)]
 
 
 def failure_batch(prefix: str):
     """A payload the worker cannot rebuild (sort tag ``zz``), then two
-    goals whose negation ``x*x != x+k`` needs a real 32-bit search."""
+    goals the SAT core cannot decide before its first deadline check:
+    16-bit factors greater than 1 of a 32-bit prime (UNSAT, after
+    thousands of conflicts)."""
     from repro.core.runner import Obligation
-    from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvadd, mk_bvmul, mk_eq
+    from repro.smt import bv_sort, fresh_var, mk_and, mk_bv, mk_bvmul, mk_eq, mk_not, mk_ult, mk_zext
 
     malformed = {"nodes": [["var", "zz", [], "y"], ["not", "b", [0], None]], "roots": [1]}
     obligations = [Obligation.from_json({"name": f"{prefix}malformed", "payload": malformed})]
-    x = fresh_var(f"{prefix}x", bv_sort(32))
-    for offset in (3, 5):
-        goal = mk_eq(mk_bvmul(x, x), mk_bvadd(x, mk_bv(offset, 32)))
-        obligations.append(Obligation.from_terms(f"{prefix}hard{offset}", [goal]))
+    x = fresh_var(f"{prefix}x", bv_sort(16))
+    y = fresh_var(f"{prefix}y", bv_sort(16))
+    one = mk_bv(1, 16)
+    for prime in (1_000_000_007, 1_000_000_009):
+        product = mk_eq(mk_bvmul(mk_zext(x, 16), mk_zext(y, 16)), mk_bv(prime, 32))
+        goal = mk_not(mk_and(product, mk_ult(one, x), mk_ult(one, y)))
+        obligations.append(Obligation.from_terms(f"{prefix}hard{prime}", [goal]))
     return obligations
 
 
@@ -165,6 +181,41 @@ def failure_reduction(jobs: int):
     results, stats = run_obligations(failure_batch("fail"), jobs=jobs, timeout_s=0.001, retries=1)
     reduced = [(r.status, r.stats.get("worker_error"), bool(r.stats.get("timed_out"))) for r in results]
     return reduced, stats.retries, stats.timeouts
+
+
+def big_batch(prefix: str):
+    """Four stress goals under 1,000 shared assumptions over fresh
+    variables (each valid, ``y & 0x0F <= 0x0F``), so every obligation's
+    task message outgrows a 64 KiB pipe buffer."""
+    from repro.core.runner import Obligation
+    from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_ule
+
+    assumptions = []
+    for i in range(1000):
+        y = fresh_var(f"{prefix}y{i}", bv_sort(8))
+        assumptions.append(mk_ule(mk_bvand(y, mk_bv(0x0F, 8)), mk_bv(0x0F, 8)))
+    return Obligation.sharing_assumptions(
+        ((name, [goal]) for name, goal in stress_goals(prefix, 4)), assumptions
+    )
+
+
+def dead_worker_verdicts(batch):
+    """SIGKILL idle worker 0 of the two-worker pool, wait until the pool
+    replaces it, then run ``batch``: ``(workers replaced, verdicts)``,
+    None for an obligation still unanswered after 120 s."""
+    import signal
+    import time
+
+    from repro.core.scheduler import get_scheduler
+
+    pool = get_scheduler(2)
+    restarts = pool.worker_restarts
+    os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while pool.worker_restarts == restarts and time.monotonic() < deadline:
+        time.sleep(0.01)
+    results = pool.submit_obligations(batch).wait(timeout=120.0)
+    return pool.worker_restarts - restarts, [r.status if r is not None else None for r in results]
 
 
 def check_modes() -> int:
@@ -191,9 +242,12 @@ def check_modes() -> int:
     for ob in obligations:
         reset_incremental_session()
         verdicts["reset"] += statuses(run_obligations([ob], jobs=1)[0])
+    big = big_batch("big")
     try:
         verdicts["jobs=2"] = statuses(run_obligations(obligations, jobs=2)[0])
         failures = {jobs: failure_reduction(jobs) for jobs in (1, 2)}
+        bigs = {jobs: statuses(run_obligations(big, jobs=jobs)[0]) for jobs in (1, 2)}
+        replaced, after_kill = dead_worker_verdicts(stress_grid("after"))
     finally:
         shutdown_scheduler()
     for mode, got in verdicts.items():
@@ -205,6 +259,15 @@ def check_modes() -> int:
         print(f"failures jobs={jobs}: {[r[0] for r in reduced]}, retries {retries}, timeouts {timeouts}")
     if failures[1] != failures[2]:
         print(f"FAIL: the failure batch reduces differently across jobs: {failures}", file=sys.stderr)
+        return 1
+    smallest = min(len(pickle.dumps(ob)) for ob in big)  # a task message holds one
+    print(f"big messages ({smallest} B or more each): jobs=1 {bigs[1]}, jobs=2 {bigs[2]}")
+    if smallest <= 65536 or bigs[1] != bigs[2]:
+        print(f"FAIL: a batch of big task messages reduces differently across jobs: {bigs}", file=sys.stderr)
+        return 1
+    print(f"dead worker: {replaced} replaced, next batch {after_kill}")
+    if replaced != 1 or after_kill != verdicts["shared"]:
+        print("FAIL: after an idle worker died the pool did not give the jobs=1 verdicts", file=sys.stderr)
         return 1
     print("mode agreement holds")
     return 0

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 import os
+import threading
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -430,16 +431,14 @@ class Split:
 
     def record(self, cache_dir: str | None) -> None:
         """Record the proved whole where its lookup looked: the store at
-        ``cache_dir`` (through the same ``open_store`` the workers use)
-        gets an ``unsat`` entry and a ``split`` certificate naming each
+        ``cache_dir`` (the process's one store object for it) gets an
+        ``unsat`` entry and a ``split`` certificate naming each
         conjunct's piece; with no store, this process's session memo
         gets the verdict."""
         if not cache_dir:
             get_incremental_session().memo[self.digest] = {"status": UNSAT}
             return
-        from .store import open_store
-
-        cache = open_store(cache_dir)
+        cache = _open_cache(cache_dir)
         # This thread's CPU: on the pool this runs on the dispatcher
         # thread, beside the waiting callers.
         emit_start = time.thread_time()
@@ -459,14 +458,27 @@ class Split:
 # Worker side
 
 
+# One verdict store object per (path, remote URL) in each process.
+_STORES: dict[tuple[str, str], object] = {}
+_STORES_LOCK = threading.Lock()
+
+
 def _open_cache(cache_dir: str | None):
+    """The store at ``cache_dir``, opened once per process: the sharded
+    content-addressed store, with a remote read-through/write-back tier
+    when ``REPRO_REMOTE_STORE`` points at a store server."""
     if not cache_dir:
         return None
-    # Sharded content-addressed store; grows a remote read-through/
-    # write-back tier when REPRO_REMOTE_STORE points at a store server.
-    from .store import open_store
+    from .remote import remote_store_url
 
-    return open_store(cache_dir)
+    key = (cache_dir, remote_store_url())
+    with _STORES_LOCK:
+        cache = _STORES.get(key)
+        if cache is None:
+            from .store import open_store
+
+            cache = _STORES[key] = open_store(*key)
+    return cache
 
 
 def _check_obligation(

@@ -13,9 +13,15 @@ Scheduling discipline:
 
   * the parent keeps **one FIFO queue** of task ids; a submission
     appends its tasks in submission order;
-  * the dispatcher thread hands the head of the queue to an idle
-    worker, one task at a time, under the scheduler lock, so no worker
-    idles while work is queued and tasks start in submission order;
+  * the head of the queue goes to an idle worker, one task at a time,
+    under the scheduler lock, so no worker idles while work is queued
+    and tasks start in submission order.  Each worker has two one-way
+    pipes of its own, tasks in and results out: whichever thread grows
+    the queue or frees a worker (a submitter, or the dispatcher thread
+    on a result) writes the task down the worker's task pipe itself,
+    and the dispatcher thread reads every result pipe, so no feeder
+    thread sits between the two and no lock is shared between
+    processes;
   * a retried task goes back to the *head* of the queue;
   * when a worker answers an obligation with a ``Split`` (its lookup
     missed and its goal is a conjunction, see ``repro.core.runner``),
@@ -30,9 +36,14 @@ Scheduling discipline:
 Resilience (per KVerus' proof-fleet scheduling): each obligation, and
 each piece, gets a wall-clock ``timeout_s`` enforced inside the SAT core
 plus **one bounded retry**; a timed-out-twice obligation reports
-``unknown`` instead of wedging the run, a task that raises reports
-``unknown`` with ``worker_error``, and a crashed worker is respawned
-with its in-flight task requeued.
+``unknown`` instead of wedging the run, and a task that raises reports
+``unknown`` with ``worker_error``.  A worker that dies, busy or idle,
+reads as EOF on its result pipe (or breaks its task pipe when a task is
+sent to it): its in-flight task is requeued, or reported ``worker
+died`` once its retries are spent, and the worker is replaced by a
+fresh process on fresh pipes.  A periodic liveness check backs this up
+for a death that leaves a pipe open (another process forked while one
+of its ends was open).
 
 ``jobs=1`` is the same policy with one worker: :class:`InlineScheduler`
 runs the queue in the calling thread, with no processes and no
@@ -49,8 +60,9 @@ from __future__ import annotations
 import atexit
 from collections import deque
 import multiprocessing
+from multiprocessing.connection import wait as wait_pipes
+from multiprocessing.reduction import ForkingPickler
 import os
-import queue as queue_mod
 import threading
 import time
 
@@ -149,7 +161,7 @@ class _Ticket:
     A ticket traces exactly when a tracing session was open at
     submission: then ``trace`` is set, workers run each task inside
     their own session and ship the span/counter/region snapshot back
-    through the outbox, and ``obs`` collects those ``(wid, snapshot)``
+    with the result, and ``obs`` collects those ``(wid, snapshot)``
     envelopes (an inline task records straight into the session).
     ``timeline`` holds the queued/start/end record of each submitted
     task, by submission order, either way (an obligation its pieces
@@ -164,10 +176,10 @@ class _Ticket:
     ``job`` is an opaque caller tag (the serving layer uses its job id)
     so concurrent submissions can be told apart in telemetry, and
     ``on_result`` — when set — is invoked as ``on_result(index, result)``
-    each time a task finalizes.  The callback runs on the dispatcher
-    thread while the scheduler lock is held: it must be fast and must
-    never call back into the scheduler (stash the result and notify a
-    condition instead).
+    each time a task finalizes.  The callback runs while the scheduler
+    lock is held, mostly on the dispatcher thread: it must be fast and
+    must never call back into the scheduler (stash the result and
+    notify a condition instead).
     """
 
     def __init__(
@@ -273,7 +285,7 @@ def _execute(kind: str, payload, trace: bool, ids, catch=Exception) -> tuple:
 
     With ``trace`` set (a worker whose parent traces) the task runs
     inside its own obs tracing session, and the serialized snapshot
-    (spans, counters, §3.2 region rows) is returned for the outbox;
+    (spans, counters, §3.2 region rows) is returned with the result;
     otherwise it records into whatever session is active.
     ``time.perf_counter()`` is machine-wide on Linux, so a worker's span
     timestamps land directly on the parent's timeline.
@@ -303,26 +315,39 @@ def _execute(kind: str, payload, trace: bool, ids, catch=Exception) -> tuple:
     return result, time.perf_counter() - start, start, snap
 
 
-def _worker_main(wid: int, inbox, outbox) -> None:
-    """Worker process loop: pull a task, :func:`_execute` it, report,
-    repeat.  Never raises out of the loop: it catches even
-    ``SystemExit`` and ``KeyboardInterrupt`` from a task."""
+def _worker_main(tasks, results) -> None:
+    """Worker process loop: read a task from its own task pipe,
+    :func:`_execute` it, write the reply to its own result pipe, repeat
+    until ``None`` or EOF.  Never raises out of a task: it catches even
+    ``SystemExit`` and ``KeyboardInterrupt``."""
     os.environ[_WORKER_ENV] = "1"
     while True:
-        msg = inbox.get()
+        try:
+            msg = tasks.recv()
+        except EOFError:
+            return
         if msg is None:
             return
         tid, kind, payload, trace, ids = msg
-        outbox.put((wid, tid, *_execute(kind, payload, trace, ids, BaseException)))
+        results.send((tid, *_execute(kind, payload, trace, ids, BaseException)))
 
 
 class _Worker:
-    __slots__ = ("wid", "process", "inbox")
+    """A pool process, and the parent's ends of its two pipes: ``tasks``
+    to send it work, ``results`` to read its replies."""
 
-    def __init__(self, wid, process, inbox):
+    __slots__ = ("wid", "process", "tasks", "results")
+
+    def __init__(self, wid):
         self.wid = wid
-        self.process = process
-        self.inbox = inbox
+        self.process = self.tasks = self.results = None
+
+
+def _error_result(task: "_Task", message: str):
+    """What a task reports when it could not run to a result."""
+    if task.kind != "call":
+        return ObligationResult(task.name, UNKNOWN, stats={"worker_error": message})
+    return _CallError(message)
 
 
 class ObligationScheduler:
@@ -343,6 +368,9 @@ class ObligationScheduler:
         self._tasks: dict[int, _Task] = {}
         self._queue: deque[int] = deque()  # tids waiting for a worker
         self._next_tid = 0
+        # Pipe ends of replaced workers, closed by the dispatcher thread
+        # once it no longer waits on them.
+        self._retired: list = []
         self.closed = False
         # Process-lifetime counters (per-run numbers live on tickets).
         self.retries = 0
@@ -357,7 +385,6 @@ class ObligationScheduler:
         """Fork the pool (``0``: one worker per core) and start the
         dispatcher thread."""
         self._ctx = _pool_context()
-        self._outbox = self._ctx.Queue()
         for _ in range(workers or default_jobs()):
             self._spawn_worker()
         self._dispatcher = threading.Thread(
@@ -366,25 +393,36 @@ class ObligationScheduler:
         self._dispatcher.start()
 
     def _spawn_worker(self) -> None:
-        wid = len(self._workers)
-        inbox = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main, args=(wid, inbox, self._outbox), daemon=True
+        worker = _Worker(len(self._workers))
+        self._workers.append(worker)
+        self._fork(worker)
+        self._idle.add(worker.wid)
+
+    def _fork(self, worker: _Worker) -> None:
+        """Start ``worker``'s process on two fresh one-way pipes."""
+        task_reader, task_writer = self._ctx.Pipe(duplex=False)
+        result_reader, result_writer = self._ctx.Pipe(duplex=False)
+        worker.process = self._ctx.Process(
+            target=_worker_main, args=(task_reader, result_writer), daemon=True
         )
-        process.start()
-        self._workers.append(_Worker(wid, process, inbox))
-        self._idle.add(wid)
+        worker.process.start()
+        # The child holds its ends now.  Without ours, its death reads
+        # as EOF on the result pipe and as a broken task pipe.
+        task_reader.close()
+        result_writer.close()
+        worker.tasks, worker.results = task_writer, result_reader
 
     def _respawn(self, worker: _Worker) -> None:
         self.worker_restarts += 1
-        worker.process = self._ctx.Process(
-            target=_worker_main, args=(worker.wid, worker.inbox, self._outbox), daemon=True
-        )
-        worker.process.start()
+        if worker.process.is_alive():
+            worker.process.kill()  # a live process whose pipe broke
+        worker.process.join(timeout=1.0)
+        self._retired += [worker.tasks, worker.results]
+        self._fork(worker)
 
     def grow(self, extra: int) -> None:
         """Add workers (the pool only ever grows; idle workers block on
-        their inbox and cost nothing)."""
+        their task pipe and cost nothing)."""
         with self._lock:
             for _ in range(extra):
                 self._spawn_worker()
@@ -420,8 +458,8 @@ class ObligationScheduler:
             self.closed = True
             for worker in self._workers:
                 try:
-                    worker.inbox.put(None)
-                except (OSError, ValueError):
+                    worker.tasks.send(None)
+                except OSError:
                     pass
         for worker in self._workers:
             worker.process.join(timeout=2.0)
@@ -492,16 +530,27 @@ class ObligationScheduler:
             ticket.max_depth = max(ticket.max_depth, depth)
 
     def _feed_idle(self) -> None:
+        """Send the head of the queue down each idle worker's task pipe,
+        from the calling thread."""
         while self._idle and self._queue:
-            task = self._tasks.get(self._queue.popleft())
-            if task is None:
-                # Finalized by a late result after a worker-death requeue.
+            task = self._tasks[self._queue.popleft()]
+            try:
+                message = ForkingPickler.dumps(
+                    (task.tid, task.kind, task.payload, task.ticket.trace, task.ids)
+                )
+            except Exception as exc:  # an unpicklable task reaches no worker
+                self._finalize(task, _error_result(task, repr(exc)))
                 continue
-            wid = min(self._idle)
-            self._idle.discard(wid)
-            self._inflight[wid] = task.tid
-            message = (task.tid, task.kind, task.payload, task.ticket.trace, task.ids)
-            self._workers[wid].inbox.put(message)
+            worker = self._workers[min(self._idle)]
+            try:
+                worker.tasks.send_bytes(message)
+            except OSError:
+                # The worker is gone: the task never reached it.
+                self._queue.appendleft(task.tid)
+                self._worker_died(worker)
+                continue
+            self._idle.discard(worker.wid)
+            self._inflight[worker.wid] = task.tid
 
     def _finalize(
         self,
@@ -690,27 +739,40 @@ class ObligationScheduler:
     # -- dispatcher thread ----------------------------------------------
 
     def _loop(self) -> None:
+        """Read every worker's result pipe; a pipe at EOF is a dead
+        worker.  After 0.2 s with no reply, check that each worker is
+        alive."""
         while True:
-            try:
-                wid, tid, result, elapsed, start, snap = self._outbox.get(timeout=0.2)
-            except queue_mod.Empty:
-                with self._lock:
-                    if self.closed:
-                        return
-                    self._check_workers()
-                continue
-            except (OSError, EOFError, ValueError):
-                return
             with self._lock:
                 if self.closed:
                     return
-                self._inflight.pop(wid, None)
-                self._idle.add(wid)
-                task = self._tasks.get(tid)
-                # None: a duplicate delivery after a worker-death requeue.
-                if task is not None:
-                    task.ticket.busy_s += elapsed
-                    self._handle_result(wid, task, result, elapsed, start, snap)
+                for conn in self._retired:
+                    conn.close()
+                self._retired.clear()
+                pipes = {worker.results: worker for worker in self._workers}
+            ready = wait_pipes(list(pipes), timeout=0.2)
+            with self._lock:
+                if self.closed:
+                    return
+                for conn in ready:
+                    worker = pipes[conn]
+                    if conn is not worker.results:
+                        continue  # replaced while we waited
+                    try:
+                        tid, result, elapsed, start, snap = conn.recv()
+                    except (EOFError, OSError):
+                        self._worker_died(worker)
+                        continue
+                    self._inflight.pop(worker.wid, None)
+                    self._idle.add(worker.wid)
+                    task = self._tasks.get(tid)
+                    # None: finalized meanwhile (a piece whose obligation
+                    # its other pieces decided).
+                    if task is not None:
+                        task.ticket.busy_s += elapsed
+                        self._handle_result(worker.wid, task, result, elapsed, start, snap)
+                if not ready:
+                    self._check_workers()
                 self._feed_idle()
 
     def _handle_result(
@@ -742,26 +804,23 @@ class ObligationScheduler:
 
     def _check_workers(self) -> None:
         for worker in self._workers:
-            if worker.process.is_alive():
-                continue
-            obs_event("error", "worker.died", worker=worker.wid)
-            tid = self._inflight.pop(worker.wid, None)
-            if tid is not None and tid in self._tasks:
-                task = self._tasks[tid]
-                if task.ticket.cancelled:
-                    self._finalize(task, self._cancelled_result(task))
-                elif task.attempts + 1 < task.max_attempts:
-                    self._requeue(worker.wid, task)
-                elif task.kind != "call":
-                    self._finalize(
-                        task,
-                        ObligationResult(task.name, UNKNOWN, stats={"worker_error": "worker died"}),
-                    )
-                else:
-                    self._finalize(task, _CallError("worker died"))
-            self._respawn(worker)
-            self._idle.add(worker.wid)
-        self._feed_idle()
+            if not worker.process.is_alive():
+                self._worker_died(worker)
+
+    def _worker_died(self, worker: _Worker) -> None:
+        """Requeue or finalize the task a dead worker held, and replace
+        the worker with a fresh process on fresh pipes."""
+        obs_event("error", "worker.died", worker=worker.wid)
+        task = self._tasks.get(self._inflight.pop(worker.wid, None))
+        if task is not None:
+            if task.ticket.cancelled:
+                self._finalize(task, self._cancelled_result(task))
+            elif task.attempts + 1 < task.max_attempts:
+                self._requeue(worker.wid, task)
+            else:
+                self._finalize(task, _error_result(task, "worker died"))
+        self._respawn(worker)
+        self._idle.add(worker.wid)
 
     # -- high-level entry points ----------------------------------------
 

@@ -185,7 +185,8 @@ _SEARCH_COUNTERS = (
 
 
 class SolverTimeout(Exception):
-    """Raised when a check exceeds its conflict or wall-clock budget."""
+    """Raised when the SAT core gives a check up at its wall-clock
+    deadline (a spent conflict budget answers ``unknown`` instead)."""
 
 
 class CheckResult:
@@ -709,7 +710,9 @@ class Solver:
         }
         if self.cache is not None:
             self.last_stats["digest"] = digest
-        if sat.timed_out or (self.timeout_s is not None and elapsed > self.timeout_s):
+        # Only an answer the core gave up on is a timeout: a verdict it
+        # reached within its own clock stands, however long blasting took.
+        if status == UNKNOWN and sat.timed_out:
             self.last_stats["timed_out"] = True
             raise SolverTimeout(f"check exceeded {self.timeout_s}s (took {elapsed:.2f}s)")
         model_values = blaster.extract_model(names) if status == SAT else None

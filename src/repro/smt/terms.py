@@ -15,7 +15,10 @@ expressions to constants.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 import hashlib
+import marshal
+import threading
 from typing import Callable, Iterable
 
 from .sorts import BOOL, BitVecSort, Sort, bv_sort, is_bv
@@ -1049,30 +1052,117 @@ def canonicalize_nodes(data: dict) -> tuple[str, dict[str, str]]:
     checker (``repro.smt.checkproof``) reimplements exactly this
     function over the same ``[op, sort_tag, arg_idxs, payload]`` node
     schema; the two must stay in lockstep.
-    """
-    nodes = data["nodes"]
 
-    # Pass 1 (bottom-up): variable-blind shape key per node.  Children
-    # of commutative ops are sorted by shape so the key is stable
-    # across construction orders; ties fall back to stored order.
+    Every obligation of a proof shares its assumptions, the query's
+    other roots, as a prefix of its node list.  Each process memoizes
+    the canonicalization of such a prefix (:func:`_canonical_prefix`),
+    so a proof's assumptions are hashed once, not once per obligation
+    and per piece.  The memo changes how the digest is computed, never
+    what it is: ``checkproof``'s mirror computes it whole and agrees.
+    """
+    nodes, roots = data["nodes"], data["roots"]
+    size, shape, var_map, visited, enc, unvisited = _canonical_prefix(nodes, roots[:-1])
+    rest = roots[-1:] if size else roots
+    shape = list(shape)
+    _shape_keys(nodes, shape, len(nodes))
+    var_map = dict(var_map)
+    visited = set(visited)
+    _number_vars(nodes, rest, shape, var_map, visited)
+    enc = [*enc, *[None] * (len(nodes) - size)]
+    _encode(nodes, [*unvisited, *range(size, len(nodes))], shape, var_map, enc)
+
+    hasher = hashlib.sha256()
+    for r in roots:
+        hasher.update(enc[r].encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest(), var_map
+
+
+# Canonicalized query prefixes, by exact content, most recent last.
+_PREFIXES: OrderedDict[bytes, tuple] = OrderedDict()
+_PREFIXES_MAX = 32
+_PREFIXES_LOCK = threading.Lock()
+# The state of an empty prefix: the whole query is canonicalized per call.
+_NO_PREFIX = (0, (), {}, frozenset(), (), ())
+
+
+def _canonical_prefix(nodes: list, others: list) -> tuple:
+    """The canonicalization state of a query's prefix: ``nodes[:P]``,
+    ``P = 1 + max(others)``, under its roots ``others`` (every root but
+    the last).
+
+    Every argument is an earlier node, so the prefix's shape keys, the
+    variable numbering after the walk from ``others``, the nodes that
+    walk visits and their final digests depend on ``(nodes[:P], others)``
+    alone, whatever the last root adds.  A prefix node that ``others``
+    does not reach (a hand-built payload may hold one) is left to each
+    query: a variable under it may be numbered by the last root's walk.
+    Returns ``(P, shape, var_map, visited, enc, unvisited)``, with the
+    digest of each unvisited node None in ``enc``; callers copy before
+    extending.
+
+    Keyed by the prefix's exact content, never by a hash of it: its
+    ``marshal`` encoding, format version 0, which has no back-references
+    and no interning flags, so it is a function of the value alone and
+    tells a list from a tuple, a bool from an int and every string's
+    text.  Bounded, least recently used out first.  No prefix (the empty
+    state) for a query of one root, a root that is not a node, or a
+    prefix ``marshal`` cannot encode exactly (a subclass of a builtin
+    type).
+    """
+    if not others or min(others) < 0 or max(others) >= len(nodes):
+        return _NO_PREFIX
+    size = 1 + max(others)
+    try:
+        key = marshal.dumps((nodes[:size], others), 0)
+    except ValueError:
+        return _NO_PREFIX
+    with _PREFIXES_LOCK:
+        state = _PREFIXES.get(key)
+        if state is not None:
+            _PREFIXES.move_to_end(key)
+            return state
     shape: list[str] = []
-    for op, sort_tag, arg_idxs, payload in nodes:
+    _shape_keys(nodes, shape, size)
+    var_map: dict[str, str] = {}
+    visited: set[int] = set()
+    _number_vars(nodes, others, shape, var_map, visited)
+    enc: list = [None] * size
+    _encode(nodes, sorted(visited), shape, var_map, enc)
+    unvisited = tuple(i for i in range(size) if i not in visited)
+    state = (size, tuple(shape), var_map, frozenset(visited), tuple(enc), unvisited)
+    with _PREFIXES_LOCK:
+        _PREFIXES[key] = state
+        if len(_PREFIXES) > _PREFIXES_MAX:
+            _PREFIXES.popitem(last=False)
+    return state
+
+
+def _shape_keys(nodes: list, shape: list[str], stop: int) -> None:
+    """Pass 1 (bottom-up): extend ``shape`` with the variable-blind shape
+    key of each node up to ``stop``.  Children of commutative ops are
+    sorted by shape so the key is stable across construction orders;
+    ties fall back to stored order."""
+    for i in range(len(shape), stop):
+        op, sort_tag, arg_idxs, payload = nodes[i]
         child = [shape[j] for j in arg_idxs]
         if op in _COMMUTATIVE:
             child = sorted(child)
         tag = "VAR" if op == "var" else repr(payload)
         shape.append(hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest())
 
-    def child_order(op: str, arg_idxs: list[int]) -> list[int]:
-        if op in _COMMUTATIVE:
-            return sorted(arg_idxs, key=lambda j: shape[j])
-        return list(arg_idxs)
 
-    # Pass 2: assign variable indices by first occurrence along a DFS
-    # that visits children in canonical order.
-    var_map: dict[str, str] = {}
-    visited: set[int] = set()
-    for r in data["roots"]:
+def _child_order(op: str, arg_idxs: list[int], shape: list[str]) -> list[int]:
+    if op in _COMMUTATIVE:
+        return sorted(arg_idxs, key=lambda j: shape[j])
+    return list(arg_idxs)
+
+
+def _number_vars(nodes: list, roots, shape: list[str], var_map: dict, visited: set) -> None:
+    """Pass 2: number variables by first occurrence along a DFS from
+    ``roots`` that visits children in canonical order, extending
+    ``var_map`` and ``visited``."""
+    for r in roots:
         stack = [r]
         while stack:
             i = stack.pop()
@@ -1085,25 +1175,18 @@ def canonicalize_nodes(data: dict) -> tuple[str, dict[str, str]]:
                 if name not in var_map:
                     var_map[name] = f"v{len(var_map)}"
             # Reversed so the canonical-first child is visited first.
-            for j in reversed(child_order(op, arg_idxs)):
+            for j in reversed(_child_order(op, arg_idxs, shape)):
                 stack.append(j)
 
-    # Pass 3 (bottom-up): final per-node digests with variables
-    # replaced by their canonical indices.
-    enc: list[str] = []
-    for op, sort_tag, arg_idxs, payload in nodes:
-        if op == "var":
-            tag = var_map[str(payload)]
-        else:
-            tag = repr(payload)
-        child = [enc[j] for j in child_order(op, arg_idxs)]
-        enc.append(hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest())
 
-    hasher = hashlib.sha256()
-    for r in data["roots"]:
-        hasher.update(enc[r].encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest(), var_map
+def _encode(nodes: list, indices, shape: list[str], var_map: dict, enc: list) -> None:
+    """Pass 3 (bottom-up, ``indices`` ascending): the final digest of
+    each node, variables replaced by their canonical numbers."""
+    for i in indices:
+        op, sort_tag, arg_idxs, payload = nodes[i]
+        tag = var_map[str(payload)] if op == "var" else repr(payload)
+        child = [enc[j] for j in _child_order(op, arg_idxs, shape)]
+        enc[i] = hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest()
 
 
 def query_digest(roots: Iterable[Term]) -> str:

@@ -37,6 +37,7 @@ from repro.smt.terms import (
     mk_ule,
     mk_ult,
     mk_var,
+    mk_zext,
 )
 from repro.smt.sorts import bv_sort
 
@@ -239,6 +240,16 @@ def _factor_query(tag):
     return [mk_eq(mk_bvmul(a, b), mk_bv(143, 8)), mk_ult(mk_bv(1, 8), a), mk_ult(a, b)]
 
 
+def _wide_factor_query(tag):
+    """``a * b == 143`` with ``1 < a < b``, multiplied at 16 bits so
+    11 * 13 is the only answer: SAT after about 66 conflicts, past the
+    SAT core's first deadline check (at conflict 32)."""
+    a = mk_var(f"{tag}a", bv_sort(8))
+    b = mk_var(f"{tag}b", bv_sort(8))
+    product = mk_bvmul(mk_zext(a, 8), mk_zext(b, 8))
+    return [mk_eq(product, mk_bv(143, 16)), mk_ult(mk_bv(1, 8), a), mk_ult(a, b)]
+
+
 def _square_query(tag):
     """No 8-bit square is 3 mod 8: UNSAT."""
     x = mk_var(f"{tag}x", bv_sort(8))
@@ -302,7 +313,7 @@ class TestVerdictMemo:
         assert col.counters["solver.memo.hits"] == 1
 
     def test_unknown_and_timeouts_are_not_memoized(self):
-        query = _factor_query("mua")
+        query = _wide_factor_query("mua")
         assert Solver(max_conflicts=1).check(*query).status == UNKNOWN
         with pytest.raises(SolverTimeout):
             Solver(timeout_s=0.0).check(*query)
@@ -312,7 +323,7 @@ class TestVerdictMemo:
         # Verdicts do not depend on the budget: a starved check of a
         # renamed copy is now answered from the memo.
         starved = Solver(max_conflicts=1)
-        assert starved.check(*_factor_query("mub")).status == SAT
+        assert starved.check(*_wide_factor_query("mub")).status == SAT
         assert starved.last_stats == MEMO_HIT
 
     def test_reset_drops_the_memo(self):

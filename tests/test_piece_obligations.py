@@ -242,6 +242,33 @@ def _mirrored_vc(name):
 
 
 class TestOneDigest:
+    def test_quick_grid_digests_are_the_checkers(self, monkeypatch):
+        """Every quick-grid obligation and piece, pickled as a worker
+        receives it, keys to the digest the independent checker
+        computes: the per-process prefix memo hits across them."""
+        import pickle
+
+        from repro.core import runner
+        from repro.core.runner import ObligationResult, RunnerStats, _conjuncts
+        from repro.serve.grids import grid_ops, verifier_class
+        from repro.smt import canonicalize_nodes
+
+        captured = []
+
+        def proved(obligations, **_kwargs):
+            captured.extend(obligations)
+            return [ObligationResult(ob.name, "proved") for ob in obligations], RunnerStats()
+
+        monkeypatch.setattr(runner, "run_obligations", proved)
+        for monitor, op in grid_ops("fig11-quick"):
+            assert verifier_class(monitor)(opt=1).prove_op(op).proved
+        queries = [ob.payload for ob in captured]
+        queries += [piece_nodes(query, c) for query in queries for c in _conjuncts(query)]
+        assert len(captured) == 35 and len(queries) == 80
+        for query in queries:
+            received = pickle.loads(pickle.dumps(query))
+            assert canonicalize_nodes(received)[0] == canonical_digest(query)
+
     @pytest.mark.parametrize("first, then", [(1, 2), (2, 1)])
     def test_store_filled_at_one_jobs_answers_the_other(self, tmp_path, first, then):
         """A worker forked before the VC was built interns its terms in

@@ -6,6 +6,8 @@ workers, timed out, and retried, the verdicts — and the first failing
 obligation — must be exactly the sequential baseline's.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -13,8 +15,28 @@ import pytest
 
 from repro import obs
 from repro.core.runner import Obligation, reduce_results, run_obligations
-from repro.core.scheduler import ObligationScheduler, get_scheduler, in_worker, peek_scheduler
-from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvadd, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
+from repro.core.scheduler import (
+    ObligationScheduler,
+    _CallError,
+    get_scheduler,
+    in_worker,
+    peek_scheduler,
+)
+from repro.smt import (
+    bv_sort,
+    fresh_var,
+    mk_and,
+    mk_bv,
+    mk_bvadd,
+    mk_bvand,
+    mk_bvmul,
+    mk_bvxor,
+    mk_eq,
+    mk_not,
+    mk_ule,
+    mk_ult,
+    mk_zext,
+)
 
 
 def _obligation_set():
@@ -85,12 +107,18 @@ class TestDeterminism:
 
 
 def _hard_obligations():
-    x = fresh_var("x", bv_sort(32))
+    """Two goals whose query the SAT core cannot decide before its first
+    deadline check (every 32 conflicts): 16-bit factors greater than 1
+    of a 32-bit prime.  The query is UNSAT, after thousands of
+    conflicts."""
+    x = fresh_var("x", bv_sort(16))
+    y = fresh_var("y", bv_sort(16))
+    one = mk_bv(1, 16)
     hard = []
-    for offset in (3, 5):
-        goal = mk_eq(mk_bvmul(x, x), mk_bvadd(x, mk_bv(offset, 32)))
-        # The negation (x*x != x+offset) needs a real SAT search.
-        hard.append(Obligation.from_terms(f"hard{offset}", [goal]))
+    for prime in (1_000_000_007, 1_000_000_009):
+        product = mk_eq(mk_bvmul(mk_zext(x, 16), mk_zext(y, 16)), mk_bv(prime, 32))
+        goal = mk_not(mk_and(product, mk_ult(one, x), mk_ult(one, y)))
+        hard.append(Obligation.from_terms(f"hard{prime}", [goal]))
     return hard
 
 
@@ -115,6 +143,23 @@ class TestTimeouts:
         results, stats = run_obligations(_hard_obligations(), jobs=1, timeout_s=0.001, retries=1)
         assert [(r.status, r.stats.get("timed_out")) for r in results] == [("unknown", True)] * 2
         assert (stats.retries, stats.timeouts) == (2, 4)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_decided_verdict_is_not_a_timeout(self, jobs):
+        """A query the SAT core decides before its first deadline check
+        keeps its verdict, however far past ``timeout_s`` the whole check
+        ran: ``x*y == 91`` fails with a counterexample, untried again."""
+        obligations = []
+        for i in range(2):
+            x = fresh_var(f"dx{i}", bv_sort(16))
+            y = fresh_var(f"dy{i}", bv_sort(16))
+            obligations.append(Obligation.from_terms(f"decided{i}", [mk_eq(mk_bvmul(x, y), mk_bv(91, 16))]))
+        results, stats = run_obligations(obligations, jobs=jobs, timeout_s=1e-6, retries=1)
+        for result in results:
+            assert result.status == "failed" and not result.stats.get("timed_out")
+            x, y = sorted(result.model_values.items())  # dx<i> before dy<i>
+            assert x[1] * y[1] % (1 << 16) != 91
+        assert (stats.retries, stats.timeouts) == (0, 0)
 
     def test_no_timeout_when_budget_sufficient(self):
         x = fresh_var("x", bv_sort(8))
@@ -329,6 +374,68 @@ class TestOneDispatcher:
 
 def _interrupt(_item):
     raise KeyboardInterrupt
+
+
+def _exit_once(marker: str) -> str:
+    """Kill the worker on the first attempt (no ``marker`` yet), answer
+    on the next."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return "answered"
+
+
+def _replace_idle_worker(sched: ObligationScheduler, wid: int) -> None:
+    """SIGKILL idle worker ``wid`` and wait until the pool replaces it."""
+    before = sched.worker_restarts
+    os.kill(sched._workers[wid].process.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while sched.worker_restarts == before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert sched.worker_restarts == before + 1
+
+
+class TestWorkerDeath:
+    def test_task_that_kills_its_worker_is_retried(self, tmp_path):
+        sched = ObligationScheduler(workers=1)
+        try:
+            results = sched.submit_calls(_exit_once, [str(tmp_path / "m")], retries=1).wait(timeout=30.0)
+        finally:
+            sched.shutdown()
+        assert results == ["answered"]
+        assert sched.worker_restarts == 1
+
+    def test_without_retries_a_worker_death_is_reported(self, tmp_path):
+        sched = ObligationScheduler(workers=1)
+        try:
+            (result,) = sched.submit_calls(_exit_once, [str(tmp_path / "a")], retries=0).wait(timeout=30.0)
+            assert isinstance(result, _CallError) and result.message == "worker died"
+            with pytest.raises(RuntimeError, match="worker died"):
+                sched.map(_exit_once, [str(tmp_path / "b")])
+        finally:
+            sched.shutdown()
+        assert sched.worker_restarts == 2
+
+    def test_idle_worker_killed_is_replaced(self):
+        """A worker killed while idle held no lock that its replacement
+        needs: the next batch completes."""
+        sched = ObligationScheduler(workers=2)
+        try:
+            assert sched.map(abs, [-1, -2]) == [1, 2]
+            _replace_idle_worker(sched, 0)
+            ticket = sched.submit_calls(abs, [-1, -2, -3, -4])
+            assert ticket.wait(timeout=30.0) == [1, 2, 3, 4]
+        finally:
+            sched.shutdown()
+
+    def test_message_larger_than_a_pipe_buffer_reaches_a_replaced_worker(self):
+        big = b"x" * (256 * 1024)  # a pipe buffer holds 64 KiB
+        sched = ObligationScheduler(workers=1)
+        try:
+            _replace_idle_worker(sched, 0)
+            assert sched.submit_calls(len, [big, big]).wait(timeout=30.0) == [len(big)] * 2
+        finally:
+            sched.shutdown()
 
 
 class TestTelemetry:

@@ -1,10 +1,17 @@
-"""Unit tests for term construction, interning, and constant folding."""
+"""Unit tests for term construction, interning, constant folding and
+the canonical digest."""
+
+import copy
+import random
+import sys
+import threading
 
 import pytest
 
 from repro.smt import (
     BOOL,
     bv_sort,
+    canonicalize_nodes,
     mk_and,
     mk_bool,
     mk_bv,
@@ -39,8 +46,10 @@ from repro.smt import (
     mk_zext,
     serialize_terms,
     serialize_with_prefix,
+    terms,
     to_signed,
 )
+from repro.smt.checkproof import canonical_digest
 
 
 def bv8(v):
@@ -274,3 +283,146 @@ class TestSignedHelpers:
         assert to_signed(0xFF, 8) == -1
         assert to_signed(0x7F, 8) == 127
         assert to_signed(0x80, 8) == -128
+
+
+def _random_node(rng, below: int) -> list:
+    """A node of the serialized schema over the ``below`` nodes before
+    it: a variable (names repeat), a constant, or an operator."""
+    op = rng.choice(["var", "bv", "bvadd", "bvsub", "and", "not", "ite"] if below else ["var", "bv"])
+    if op == "var":
+        return ["var", "bv8", [], rng.choice("abcdef")]
+    if op == "bv":
+        return ["bv", "bv8", [], rng.randrange(4)]
+    arity = {"not": 1, "bvsub": 2, "ite": 3}.get(op, rng.randint(2, 3))
+    return [op, "bv8", [rng.randrange(below) for _ in range(arity)], None]
+
+
+def _random_queries(rng, count: int) -> list[dict]:
+    """``count`` hand-built queries that share one random prefix, under
+    one of two sets of its roots (the prefix's last node among them).
+    The prefix may hold nodes, variables too, that only the last root
+    reaches; the last root reaches every node no other root does."""
+    prefix = []
+    for i in range(rng.randint(1, 12)):
+        prefix.append(_random_node(rng, i))
+    root_sets = []
+    for _ in range(2):
+        picked = rng.sample(range(len(prefix)), rng.randint(1, min(3, len(prefix))))
+        others = sorted(set(picked) | {len(prefix) - 1})
+        rng.shuffle(others)
+        root_sets.append(others)
+    queries = []
+    for _ in range(count):
+        others = rng.choice(root_sets)
+        nodes = copy.deepcopy(prefix)
+        for _ in range(rng.randint(0, 6)):
+            nodes.append(_random_node(rng, len(nodes)))
+        reached = set()
+        stack = list(others)
+        while stack:
+            i = stack.pop()
+            if i not in reached:
+                reached.add(i)
+                stack.extend(nodes[i][2])
+        rest = [i for i in range(len(nodes)) if i not in reached] or [0]
+        nodes.append(["and", "b", rest + rng.sample(range(len(nodes)), 1), None])
+        queries.append({"nodes": nodes, "roots": [*others, len(nodes) - 1]})
+    return queries
+
+
+def _split_prefix_query(last: str) -> dict:
+    """A query whose prefix (nodes 0-4, root 4) holds a variable ``b``
+    and a node over it that only the last root reaches: its number comes
+    from the last root's walk.  ``last`` picks the walk: ``"b"`` reaches
+    ``b`` first (b is v1), ``"cb"`` a new variable ``c`` first (b is v2)."""
+    nodes = [
+        ["var", "bv8", [], "a"],
+        ["var", "bv8", [], "b"],
+        ["bv", "bv8", [], 3],
+        ["bvadd", "bv8", [1, 2], None],
+        ["bvult", "b", [0, 2], None],
+    ]
+    if last == "b":
+        nodes += [["eq", "b", [3, 0], None]]
+    else:
+        nodes += [["var", "bv8", [], "c"], ["bvsub", "bv8", [5, 3], None], ["eq", "b", [6, 0], None]]
+    nodes.append(["not", "b", [len(nodes) - 1], None])
+    return {"nodes": nodes, "roots": [4, len(nodes) - 1]}
+
+
+class TestCanonicalPrefix:
+    """``canonicalize_nodes`` canonicalizes a query's prefix (every root
+    but the last) once per process; the digest must stay the one
+    ``checkproof.canonical_digest`` computes over the whole query."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        terms._PREFIXES.clear()
+        yield
+        terms._PREFIXES.clear()
+
+    def test_seeded_random_dags_sharing_prefixes(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            for query in _random_queries(rng, 4):
+                expected = canonical_digest(query)
+                assert canonicalize_nodes(query)[0] == expected
+                assert canonicalize_nodes(copy.deepcopy(query))[0] == expected
+        assert terms._PREFIXES
+
+    def test_prefix_node_reached_only_from_the_last_root(self):
+        for order in (["b", "cb"], ["cb", "b"]):
+            terms._PREFIXES.clear()
+            got = {last: canonicalize_nodes(_split_prefix_query(last)) for last in order}
+            assert len(terms._PREFIXES) == 1  # one prefix, canonicalized once
+            for last, (digest, var_map) in got.items():
+                assert digest == canonical_digest(_split_prefix_query(last))
+            assert got["b"][1] == {"a": "v0", "b": "v1"}
+            assert got["cb"][1] == {"a": "v0", "c": "v1", "b": "v2"}
+
+    @pytest.mark.parametrize("old, new", [(3, 4), (1, True), ((7, 0), [7, 0])])
+    def test_prefixes_differing_in_one_payload_value_differ(self, old, new):
+        """The memo is keyed by the prefix's exact content: a changed
+        value, a bool for an int, a list for a tuple."""
+        digests = []
+        for value in (old, new):
+            query = _split_prefix_query("b")
+            query["nodes"][2][3] = value
+            digest, _ = canonicalize_nodes(query)
+            assert digest == canonical_digest(query)
+            digests.append(digest)
+        assert digests[0] != digests[1]
+        assert len(terms._PREFIXES) == 2
+
+    def test_threads_canonicalizing_at_once_agree(self, monkeypatch):
+        """More threads than cores, switching often, over a memo small
+        enough to evict while they run: every digest is the checker's."""
+        monkeypatch.setattr(terms, "_PREFIXES_MAX", 3)
+        rng = random.Random(7)
+        queries = [q for _ in range(6) for q in _random_queries(rng, 5)]
+        expected = [canonical_digest(q) for q in queries]
+        start = threading.Barrier(4)
+        got = {}
+
+        def run(name, order):
+            start.wait()
+            got[name] = [(i, canonicalize_nodes(queries[i])[0]) for _ in range(10) for i in order]
+
+        orders = [list(range(len(queries))) for _ in range(4)]
+        for order in orders[1:]:
+            rng.shuffle(order)
+        threads = [threading.Thread(target=run, args=(n, order)) for n, order in enumerate(orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for results in got.values():
+            assert len(results) == 10 * len(queries)
+            assert all(digest == expected[i] for i, digest in results)
