@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 import os
-import threading
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -460,7 +459,6 @@ class Split:
 
 # One verdict store object per (path, remote URL) in each process.
 _STORES: dict[tuple[str, str], object] = {}
-_STORES_LOCK = threading.Lock()
 
 
 def _open_cache(cache_dir: str | None):
@@ -472,12 +470,12 @@ def _open_cache(cache_dir: str | None):
     from .remote import remote_store_url
 
     key = (cache_dir, remote_store_url())
-    with _STORES_LOCK:
-        cache = _STORES.get(key)
-        if cache is None:
-            from .store import open_store
+    cache = _STORES.get(key)
+    if cache is None:
+        from .store import open_store
 
-            cache = _STORES[key] = open_store(*key)
+        # Two threads may both open it; every caller gets the one kept.
+        cache = _STORES.setdefault(key, open_store(*key))
     return cache
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 import hashlib
 import marshal
+import os
 import threading
 from typing import Callable, Iterable
 
@@ -1084,6 +1085,16 @@ _PREFIXES_MAX = 32
 _PREFIXES_LOCK = threading.Lock()
 # The state of an empty prefix: the whole query is canonicalized per call.
 _NO_PREFIX = (0, (), {}, frozenset(), (), ())
+
+
+def _fresh_prefix_lock() -> None:
+    """Give a forked child a lock of its own: another thread of the
+    parent may have held the parent's when it forked."""
+    global _PREFIXES_LOCK
+    _PREFIXES_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_prefix_lock)
 
 
 def _canonical_prefix(nodes: list, others: list) -> tuple:

@@ -2,6 +2,7 @@
 the canonical digest."""
 
 import copy
+import multiprocessing
 import random
 import sys
 import threading
@@ -393,6 +394,19 @@ class TestCanonicalPrefix:
             digests.append(digest)
         assert digests[0] != digests[1]
         assert len(terms._PREFIXES) == 2
+
+    def test_child_forked_while_the_memo_is_locked_canonicalizes(self):
+        """A pool worker forked while another thread of its parent held
+        the memo's lock must not wait on it forever."""
+        query = _split_prefix_query("b")
+        ctx = multiprocessing.get_context("fork")
+        with terms._PREFIXES_LOCK:
+            child = ctx.Process(target=canonicalize_nodes, args=(query,))
+            child.start()
+        child.join(timeout=30.0)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
 
     def test_threads_canonicalizing_at_once_agree(self, monkeypatch):
         """More threads than cores, switching often, over a memo small
