@@ -428,6 +428,18 @@ class TestWorkerDeath:
         finally:
             sched.shutdown()
 
+    def test_task_that_cannot_be_pickled_is_reported(self):
+        """A task no worker can receive is answered with its error at
+        once; the pool stays usable."""
+        sched = ObligationScheduler(workers=1)
+        try:
+            (result,) = sched.submit_calls(lambda item: item, [1]).wait(timeout=30.0)
+            assert isinstance(result, _CallError) and "pickle" in result.message
+            assert sched.map(abs, [-1]) == [1]
+        finally:
+            sched.shutdown()
+        assert sched.worker_restarts == 0
+
     def test_message_larger_than_a_pipe_buffer_reaches_a_replaced_worker(self):
         big = b"x" * (256 * 1024)  # a pipe buffer holds 64 KiB
         sched = ObligationScheduler(workers=1)
