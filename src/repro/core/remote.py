@@ -734,7 +734,9 @@ class RemoteVerdictStore(VerdictStore):
     tier.
 
     Lookups: local hit -> done (the remote is never consulted); local
-    miss -> remote fetch, certificate verification, local adoption.
+    miss -> remote fetch, certificate verification, local adoption
+    (:meth:`read_through`, the step the runner leaves to the pool: it
+    is network and checking work, not a lookup).
     Stores: local write first (the source of truth for this machine),
     then a spool marker that a background flusher pushes to the remote
     with bounded retry.  Every remote failure is counted and absorbed.
@@ -766,11 +768,9 @@ class RemoteVerdictStore(VerdictStore):
 
     # -- read-through ----------------------------------------------------
 
-    def lookup(self, digest: str, var_map: dict[str, str]):
-        """Local entry, else remote fetch-verify-adopt, else miss."""
-        entry = self._read_entry(digest)
-        if entry is None and self.client is not None:
-            entry = self._fetch_remote(digest)
+    def read_through(self, digest: str, var_map: dict[str, str]):
+        """After a local miss: remote fetch-verify-adopt, else miss."""
+        entry = self._fetch_remote(digest) if self.client is not None else None
         return None if entry is None else self._entry_to_result(entry, var_map)
 
     def _fetch(self, digest: str):

@@ -101,8 +101,9 @@ class VerdictStore(SolverCache):
     """The fleet operations over a :class:`~repro.smt.solver.SolverCache`
     directory.
 
-    ``Solver`` talks to a store through the ``lookup``/``store``
-    interface it already uses for ``SolverCache``, so every layer above
+    ``Solver`` talks to a store through the ``read_local``/
+    ``read_through``/``store`` interface it already uses for
+    ``SolverCache``, so every layer above
     the solver gains sharing for free.  Every entry and certificate
     path, and what counts as a verdict, is the base class's.
     """

@@ -280,8 +280,9 @@ class VerificationServer(HTTPService):
         scheduler = get_scheduler(params["jobs"])
 
         def on_result(index, result):
-            # Dispatcher-thread callback: append + notify only, no
-            # scheduler calls, no disk IO (see _Ticket docs).
+            # Runs under the scheduler lock, on the dispatcher thread or
+            # on this one for a hit: append + notify only, no scheduler
+            # calls, no disk IO (see _Ticket docs).
             record = result.to_json()
             record["index"] = index
             job.add_verdict(record)

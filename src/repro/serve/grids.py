@@ -11,10 +11,11 @@ Symbolic evaluation builds terms in the global hash-consing
 multiple daemon threads, so ``_EVAL_LOCK`` serializes each operation.
 The lock is held across the whole ``verifier.prove_op(op)`` call,
 including its wait on the pool, so concurrent grid jobs take turns op
-by op and never overlap.  Within one op the proof obligations still fan
-out across the process-wide scheduler pool, and all jobs share the
-one content-addressed verdict store — which is why a warm daemon
-answers the same grid an order of magnitude faster.
+by op and never overlap.  All jobs share the one content-addressed
+verdict store, and the scheduler looks each obligation up in the
+thread that hands it out: a warm op's hits never leave the job thread,
+and only its misses fan out across the process-wide pool — which is
+why a warm daemon answers the same grid an order of magnitude faster.
 """
 
 from __future__ import annotations

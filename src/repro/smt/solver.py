@@ -42,15 +42,19 @@ stay exactly what a standalone solve would produce.  Why this is sound:
   hitting query's variables, so it satisfies that query; like every
   cache-less answer, it carries no certificate.
 
-A check is two public steps over one serialized node list:
-:meth:`Solver.lookup` (the trivial-root check, canonicalize, then the
-session memo or the store) and :meth:`Solver.solve` (blast, SAT,
-certificate, record).  :meth:`Solver.check` serializes its terms once
-and calls both.  The runner (``repro.core.runner``) calls them directly
-on an obligation's payload, so a hit builds no terms: it looks the node
-list up as given, and on a miss either answers a goal
-``not(and(c1..cn))`` with one piece obligation per distinct conjunct
-or builds the terms and solves.  Each solve is one search.
+A check is three public steps over one serialized node list:
+:meth:`Solver.lookup` (the trivial-root check, canonicalize, then this
+machine's verdict tier: the session memo, or the store's own entries),
+:meth:`Solver.read_through` (after a store miss, the tier behind the
+store, if any) and :meth:`Solver.solve` (blast, SAT, certificate,
+record).  :meth:`Solver.check` serializes its terms once and calls
+them in turn.  The runner (``repro.core.runner``) calls them directly
+on an obligation's payload, so a hit builds no terms: the scheduler
+looks the node list up as given where it hands the obligation out, and
+only a miss reaches the executor, which reads through and then either
+answers a goal ``not(and(c1..cn))`` with one piece obligation per
+distinct conjunct or builds the terms and solves.  Each solve is one
+search.
 
 A check without a cache first consults the session's *verdict memo*
 (``IncrementalSession.memo``), keyed by the canonical digest the store
@@ -434,9 +438,23 @@ class SolverCache:
         return None if raw is None else self._decode_entry(raw)
 
     def lookup(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
-        """Return the cached result for ``digest``, or None on a miss."""
+        """Return the cached result for ``digest``, or None on a miss:
+        this store's own entry, else what a tier behind it holds."""
+        hit = self.read_local(digest, var_map)
+        return hit if hit is not None else self.read_through(digest, var_map)
+
+    def read_local(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
+        """This store's own entry for ``digest`` as a result, or None:
+        a file read on this machine, never a network request."""
         entry = self._read_entry(digest)
         return None if entry is None else self._entry_to_result(entry, var_map)
+
+    def read_through(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
+        """What a tier behind this store holds for a local miss, adopted
+        here, or None.  A plain store has none; a
+        :class:`repro.core.remote.RemoteVerdictStore` fetches from its
+        remote and checks the certificate first."""
+        return None
 
     @staticmethod
     def _entry_to_result(
@@ -509,8 +527,8 @@ class Solver:
         self.timeout_s = timeout_s
         self.cache = cache
         self.last_stats: dict = {}
-        # The budget clock, started by each lookup().
-        self._start = 0.0
+        # The budget clock, started here and by each lookup().
+        self._start = time.perf_counter()
 
     def add(self, *terms: Term) -> None:
         for t in terms:
@@ -536,15 +554,19 @@ class Solver:
         terms = [t for t in (*self._assertions, *extra) if t is not mk_true()]
         query = serialize_terms(terms)
         digest, var_map, hit = self.lookup(query)
+        if hit is None:
+            hit = self.read_through(digest, var_map)
         return hit if hit is not None else self.solve(query, digest, var_map, terms)
 
     def lookup(self, query: dict) -> tuple[str | None, dict[str, str], CheckResult | None]:
-        """Look a serialized query up as given: ``(digest, var_map,
-        hit)``, ``hit`` None when the query must be solved.  A ``false``
-        root answers UNSAT and only ``true`` roots SAT (empty model), with
-        no digest; any other query is canonicalized and looked up in the
-        store, or without one in the session's verdict memo.  A miss
-        leaves only a cache-backed digest in ``last_stats``.  Starts the
+        """Look a serialized query up as given in this machine's verdict
+        tier: ``(digest, var_map, hit)``, ``hit`` None on a miss.  A
+        ``false`` root answers UNSAT and only ``true`` roots SAT (empty
+        model), with no digest; any other query is canonicalized and
+        looked up in the store's own entries, or without a store in the
+        session's verdict memo.  A store miss is not final: it is
+        counted by :meth:`read_through`, which reads the tier behind the
+        store, and leaves only the digest in ``last_stats``.  Starts the
         budget clock."""
         self._start = time.perf_counter()
         obs_count("solver.queries")
@@ -572,17 +594,34 @@ class Solver:
             self.last_stats = hit.stats
             return digest, var_map, hit
         with obs_span("cache.lookup", cat="solver-cache") as largs:
-            hit = self.cache.lookup(digest, var_map)
+            hit = self.cache.read_local(digest, var_map)
         if largs is not None:
             largs["hit"] = hit is not None
         if hit is None:
-            obs_count("solver.cache.misses")
             self.last_stats = {"digest": digest}
             return digest, var_map, None
+        return digest, var_map, self._store_hit(hit, digest)
+
+    def read_through(self, digest: str, var_map: dict[str, str]) -> CheckResult | None:
+        """Finish a lookup that missed the store's own entries: read the
+        tier behind the store, if it has one (a remote, whose entry is
+        fetched and certificate-checked before it is adopted), and count
+        the store's hit or miss.  None on a miss, and always without a
+        store (nothing stands behind the session memo)."""
+        if self.cache is None:
+            return None
+        hit = self.cache.read_through(digest, var_map)
+        if hit is None:
+            obs_count("solver.cache.misses")
+            self.last_stats = {"digest": digest}
+            return None
+        return self._store_hit(hit, digest)
+
+    def _store_hit(self, hit: CheckResult, digest: str) -> CheckResult:
         obs_count("solver.cache.hits")
         hit.stats["digest"] = digest
         self.last_stats = dict(hit.stats)
-        return digest, var_map, hit
+        return hit
 
     def solve(
         self, query: dict, digest: str, var_map: dict[str, str], terms: list[Term]

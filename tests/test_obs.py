@@ -55,6 +55,21 @@ def _obligations(prefix: str, n: int = 5) -> list[Obligation]:
     return out
 
 
+def _distinct_obligations(prefix: str, n: int) -> list[Obligation]:
+    """Valid obligations with ``n`` distinct digests (``(x + c) + y ==
+    y + (c + x)`` for ``c = 1..n``).  With the session reset first none
+    is a hit, so each reaches a worker: a hit is answered where it is
+    dispatched."""
+    out = []
+    for i in range(n):
+        x = mk_var(f"{prefix}_x{i}", BV8)
+        y = mk_var(f"{prefix}_y{i}", BV8)
+        c = mk_bv(i + 1, 8)
+        goal = mk_eq(mk_bvadd(mk_bvadd(x, c), y), mk_bvadd(y, mk_bvadd(c, x)))
+        out.append(Obligation.from_terms(f"{prefix}[{i}]", [goal]))
+    return out
+
+
 class TestSpans:
     def test_disabled_by_default(self):
         assert not obs.enabled()
@@ -230,7 +245,8 @@ class TestWorkerReassembly:
     def test_scheduler_trace_reassembly(self):
         from repro.core.scheduler import shutdown_scheduler
 
-        obligations = _obligations("reasm", 6)
+        reset_incremental_session()
+        obligations = _distinct_obligations("reasm", 6)
         try:
             with obs.tracing() as col:
                 results, stats = run_obligations(obligations, jobs=2)

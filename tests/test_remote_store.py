@@ -28,6 +28,7 @@ import zlib
 import pytest
 
 from repro import obs
+from repro.core import remote
 from repro.core.remote import (
     RemoteStoreClient,
     RemoteVerdictStore,
@@ -37,6 +38,7 @@ from repro.core.remote import (
     _stop_flushers,
 )
 from repro.core.runner import Obligation, run_obligations
+from repro.core.scheduler import ObligationScheduler
 from repro.core.store import VerdictStore, main as store_main
 from repro.smt import (
     CheckResult,
@@ -314,6 +316,37 @@ class TestSplitAdoption:
         assert sorted(VerdictStore(cold).digests()) == sorted(VerdictStore(server_dir).digests())
         summary = audit_store(cold, require_certs=True)
         assert summary["failures"] == [] and summary["split"] == 1 and summary["drat"] == 3
+
+    def test_remote_hit_is_fetched_and_checked_on_a_worker(self, tmp_path, warm, monkeypatch):
+        """Dispatch reads the local store only: a remote hit is fetched
+        and its certificates checked by the worker the miss is sent to,
+        never in the dispatching process."""
+        server_dir, _digest = warm
+        checks = tmp_path / "checks"
+        cert_matches = remote._cert_matches
+
+        def recording(*args):
+            with open(checks, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return cert_matches(*args)
+
+        monkeypatch.setattr(remote, "_cert_matches", recording)
+        server = StoreServer(server_dir).start()
+        sched = None
+        try:
+            monkeypatch.setenv("REPRO_REMOTE_STORE", server.url)
+            sched = ObligationScheduler(workers=2)  # forked with the recorder
+            with obs.tracing() as col:
+                [result], _ = sched.run([_split_obligation()], cache_dir=str(tmp_path / "cold"))
+        finally:
+            if sched is not None:
+                sched.shutdown()
+            server.close()
+        assert result.proved and result.stats["cache_hit"]
+        assert col.counters["solver.queries"] == 1 and col.counters["store.remote.hits"] == 1
+        checked = checks.read_text().split()
+        assert len(checked) == 4  # the split and its three pieces
+        assert str(os.getpid()) not in checked
 
     def test_tampered_piece_list_is_rejected_and_nothing_adopted(self, tmp_path, warm):
         server_dir, digest = warm
