@@ -54,6 +54,9 @@ def _algebra_obligations(prefix):
 class TestDeterminism:
     def test_parallel_matches_sequential_on_algebra(self):
         seq, _ = run_obligations(_algebra_obligations("det.a"))
+        # det.b is det.a renamed: with the memo kept, dispatch would
+        # answer every task from the sequential run's verdicts.
+        reset_incremental_session()
         par, stats = run_obligations(_algebra_obligations("det.b"), jobs=2)
         assert stats.jobs == 2
         assert [r.status for r in seq] == [r.status for r in par]
@@ -65,6 +68,7 @@ class TestDeterminism:
         verifier = CertikosVerifier(opt=1)
         sequential = verifier.prove_op("get_quota")
         verifier.jobs = 2
+        reset_incremental_session()  # the workers solve, not the memo
         parallel = verifier.prove_op("get_quota")
         assert sequential.proved and parallel.proved
         assert parallel.stats["obligations"] > 1
@@ -98,6 +102,7 @@ class TestDeterminism:
         VC, each with a counterexample that falsifies it."""
         messages = []
         for jobs in (1, 2):
+            reset_incremental_session()  # the jobs=1 verdicts are not reused
             with new_context() as ctx:
                 a = fresh_bv(f"vvr.{jobs}.a", 16)
                 b = fresh_bv(f"vvr.{jobs}.b", 16)
