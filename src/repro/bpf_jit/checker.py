@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..bpf.insn import BpfInsn
 from ..bpf.interp import BpfState, run_insn
-from ..core import EngineOptions, run_interpreter
+from ..core import EngineOptions, parallel_map, run_interpreter
 from ..core.image import Image
 from ..core.memory import Memory
 from ..riscv import CpuState, RiscvInterp
@@ -170,23 +170,20 @@ def sweep(checker, jit, insns, jobs: int = 1) -> list[CheckResult]:
     """Run the checker over an instruction battery.
 
     Each instruction check is an independent proof obligation — the
-    whole symbolic evaluation, not just the solve — so the sweep
-    parallelizes across worker processes with ``jobs > 1`` (order of
-    results matches ``insns`` either way).  The items ride the shared
-    scheduler queue (``repro.core.scheduler``), so a JIT sweep and
-    a monitor refinement proof submitted by the same process interleave
-    on the same workers instead of fighting over separate pools.
-    Checks in one process share verdicts through its session verdict
-    memo (``repro.smt.solver``), so an instruction whose registers were
-    redrawn is answered without a solve when its query, up to variable
-    names, was already checked there.
+    whole symbolic evaluation, not just the solve — so the sweep is a
+    ``repro.core.runner.parallel_map`` over worker processes, which runs
+    inline at ``jobs <= 1``, for one instruction and inside a worker
+    (order of results matches ``insns`` either way).  The items ride
+    the shared scheduler queue (``repro.core.scheduler``), so a JIT
+    sweep and a monitor refinement proof submitted by the same process
+    interleave on the same workers instead of fighting over separate
+    pools.  Checks in one process share verdicts through its session
+    verdict memo (``repro.smt.solver``), so an instruction whose
+    registers were redrawn is answered without a solve when its query,
+    up to variable names, was already checked there.
 
     To trace the sweep, call it inside ``with obs.tracing() as col:``;
     with scheduler dispatch the per-instruction checks come back as
     ``scheduler``-layer spans on their worker's track.
     """
-    if jobs != 1 and len(insns) > 1:
-        from ..core.runner import parallel_map
-
-        return parallel_map(_sweep_one, [(checker, jit, insn) for insn in insns], jobs=jobs)
-    return [checker(insn, jit) for insn in insns]
+    return parallel_map(_sweep_one, [(checker, jit, insn) for insn in insns], jobs=jobs)

@@ -1,9 +1,9 @@
 """Komodo^s: the Komodo enclave monitor retrofitted to automated
 verification on RISC-V (§6.3)."""
 
-from .impl import CALL_NAMES, build_image
+from .impl import build_image
 from .invariants import abstract, rep_invariant
-from .layout import HOST, NENC, NPAGES
+from .layout import CALL_NAMES, HOST, NENC, NPAGES
 from .ni import (
     enclave_equiv,
     exit_declassifies,

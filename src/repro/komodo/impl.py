@@ -1,10 +1,11 @@
-"""Komodo^s implementation: trap entry/exit in assembly, handlers in
-mini-C (§6.3).
+"""Komodo^s implementation: monitor-call handlers in mini-C, on the
+trap skeleton both monitors share (§6.3).
 
-Same execution model as CertiKOS^s (Figure 6): save the caller's
-registers into ``pcb[cur]``, dispatch on a7, write non-switching
-calls' return values into the caller's saved a0, restore the (possibly
-new) current context, zero the remaining registers, ``mret``.
+``repro.riscv.trap`` states the execution model (Figure 6) and emits
+the trap entry, dispatch, exit and boot epilogue.  This module declares
+the monitor to it: the twelve calls of ``layout.CALL_NAMES``, their
+handlers, and the boot prologue that builds the host context with an
+empty page database.
 
 Context-switching calls (Enter/Resume/Exit) manage saved-register
 banks themselves: on success the target context's bank is restored
@@ -12,8 +13,6 @@ untouched; failures write -1 into the *caller's* bank.
 """
 
 from __future__ import annotations
-
-import functools
 
 from ..cc import (
     Arg,
@@ -29,11 +28,11 @@ from ..cc import (
     Return,
     Store,
     Var,
-    compile_program,
 )
-from ..core.image import Image
 from ..riscv import Assembler
+from ..riscv.trap import TrapMonitor
 from .layout import (
+    CALL_NAMES,
     DATA_SYMBOLS,
     ENC_FINAL,
     ENC_INIT,
@@ -52,29 +51,10 @@ from .layout import (
     SAVED_REGS,
     STACK_TOP,
     TEXT_BASE,
-    WORD,
     XLEN,
 )
 
-__all__ = ["build_image", "boot_address", "CALL_NAMES"]
-
-CALL_NAMES = [
-    "init_addrspace",
-    "init_thread",
-    "init_l2ptable",
-    "init_l3ptable",
-    "map_secure",
-    "map_insecure",
-    "finalize",
-    "enter",
-    "resume",
-    "stop",
-    "remove",
-    "exit",
-]
-
-# Handlers that switch context and manage return values themselves.
-SWITCHING = {"enter", "resume", "exit"}
+__all__ = ["build_image", "boot_address"]
 
 
 def _enc_state(eid_expr):
@@ -320,79 +300,8 @@ def _handlers() -> Program:
     return Program(funcs=funcs, data=list(DATA_SYMBOLS))
 
 
-_SAVED_NUMS = {num for _, num in SAVED_REGS}
-CLEARED_REGS = [i for i in range(1, 32) if i not in _SAVED_NUMS]
-
-
-def _emit_pcb_addr(asm: Assembler, dest: str, scratch: str) -> None:
-    asm.la(dest, "cur")
-    asm.lw(scratch, 0, dest)
-    asm.slli(scratch, scratch, PCB_STRIDE.bit_length() - 1)
-    asm.la(dest, "pcb")
-    asm.add(dest, dest, scratch)
-
-
-@functools.cache
-def build_image(opt: int = 1) -> Image:
-    """Assemble the monitor at ``opt``, once per level and process (as
-    ``repro.certikos.impl.build_image``)."""
-    return _build_asm(opt).assemble()
-
-
-def boot_address(opt: int = 1) -> int:
-    """Address of the boot entry point in the built image."""
-    return _build_asm(opt).addr_of("boot")
-
-
-@functools.cache
-def _build_asm(opt: int) -> Assembler:
-    """The monitor's assembly at ``opt``, compiled once per level and
-    process; the image and the boot address both read it, and nothing
-    writes it."""
-    asm = Assembler(base=TEXT_BASE, xlen=XLEN)
-    for name, addr, size, shape in DATA_SYMBOLS:
-        asm.data_symbol(name, addr, size, shape)
-
-    asm.label("entry")
-    _emit_pcb_addr(asm, "t0", "t1")
-    for j, (_, num) in enumerate(SAVED_REGS):
-        asm.sw(num, WORD * j, "t0")
-    asm.li("sp", STACK_TOP)
-    for call_no, name in enumerate(CALL_NAMES):
-        asm.li("t1", call_no)
-        asm.beq("a7", "t1", f"do_{name}")
-    asm.li("a0", -1)
-    asm.j("save_ret")
-
-    for name in CALL_NAMES:
-        asm.label(f"do_{name}")
-        # Every call's arguments arrive in a0.. already.
-        asm.call(f"c_{name}")
-        asm.j("restore" if name in SWITCHING else "save_ret")
-
-    asm.label("save_ret")
-    _emit_pcb_addr(asm, "t0", "t1")
-    asm.sw("a0", WORD * 2, "t0")  # slot 2 = a0
-
-    asm.label("restore")
-    _emit_pcb_addr(asm, "t0", "t1")
-    for j, (_, num) in enumerate(SAVED_REGS):
-        asm.lw(num, WORD * j, "t0")
-    for num in CLEARED_REGS:
-        asm.li(num, 0)
-    asm.mret()
-
-    compile_program(_handlers(), asm, opt)
-    _emit_boot(asm)
-    return asm
-
-
-S_MODE_START = 0x0010_0000
-
-
-def _emit_boot(asm: Assembler) -> None:
-    """Boot code: the host context with an empty page database."""
-    asm.label("boot")
+def _boot_prologue(asm: Assembler) -> None:
+    """The host context with an empty page database."""
     asm.la("t0", "cur")
     asm.li("t1", HOST)
     asm.sw("t1", 0, "t0")
@@ -402,13 +311,20 @@ def _emit_boot(asm: Assembler) -> None:
     asm.la("t0", "pagedb")
     for off in range(0, NPAGES * 12, 4):
         asm.sw("zero", off, "t0")
-    asm.la("t0", "pcb")
-    for off in range(0, (NENC + 1) * PCB_STRIDE, 4):
-        asm.sw("zero", off, "t0")
-    asm.li("t0", asm.addr_of("entry"))
-    asm.csrrw("zero", "mtvec", "t0")
-    asm.li("t0", S_MODE_START)
-    asm.csrrw("zero", "mepc", "t0")
-    for num in range(1, 32):
-        asm.li(num, 0)
-    asm.mret()
+
+
+MONITOR = TrapMonitor(
+    text_base=TEXT_BASE,
+    xlen=XLEN,
+    data_symbols=DATA_SYMBOLS,
+    saved_regs=SAVED_REGS,
+    pcb_stride=PCB_STRIDE,
+    stack_top=STACK_TOP,
+    pcb_index="cur",
+    calls=list(enumerate(CALL_NAMES)),
+    switching={"enter", "resume", "exit"},
+    handlers=_handlers(),
+    boot_prologue=_boot_prologue,
+)
+build_image = MONITOR.build_image
+boot_address = MONITOR.boot_address

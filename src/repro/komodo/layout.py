@@ -16,22 +16,23 @@ WORD = 4
 NENC = 2
 NPAGES = 6
 
-# Monitor call numbers (a7), following the Komodo interface with the
-# InitL3PTable addition for three-level RISC-V paging (§6.3).
-CALL_INIT_ADDRSPACE = 0
-CALL_INIT_THREAD = 1
-CALL_INIT_L2PTABLE = 2
-CALL_INIT_L3PTABLE = 3
-CALL_MAP_SECURE = 4
-CALL_MAP_INSECURE = 5
-CALL_FINALIZE = 6
-CALL_ENTER = 7
-CALL_RESUME = 8
-CALL_STOP = 9
-CALL_REMOVE = 10
-CALL_EXIT = 11
-
-ALL_CALLS = list(range(12))
+# Monitor calls, numbered by position (the value in a7), following the
+# Komodo interface with the InitL3PTable addition for three-level
+# RISC-V paging (§6.3).
+CALL_NAMES = [
+    "init_addrspace",
+    "init_thread",
+    "init_l2ptable",
+    "init_l3ptable",
+    "map_secure",
+    "map_insecure",
+    "finalize",
+    "enter",
+    "resume",
+    "stop",
+    "remove",
+    "exit",
+]
 
 # Page types.
 PG_FREE = 0

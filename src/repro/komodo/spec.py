@@ -17,6 +17,7 @@ from __future__ import annotations
 from ..core import spec_struct
 from ..sym import SymBV, SymBool, bv_val, ite
 from .layout import (
+    CALL_NAMES,
     ENC_FINAL,
     ENC_INIT,
     ENC_INVALID,
@@ -222,18 +223,21 @@ def spec_invalid(s, _eid, _page, _arg2):
     return _ret(out, s, bv_val(-1, XLEN))
 
 
-SPEC_CALLS = {
-    "init_addrspace": (0, spec_init_addrspace),
-    "init_thread": (1, spec_init_thread),
-    "init_l2ptable": (2, spec_init_l2ptable),
-    "init_l3ptable": (3, spec_init_l3ptable),
-    "map_secure": (4, spec_map_secure),
-    "map_insecure": (5, spec_map_insecure),
-    "finalize": (6, spec_finalize),
-    "enter": (7, spec_enter),
-    "resume": (8, spec_resume),
-    "stop": (9, spec_stop),
-    "remove": (10, spec_remove),
-    "exit": (11, spec_exit),
-    "invalid": (None, spec_invalid),
+_SPECS = {
+    "init_addrspace": spec_init_addrspace,
+    "init_thread": spec_init_thread,
+    "init_l2ptable": spec_init_l2ptable,
+    "init_l3ptable": spec_init_l3ptable,
+    "map_secure": spec_map_secure,
+    "map_insecure": spec_map_insecure,
+    "finalize": spec_finalize,
+    "enter": spec_enter,
+    "resume": spec_resume,
+    "stop": spec_stop,
+    "remove": spec_remove,
+    "exit": spec_exit,
 }
+# Each call's number is the one the binary dispatches on: its position
+# in layout.CALL_NAMES.
+SPEC_CALLS = {name: (number, _SPECS[name]) for number, name in enumerate(CALL_NAMES)}
+SPEC_CALLS["invalid"] = (None, spec_invalid)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from ..riscv import MonitorVerifier
 from ..sym import bv_val
-from .impl import CALL_NAMES, boot_address, build_image
+from .impl import boot_address, build_image
 from .invariants import abstract, rep_invariant
-from .layout import HOST, NENC, NPAGES, NSAVED, XLEN
+from .layout import CALL_NAMES, HOST, NENC, NPAGES, NSAVED, XLEN
 from .spec import KomodoState, SPEC_CALLS
 
 __all__ = ["KomodoVerifier"]

@@ -1,18 +1,26 @@
-"""The monitor verifier (``repro.riscv.monitor``) and the grid table.
+"""The monitor verifier (``repro.riscv.monitor``), the trap skeleton
+(``repro.riscv.trap``) and the grid table.
 
-Both monitors are declared to one harness; these checks need no proof
-of a monitor call, so they run in the fast tier.
+Both monitors are declared to one harness on one skeleton; these checks
+need no proof of a monitor call, so they run in the fast tier.
 """
 
 from collections import Counter
+import importlib
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.riscv import MonitorVerifier
-from repro.riscv.monitor import A0, A1, A2
+from repro.riscv.monitor import A0, A1, A2, A7
+from repro.riscv.trap import S_MODE_START
 from repro.serve.grids import GRIDS, verifier_class
-from repro.sym import new_context, prove
+from repro.sym import bv_val, new_context, prove
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MONITORS = ["certikos", "komodo"]
 
 
@@ -49,3 +57,76 @@ def test_full_grid_holds_each_operation_once():
     for monitor in MONITORS:
         ops = Counter(op for m, op in grid if m == monitor)
         assert ops == Counter(list(verifier_class(monitor).OPERATIONS))
+
+
+def _uncleared(final, keep=()) -> list[int]:
+    """The registers among x1-x31, outside ``keep``, that may be nonzero."""
+    return [num for num in range(1, 32) if num not in keep and not prove(final.reg(num) == 0).proved]
+
+
+@pytest.mark.parametrize("opt", [0, 1, 2])
+@pytest.mark.parametrize("monitor", MONITORS)
+def test_trap_exit_clears_unsaved_registers(monitor, opt):
+    """One trap per call number, and one outside the interface, ends
+    at ``mret`` with every register outside the saved set zero.  No
+    proof checks this: the AF reads only the saved registers."""
+    verifier = verifier_class(monitor)(opt=opt)
+    saved = {num for _, num in importlib.import_module(f"repro.{monitor}.layout").SAVED_REGS}
+    numbers = [number for number, _ in verifier.OPERATIONS.values() if number is not None]
+    for a7 in numbers + [max(numbers) + 1]:
+        with new_context():
+            cpu = verifier.make_cpu()
+            cpu.set_reg(A7, bv_val(a7, verifier.XLEN))
+            final = verifier.run(cpu)
+            assert final.exited
+            assert _uncleared(final, saved) == [], f"a7={a7}"
+
+
+@pytest.mark.parametrize("opt", [0, 1, 2])
+@pytest.mark.parametrize("monitor", MONITORS)
+def test_boot_clears_registers_and_enters_s_mode(monitor, opt):
+    """Boot ends at ``mret`` into the S-mode start with x1-x31 zero
+    (``prove_boot`` checks mtvec and the initial state)."""
+    verifier = verifier_class(monitor)(opt=opt)
+    with new_context():
+        cpu = verifier.make_cpu()
+        cpu.pc = bv_val(verifier.boot_address(), verifier.XLEN)
+        final = verifier.run(cpu)
+        assert final.exited
+        assert prove(final.csr("mepc") == S_MODE_START).proved
+        assert _uncleared(final) == []
+
+
+@pytest.mark.parametrize("first", ["repro.cc", "repro.riscv", "repro.certikos", "repro.komodo"])
+def test_packages_import_in_any_order(first):
+    """``repro.riscv.trap`` compiles with ``repro.cc``, whose code
+    generator imports ``repro.riscv.asm``: exporting the skeleton from
+    ``repro.riscv`` would be an import cycle that fails in some orders."""
+    code = f"import {first}; import repro.cc, repro.riscv, repro.certikos, repro.komodo"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_obligation_fingerprint_script_runs():
+    """``scripts/obligation_fingerprint.py`` reads the verifiers, the
+    grid table and the runner by name, so a rename fails here rather
+    than in the script."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "obligation_fingerprint.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    images = re.findall(r"^image \w+ O[012] sha256=[0-9a-f]{64} boot=0x[0-9a-f]+$", proc.stdout, re.M)
+    assert len(images) == 6
+    [count] = re.findall(
+        r"^obligations fig11-full O0-O2 count=(\d+) sha256=[0-9a-f]{64}$", proc.stdout, re.M
+    )
+    assert int(count) > 0
