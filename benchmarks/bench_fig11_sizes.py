@@ -10,11 +10,13 @@ We report implementation size in machine instructions per optimization
 level (our mini-C source is an AST, so "lines of C" has no direct
 analogue) plus Python line counts for the source and the specification
 artifacts.  Each monitor's source row includes the trap skeleton both
-run on (``repro.riscv.trap``).
+run on (``repro.riscv.trap``), except the skeleton's AF method
+(``TrapMonitor.register_banks``), which the AF row counts.
 The shape to match: Komodo^s has the larger implementation and a much
 larger functional spec (its interface has 12 calls vs 3).
 """
 
+import inspect
 from pathlib import Path
 
 from conftest import banner, emit, run_once
@@ -22,15 +24,21 @@ from conftest import banner, emit, run_once
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
+def count(lines) -> int:
+    return sum(1 for ln in lines if ln.strip() and not ln.strip().startswith("#"))
+
+
 def loc(path: Path) -> int:
     with open(path) as handle:
-        return sum(1 for ln in handle if ln.strip() and not ln.strip().startswith("#"))
+        return count(handle)
 
 
 def collect():
     from repro.certikos import build_image as certikos_image
     from repro.komodo import build_image as komodo_image
+    from repro.riscv.trap import TrapMonitor
 
+    af_method = count(inspect.getsourcelines(TrapMonitor.register_banks)[0])
     rows = {}
     for monitor, image_fn in (("certikos", certikos_image), ("komodo", komodo_image)):
         base = SRC / monitor
@@ -39,11 +47,13 @@ def collect():
             "impl insns O1": len(image_fn(1).words),
             "impl insns O2": len(image_fn(2).words),
             # Both monitors run on the shared trap skeleton, so each
-            # implementation counts it.
+            # implementation counts it, and each AF its AF method.
             "impl source (impl.py+layout.py+riscv/trap.py)": loc(base / "impl.py")
             + loc(base / "layout.py")
-            + loc(SRC / "riscv" / "trap.py"),
-            "AF + RI (invariants.py)": loc(base / "invariants.py"),
+            + loc(SRC / "riscv" / "trap.py")
+            - af_method,
+            "AF + RI (invariants.py+TrapMonitor.register_banks)": loc(base / "invariants.py")
+            + af_method,
             "functional spec (spec.py)": loc(base / "spec.py"),
             "safety/NI properties (ni.py)": loc(base / "ni.py"),
         }

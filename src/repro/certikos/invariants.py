@@ -8,12 +8,14 @@ refinement proof may assume — and must re-establish.
 
 from __future__ import annotations
 
+from ..core import select
 from ..riscv import CpuState
-from ..sym import SymBV, SymBool, bv_val, ite
-from .layout import NPROC, PCB_STRIDE, PROC_FREE, PROC_RUN, SAVED_REGS, WORD, XLEN
+from ..sym import SymBV, SymBool, bv_val
+from .impl import MONITOR
+from .layout import NPROC, PROC_FREE, PROC_RUN, WORD, XLEN
 from .spec import CertiState
 
-__all__ = ["abstract", "rep_invariant", "read_current", "read_proc_field", "read_pcb_reg"]
+__all__ = ["abstract", "rep_invariant", "read_current", "read_proc_field"]
 
 
 def read_current(cpu: CpuState) -> SymBV:
@@ -23,11 +25,6 @@ def read_current(cpu: CpuState) -> SymBV:
 def read_proc_field(cpu: CpuState, pid: int, field: str) -> SymBV:
     offset = pid * 8 + (0 if field == "state" else WORD)
     return cpu.mem.region("procs").block.load(bv_val(offset, XLEN), WORD, cpu.mem.opts)
-
-
-def read_pcb_reg(cpu: CpuState, pid: int, j: int) -> SymBV:
-    offset = pid * PCB_STRIDE + WORD * j
-    return cpu.mem.region("pcb").block.load(bv_val(offset, XLEN), WORD, cpu.mem.opts)
 
 
 def abstract(cpu: CpuState) -> CertiState:
@@ -41,13 +38,7 @@ def abstract(cpu: CpuState) -> CertiState:
     # nr_children exists only for the legacy implicit-spawn spec; the
     # explicit-PID system neither stores nor depends on it.
     out.nr_children = [bv_val(0, XLEN) for _ in range(NPROC)]
-    regs = []
-    for p in range(NPROC):
-        for j, (_, num) in enumerate(SAVED_REGS):
-            live = cpu.reg(num)
-            saved = read_pcb_reg(cpu, p, j)
-            regs.append(ite(current == p, live, saved))
-    out.regs = regs
+    out.regs = MONITOR.register_banks(cpu, current)
     return out
 
 
@@ -56,12 +47,9 @@ def rep_invariant(cpu: CpuState) -> SymBool:
     current = read_current(cpu)
     inv = current < NPROC
     # The running process is marked RUN, and the root process exists.
-    running_state = read_proc_field(cpu, NPROC - 1, "state")
-    for p in range(NPROC - 2, -1, -1):
-        running_state = ite(current == p, read_proc_field(cpu, p, "state"), running_state)
-    inv = inv & (running_state == PROC_RUN)
-    inv = inv & (read_proc_field(cpu, 0, "state") == PROC_RUN)
-    for p in range(NPROC):
-        st = read_proc_field(cpu, p, "state")
+    states = [read_proc_field(cpu, p, "state") for p in range(NPROC)]
+    inv = inv & (select(states, current) == PROC_RUN)
+    inv = inv & (states[0] == PROC_RUN)
+    for st in states:
         inv = inv & ((st == PROC_FREE) | (st == PROC_RUN))
     return inv

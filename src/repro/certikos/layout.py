@@ -30,6 +30,7 @@ PROC_RUN = 1
 # Saved user-register set: (spec index, riscv register number).
 SAVED_REGS = [("ra", 1), ("sp", 2), ("a0", 10), ("a1", 11), ("a2", 12), ("s0", 8), ("s1", 9)]
 NSAVED = len(SAVED_REGS)
+A0 = [name for name, _ in SAVED_REGS].index("a0")  # a0's slot in a bank
 PCB_STRIDE = 32  # 7 words + pad, power of two for cheap addressing
 
 # Physical layout.

@@ -16,9 +16,9 @@ demonstrate the PID covert channel the Nickel specification caught.
 
 from __future__ import annotations
 
-from ..core import spec_struct
+from ..core import select, set_bank, spec_struct, update
 from ..sym import SymBV, SymBool, bv_val, ite
-from .layout import NCHILD, NPROC, NSAVED, PROC_FREE, PROC_RUN, XLEN
+from .layout import A0, NCHILD, NPROC, NSAVED, PROC_FREE, PROC_RUN, XLEN
 
 __all__ = [
     "CertiState",
@@ -39,42 +39,10 @@ CertiState = spec_struct(
     regs=(XLEN, NPROC * NSAVED),
 )
 
-A0 = 2  # index of a0 within the saved-register vector (ra, sp, a0, ...)
-
-
-def reg_of(s, pid_concrete: int, j: int) -> SymBV:
-    return s.regs[pid_concrete * NSAVED + j]
-
-
-def _select(vec, idx: SymBV, count: int) -> SymBV:
-    """vec[idx] for a symbolic idx over a concrete list."""
-    out = vec[count - 1]
-    for i in range(count - 2, -1, -1):
-        out = ite(idx == i, vec[i], out)
-    return out
-
-
-def _update(vec, idx: SymBV, value, count: int, guard=None):
-    """Functional vec[idx] := value (guarded)."""
-    out = list(vec)
-    for i in range(count):
-        cond = idx == i if guard is None else (idx == i) & guard
-        out[i] = ite(cond, value, vec[i])
-    return out
-
-
-def _set_reg(regs, pid: SymBV, j: int, value, guard=None):
-    out = list(regs)
-    for p in range(NPROC):
-        cond = pid == p if guard is None else (pid == p) & guard
-        out[p * NSAVED + j] = ite(cond, value, regs[p * NSAVED + j])
-    return out
-
-
 def state_invariant(s) -> SymBool:
     """RI at the specification level: well-formed scheduler state."""
     inv = s.current < NPROC
-    inv = inv & (_select(s.state, s.current, NPROC) == PROC_RUN)
+    inv = inv & (select(s.state, s.current) == PROC_RUN)
     inv = inv & (s.state[0] == PROC_RUN)  # the root process always runs
     for i in range(NPROC):
         inv = inv & ((s.state[i] == PROC_FREE) | (s.state[i] == PROC_RUN))
@@ -84,25 +52,25 @@ def state_invariant(s) -> SymBool:
 def spec_get_quota(s):
     """a0' := quota[current]; everything else preserved."""
     out = s.copy()
-    out.regs = _set_reg(s.regs, s.current, A0, _select(s.quota, s.current, NPROC))
+    out.regs = set_bank(s.regs, s.current, A0, select(s.quota, s.current), NSAVED)
     return out
 
 
 def _spawn_common(s, child: SymBV, quota_arg: SymBV, ok: SymBool):
     out = s.copy()
     zero = bv_val(0, XLEN)
-    out.state = _update(s.state, child, bv_val(PROC_RUN, XLEN), NPROC, guard=ok)
-    out.quota = _update(s.quota, child, quota_arg, NPROC, guard=ok)
+    out.state = update(s.state, child, bv_val(PROC_RUN, XLEN), guard=ok)
+    out.quota = update(s.quota, child, quota_arg, guard=ok)
     # Parent pays the child's quota.
-    cur_quota = _select(s.quota, s.current, NPROC)
-    out.quota = _update(out.quota, s.current, cur_quota - quota_arg, NPROC, guard=ok)
+    cur_quota = select(s.quota, s.current)
+    out.quota = update(out.quota, s.current, cur_quota - quota_arg, guard=ok)
     # The child starts with minimum state: all saved registers zero
     # (ELF loading is delegated to untrusted S-mode, §6.2).
-    regs = list(out.regs)
+    regs = out.regs
     for j in range(NSAVED):
-        regs = _set_reg(regs, child, j, zero, guard=ok)
+        regs = set_bank(regs, child, j, zero, NSAVED, guard=ok)
     # Return value: child PID on success, -1 on failure.
-    regs = _set_reg(regs, s.current, A0, ite(ok, child, bv_val(-1, XLEN)))
+    regs = set_bank(regs, s.current, A0, ite(ok, child, bv_val(-1, XLEN)), NSAVED)
     out.regs = regs
     return out
 
@@ -121,8 +89,8 @@ def spec_spawn(s, child: SymBV, quota_arg: SymBV):
     """
     ok = (
         _owned(s.current, child)
-        & (_select(s.state, child, NPROC) == PROC_FREE)
-        & (quota_arg <= _select(s.quota, s.current, NPROC))
+        & (select(s.state, child) == PROC_FREE)
+        & (quota_arg <= select(s.quota, s.current))
     )
     return _spawn_common(s, child, quota_arg, ok)
 
@@ -134,18 +102,18 @@ def spec_spawn_implicit(s, quota_arg: SymBV):
     child — the covert channel that the Nickel-style NI specification
     catches (§6.2).  Kept for the bug-reproduction tests.
     """
-    child = s.current * NCHILD + _select(s.nr_children, s.current, NPROC) + 1
+    child = s.current * NCHILD + select(s.nr_children, s.current) + 1
     ok = (
-        (_select(s.nr_children, s.current, NPROC) < NCHILD)
+        (select(s.nr_children, s.current) < NCHILD)
         & (child < NPROC)
-        & (_select(s.state, child, NPROC) == PROC_FREE)
-        & (quota_arg <= _select(s.quota, s.current, NPROC))
+        & (select(s.state, child) == PROC_FREE)
+        & (quota_arg <= select(s.quota, s.current))
     )
     out = _spawn_common(s, child, quota_arg, ok)
     # The private children counter is what makes the allocated PID a
     # covert channel; the explicit-PID variant never reads or writes it.
-    out.nr_children = _update(
-        out.nr_children, s.current, _select(s.nr_children, s.current, NPROC) + 1, NPROC, guard=ok
+    out.nr_children = update(
+        out.nr_children, s.current, select(s.nr_children, s.current) + 1, guard=ok
     )
     return out
 
@@ -158,7 +126,7 @@ def spec_next_runnable(s) -> SymBV:
     for off in range(NPROC - 1, 0, -1):
         cand = current + off
         cand = ite(cand >= NPROC, cand - NPROC, cand)
-        runnable = _select(s.state, cand, NPROC) == PROC_RUN
+        runnable = select(s.state, cand) == PROC_RUN
         next_pid = ite(runnable, cand, next_pid)
     return next_pid
 
@@ -174,5 +142,5 @@ def spec_yield(s):
 def spec_invalid(s):
     """Unknown monitor call: a0' := -1."""
     out = s.copy()
-    out.regs = _set_reg(s.regs, s.current, A0, bv_val(-1, XLEN))
+    out.regs = set_bank(s.regs, s.current, A0, bv_val(-1, XLEN), NSAVED)
     return out

@@ -37,14 +37,8 @@ from .scheduler import (
     get_scheduler,
     shutdown_scheduler,
 )
-from .safety import (
-    count_where,
-    prove_invariant_step,
-    prove_one_safety,
-    prove_two_safety,
-    reference_count_consistent,
-)
-from .spec import Refinement, SpecStruct, spec_struct, theorem
+from .safety import count_where, prove_invariant_step, reference_count_consistent
+from .spec import Refinement, SpecStruct, select, set_bank, spec_struct, theorem, update
 from .symopt import (
     SymOptConfig,
     concretize,

@@ -9,23 +9,20 @@ two flavors:
   * two-safety: predicates on two specification states (e.g.
     noninterference, Terauchi & Aiken).
 
-These helpers finitize the quantifiers and discharge each obligation
-with the solver.
+Both are :func:`repro.core.spec.theorem` over one or two state types.
+This module adds what a theorem does not say by itself: that a spec
+transition preserves an invariant (:func:`prove_invariant_step`), and
+the bounded sums that state reference-count consistency.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..sym import ProofResult, SymBool, new_context, sym_true, verify_vcs
 from .spec import SpecStruct
 
-__all__ = [
-    "prove_invariant_step",
-    "prove_one_safety",
-    "prove_two_safety",
-    "reference_count_consistent",
-]
+__all__ = ["count_where", "prove_invariant_step", "reference_count_consistent"]
 
 
 def prove_invariant_step(
@@ -45,37 +42,6 @@ def prove_invariant_step(
         assume = [invariant(s)]
         if assumptions is not None:
             assume.append(assumptions(s))
-        return verify_vcs(ctx, assumptions=assume, max_conflicts=max_conflicts)
-
-
-def prove_one_safety(
-    name: str,
-    prop: Callable[[Any], SymBool],
-    state_type: type[SpecStruct],
-    assumptions: Callable[[Any], SymBool] | None = None,
-    max_conflicts: int | None = None,
-) -> ProofResult:
-    """Prove a predicate on a single specification state."""
-    with new_context() as ctx:
-        s = state_type.fresh(f"{name}.s")
-        ctx.assert_prop(prop(s), name)
-        assume = [assumptions(s)] if assumptions is not None else []
-        return verify_vcs(ctx, assumptions=assume, max_conflicts=max_conflicts)
-
-
-def prove_two_safety(
-    name: str,
-    prop: Callable[[Any, Any], SymBool],
-    state_type: type[SpecStruct],
-    assumptions: Callable[[Any, Any], SymBool] | None = None,
-    max_conflicts: int | None = None,
-) -> ProofResult:
-    """Prove a predicate relating two specification states."""
-    with new_context() as ctx:
-        s1 = state_type.fresh(f"{name}.s1")
-        s2 = state_type.fresh(f"{name}.s2")
-        ctx.assert_prop(prop(s1, s2), name)
-        assume = [assumptions(s1, s2)] if assumptions is not None else []
         return verify_vcs(ctx, assumptions=assume, max_conflicts=max_conflicts)
 
 

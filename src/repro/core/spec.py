@@ -14,11 +14,16 @@ and proves lock-step state-machine refinement:
 
 plus the absence of undefined behaviour (every ``bug_on`` collected
 while evaluating ``f_impl`` must be false).
+
+A spec state's vectors are concrete lists indexed by symbolic values:
+:func:`select` reads one element, :func:`update` writes one, and
+:func:`set_bank` writes one register of one context's bank in a flat
+vector of saved-register banks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..sym import (
@@ -26,6 +31,7 @@ from ..sym import (
     SymBool,
     fresh_bool,
     fresh_bv,
+    ite,
     merge,
     new_context,
     sym_eq,
@@ -33,7 +39,7 @@ from ..sym import (
     verify_vcs,
 )
 
-__all__ = ["spec_struct", "SpecStruct", "theorem", "Refinement"]
+__all__ = ["spec_struct", "SpecStruct", "theorem", "Refinement", "select", "update", "set_bank"]
 
 
 class SpecStruct:
@@ -97,6 +103,36 @@ def _fresh_field(name: str, shape):
         width, count = shape
         return [fresh_bv(f"{name}[{i}]", width) for i in range(count)]
     raise TypeError(f"bad field shape for {name}: {shape!r}")
+
+
+def select(vec: list, idx):
+    """``vec[idx]`` for a symbolic ``idx``: an ``ite`` chain over the
+    concrete list, in which an index past the end reads the last
+    element."""
+    out = vec[-1]
+    for i in range(len(vec) - 2, -1, -1):
+        out = ite(idx == i, vec[i], out)
+    return out
+
+
+def update(vec: list, idx, value, guard: SymBool | None = None) -> list:
+    """Functional ``vec[idx] := value`` for a symbolic ``idx``, where
+    ``guard`` holds (everywhere when it is None); an index past the end
+    writes nothing."""
+    out = []
+    for i, old in enumerate(vec):
+        cond = idx == i if guard is None else (idx == i) & guard
+        out.append(ite(cond, value, old))
+    return out
+
+
+def set_bank(regs: list, ctx, j: int, value, nsaved: int, guard: SymBool | None = None) -> list:
+    """Write register ``j`` of context ``ctx``'s bank, where ``guard``
+    holds, in a flat vector of ``nsaved``-register banks (context c's
+    register j at ``c * nsaved + j``)."""
+    out = list(regs)
+    out[j::nsaved] = update(regs[j::nsaved], ctx, value, guard)
+    return out
 
 
 def spec_struct(name: str, **fields) -> type[SpecStruct]:

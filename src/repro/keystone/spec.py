@@ -22,7 +22,7 @@ state is not influenced by other enclaves.  Keystone adopted the fix
 
 from __future__ import annotations
 
-from ..core import spec_struct
+from ..core import select, spec_struct, update
 from ..sym import SymBV, SymBool, bv_val, ite, sym_true
 
 __all__ = [
@@ -62,17 +62,6 @@ KeystoneState = spec_struct(
 )
 
 
-def _select(vec, idx, count):
-    out = vec[count - 1]
-    for i in range(count - 2, -1, -1):
-        out = ite(idx == i, vec[i], out)
-    return out
-
-
-def _update(vec, idx, value, count, guard):
-    return [ite((idx == i) & guard, value, vec[i]) for i in range(count)]
-
-
 def state_invariant(s) -> SymBool:
     inv = (s.cur <= HOST)
     for i in range(NENC):
@@ -91,31 +80,31 @@ def spec_create(s, eid: SymBV, region: SymBV, payload: SymBV, allow_nested_creat
     """
     out = s.copy()
     caller_ok = sym_true() if allow_nested_create else (s.cur == HOST)
-    ok = caller_ok & (eid < NENC) & (_select(s.status, eid, NENC) == ENC_FREE)
-    out.status = _update(s.status, eid, bv_val(ENC_CREATED, W), NENC, ok)
-    out.region = _update(s.region, eid, region, NENC, ok)
-    out.measure = _update(s.measure, eid, payload, NENC, ok)
+    ok = caller_ok & (eid < NENC) & (select(s.status, eid) == ENC_FREE)
+    out.status = update(s.status, eid, bv_val(ENC_CREATED, W), ok)
+    out.region = update(s.region, eid, region, ok)
+    out.measure = update(s.measure, eid, payload, ok)
     return out
 
 
 def spec_run(s, eid: SymBV):
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.status, eid, NENC) == ENC_CREATED)
-    out.status = _update(s.status, eid, bv_val(ENC_RUNNING, W), NENC, ok)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.status, eid) == ENC_CREATED)
+    out.status = update(s.status, eid, bv_val(ENC_RUNNING, W), ok)
     out.cur = ite(ok, eid, s.cur)
     return out
 
 
 def spec_stop(s, eid: SymBV):
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.status, eid, NENC) == ENC_STOPPED)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.status, eid) == ENC_STOPPED)
     # stop applies to an enclave that has exited (STOPPED after exit);
     # model: host may also forcibly stop a CREATED enclave.
     ok = (s.cur == HOST) & (eid < NENC) & (
-        (_select(s.status, eid, NENC) == ENC_CREATED)
-        | (_select(s.status, eid, NENC) == ENC_STOPPED)
+        (select(s.status, eid) == ENC_CREATED)
+        | (select(s.status, eid) == ENC_STOPPED)
     )
-    out.status = _update(s.status, eid, bv_val(ENC_STOPPED, W), NENC, ok)
+    out.status = update(s.status, eid, bv_val(ENC_STOPPED, W), ok)
     return out
 
 
@@ -124,10 +113,10 @@ def spec_destroy(s, eid: SymBV):
     (the litmus test of §6.3: memory of a finalized enclave must not
     be observable afterwards)."""
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.status, eid, NENC) == ENC_STOPPED)
-    out.status = _update(s.status, eid, bv_val(ENC_FREE, W), NENC, ok)
-    out.measure = _update(s.measure, eid, bv_val(0, W), NENC, ok)
-    out.region = _update(s.region, eid, bv_val(0, W), NENC, ok)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.status, eid) == ENC_STOPPED)
+    out.status = update(s.status, eid, bv_val(ENC_FREE, W), ok)
+    out.measure = update(s.measure, eid, bv_val(0, W), ok)
+    out.region = update(s.region, eid, bv_val(0, W), ok)
     return out
 
 
@@ -135,6 +124,6 @@ def spec_exit(s):
     """The running enclave exits back to the host."""
     out = s.copy()
     running = s.cur < NENC
-    out.status = _update(s.status, s.cur, bv_val(ENC_STOPPED, W), NENC, running)
+    out.status = update(s.status, s.cur, bv_val(ENC_STOPPED, W), running)
     out.cur = ite(running, bv_val(HOST, W), s.cur)
     return out

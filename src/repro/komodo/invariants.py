@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from ..core import select
 from ..riscv import CpuState
-from ..sym import SymBV, SymBool, bv_val, ite
-from .layout import HOST, NENC, NPAGES, PCB_STRIDE, PG_DATA, PG_FREE, SAVED_REGS, WORD, XLEN
+from ..sym import SymBV, SymBool, bv_val
+from .impl import MONITOR
+from .layout import HOST, NENC, NPAGES, PG_DATA, PG_FREE, WORD, XLEN
 from .spec import KomodoState
 
 __all__ = ["abstract", "rep_invariant"]
@@ -26,13 +28,7 @@ def abstract(cpu: CpuState) -> KomodoState:
     out.pg_type = [_load(cpu, "pagedb", 12 * p) for p in range(NPAGES)]
     out.pg_owner = [_load(cpu, "pagedb", 12 * p + 4) for p in range(NPAGES)]
     out.pg_content = [_load(cpu, "pagedb", 12 * p + 8) for p in range(NPAGES)]
-    regs = []
-    for c in range(NENC + 1):
-        for j, (_, num) in enumerate(SAVED_REGS):
-            live = cpu.reg(num)
-            saved = _load(cpu, "pcb", c * PCB_STRIDE + WORD * j)
-            regs.append(ite(cur == c, live, saved))
-    out.regs = regs
+    out.regs = MONITOR.register_banks(cpu, cur)
     return out
 
 
@@ -40,18 +36,14 @@ def rep_invariant(cpu: CpuState) -> SymBool:
     """RI: a well-formed context id and page database."""
     cur = read_cur(cpu)
     inv = cur <= HOST
-    for i in range(NENC):
-        inv = inv & (_load(cpu, "enclaves", 4 * i) <= 3)
-    from ..sym import ite
-
+    enc_state = [_load(cpu, "enclaves", 4 * i) for i in range(NENC)]
+    for st in enc_state:
+        inv = inv & (st <= 3)
     for p in range(NPAGES):
         inv = inv & (_load(cpu, "pagedb", 12 * p) <= PG_DATA)
         owner = _load(cpu, "pagedb", 12 * p + 4)
         inv = inv & (owner < NENC)
         free = _load(cpu, "pagedb", 12 * p) == PG_FREE
         inv = inv & (~free | (_load(cpu, "pagedb", 12 * p + 8) == 0))
-        owner_state = _load(cpu, "enclaves", 4 * (NENC - 1))
-        for i in range(NENC - 2, -1, -1):
-            owner_state = ite(owner == i, _load(cpu, "enclaves", 4 * i), owner_state)
-        inv = inv & (free | (owner_state != 0))
+        inv = inv & (free | (select(enc_state, owner) != 0))
     return inv

@@ -54,6 +54,7 @@ HOST = NENC
 # Saved-register set (like CertiKOS^s but narrower).
 SAVED_REGS = [("ra", 1), ("sp", 2), ("a0", 10), ("a1", 11)]
 NSAVED = len(SAVED_REGS)
+A0 = [name for name, _ in SAVED_REGS].index("a0")  # a0's slot in a bank
 PCB_STRIDE = 16  # 4 words
 
 # Physical layout.

@@ -14,9 +14,10 @@ index plus entry index rather than a virtual address.
 
 from __future__ import annotations
 
-from ..core import spec_struct
+from ..core import select, set_bank, spec_struct, update
 from ..sym import SymBV, SymBool, bv_val, ite
 from .layout import (
+    A0,
     CALL_NAMES,
     ENC_FINAL,
     ENC_INIT,
@@ -37,8 +38,6 @@ from .layout import (
 
 __all__ = ["KomodoState", "state_invariant", "SPEC_CALLS"]
 
-A0 = 2  # index of a0 in the saved-register vector (ra, sp, a0, a1)
-
 KomodoState = spec_struct(
     "komodo",
     cur=XLEN,
@@ -48,25 +47,6 @@ KomodoState = spec_struct(
     pg_content=(XLEN, NPAGES),
     regs=(XLEN, (NENC + 1) * NSAVED),
 )
-
-
-def _select(vec, idx, count):
-    out = vec[count - 1]
-    for i in range(count - 2, -1, -1):
-        out = ite(idx == i, vec[i], out)
-    return out
-
-
-def _update(vec, idx, value, count, guard):
-    return [ite((idx == i) & guard, value, vec[i]) for i in range(count)]
-
-
-def _set_reg(regs, ctx_id, j, value, guard=None):
-    out = list(regs)
-    for c in range(NENC + 1):
-        cond = ctx_id == c if guard is None else (ctx_id == c) & guard
-        out[c * NSAVED + j] = ite(cond, value, regs[c * NSAVED + j])
-    return out
 
 
 def state_invariant(s) -> SymBool:
@@ -79,13 +59,13 @@ def state_invariant(s) -> SymBool:
         inv = inv & ((s.pg_type[p] != PG_FREE) | (s.pg_content[p] == 0))
         # Owned pages belong to live enclaves: Remove frees an
         # enclave's pages before invalidating it.
-        owner_state = _select(s.enc_state, s.pg_owner[p], NENC)
+        owner_state = select(s.enc_state, s.pg_owner[p])
         inv = inv & ((s.pg_type[p] == PG_FREE) | (owner_state != ENC_INVALID))
     return inv
 
 
 def _ret(s_out, s_in, value):
-    s_out.regs = _set_reg(s_out.regs, s_in.cur, A0, value)
+    s_out.regs = set_bank(s_out.regs, s_in.cur, A0, value, NSAVED)
     return s_out
 
 
@@ -97,13 +77,13 @@ def _alloc_page(s, eid: SymBV, page: SymBV, pg_type: int, required_enc_state: in
         (s.cur == HOST)
         & (eid < NENC)
         & (page < NPAGES)
-        & (_select(s.enc_state, eid, NENC) == required_enc_state)
-        & (_select(s.pg_type, page, NPAGES) == PG_FREE)
+        & (select(s.enc_state, eid) == required_enc_state)
+        & (select(s.pg_type, page) == PG_FREE)
     )
-    out.pg_type = _update(s.pg_type, page, bv_val(pg_type, XLEN), NPAGES, ok)
-    out.pg_owner = _update(s.pg_owner, page, eid, NPAGES, ok)
+    out.pg_type = update(s.pg_type, page, bv_val(pg_type, XLEN), ok)
+    out.pg_owner = update(s.pg_owner, page, eid, ok)
     if payload is not None:
-        out.pg_content = _update(s.pg_content, page, payload, NPAGES, ok)
+        out.pg_content = update(s.pg_content, page, payload, ok)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN))), ok
 
 
@@ -114,12 +94,12 @@ def spec_init_addrspace(s, eid, page, _arg2):
         (s.cur == HOST)
         & (eid < NENC)
         & (page < NPAGES)
-        & (_select(s.enc_state, eid, NENC) == ENC_INVALID)
-        & (_select(s.pg_type, page, NPAGES) == PG_FREE)
+        & (select(s.enc_state, eid) == ENC_INVALID)
+        & (select(s.pg_type, page) == PG_FREE)
     )
-    out.pg_type = _update(s.pg_type, page, bv_val(PG_ADDRSPACE, XLEN), NPAGES, ok)
-    out.pg_owner = _update(s.pg_owner, page, eid, NPAGES, ok)
-    out.enc_state = _update(s.enc_state, eid, bv_val(ENC_INIT, XLEN), NENC, ok)
+    out.pg_type = update(s.pg_type, page, bv_val(PG_ADDRSPACE, XLEN), ok)
+    out.pg_owner = update(s.pg_owner, page, eid, ok)
+    out.enc_state = update(s.enc_state, eid, bv_val(ENC_INIT, XLEN), ok)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN)))
 
 
@@ -146,24 +126,24 @@ def spec_map_insecure(s, eid, _page, _arg2):
     """Insecure mappings share OS memory: no page-db ownership change;
     succeeds for an INIT enclave."""
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.enc_state, eid, NENC) == ENC_INIT)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.enc_state, eid) == ENC_INIT)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN)))
 
 
 def spec_finalize(s, eid, _page, _arg2):
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.enc_state, eid, NENC) == ENC_INIT)
-    out.enc_state = _update(s.enc_state, eid, bv_val(ENC_FINAL, XLEN), NENC, ok)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.enc_state, eid) == ENC_INIT)
+    out.enc_state = update(s.enc_state, eid, bv_val(ENC_FINAL, XLEN), ok)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN)))
 
 
 def _enter_like(s, eid):
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.enc_state, eid, NENC) == ENC_FINAL)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.enc_state, eid) == ENC_FINAL)
     out.cur = ite(ok, eid, s.cur)
     # Failure is reported to the host; on success the enclave resumes
     # from its own register bank.
-    out.regs = _set_reg(out.regs, s.cur, A0, bv_val(-1, XLEN), guard=~ok)
+    out.regs = set_bank(out.regs, s.cur, A0, bv_val(-1, XLEN), NSAVED, guard=~ok)
     return out
 
 
@@ -181,11 +161,11 @@ def spec_stop(s, eid, _page, _arg2):
         (s.cur == HOST)
         & (eid < NENC)
         & (
-            (_select(s.enc_state, eid, NENC) == ENC_INIT)
-            | (_select(s.enc_state, eid, NENC) == ENC_FINAL)
+            (select(s.enc_state, eid) == ENC_INIT)
+            | (select(s.enc_state, eid) == ENC_FINAL)
         )
     )
-    out.enc_state = _update(s.enc_state, eid, bv_val(ENC_STOPPED, XLEN), NENC, ok)
+    out.enc_state = update(s.enc_state, eid, bv_val(ENC_STOPPED, XLEN), ok)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN)))
 
 
@@ -194,7 +174,7 @@ def spec_remove(s, eid, _page, _arg2):
     §6.3 litmus test: a finalized-then-removed enclave's memory is not
     observable afterwards)."""
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (_select(s.enc_state, eid, NENC) == ENC_STOPPED)
+    ok = (s.cur == HOST) & (eid < NENC) & (select(s.enc_state, eid) == ENC_STOPPED)
     zero = bv_val(0, XLEN)
     new_type, new_owner, new_content = [], [], []
     for p in range(NPAGES):
@@ -203,7 +183,7 @@ def spec_remove(s, eid, _page, _arg2):
         new_owner.append(ite(mine, zero, s.pg_owner[p]))
         new_content.append(ite(mine, zero, s.pg_content[p]))
     out.pg_type, out.pg_owner, out.pg_content = new_type, new_owner, new_content
-    out.enc_state = _update(s.enc_state, eid, bv_val(ENC_INVALID, XLEN), NENC, ok)
+    out.enc_state = update(s.enc_state, eid, bv_val(ENC_INVALID, XLEN), ok)
     return _ret(out, s, ite(ok, bv_val(0, XLEN), bv_val(-1, XLEN)))
 
 
@@ -212,9 +192,9 @@ def spec_exit(s, _eid, _page, _arg2):
     value — an intentional declassification Komodo permits (§6.3)."""
     out = s.copy()
     running = s.cur < NENC
-    exit_value = _select([s.regs[c * NSAVED + A0] for c in range(NENC + 1)], s.cur, NENC + 1)
+    exit_value = select(s.regs[A0::NSAVED], s.cur)
     out.cur = ite(running, bv_val(HOST, XLEN), s.cur)
-    out.regs = _set_reg(out.regs, bv_val(HOST, XLEN), A0, exit_value, guard=running)
+    out.regs = set_bank(out.regs, bv_val(HOST, XLEN), A0, exit_value, NSAVED, guard=running)
     return out
 
 

@@ -18,7 +18,6 @@ served by the daemon at ``GET /events?since=<seq>``.
 
 from __future__ import annotations
 
-import json
 import secrets
 import threading
 
@@ -26,7 +25,6 @@ __all__ = [
     "EVENT_LEVELS",
     "TRACE_HEADER",
     "current_trace",
-    "event_jsonl",
     "format_trace_header",
     "new_trace_id",
     "parse_trace_header",
@@ -103,8 +101,3 @@ def parse_trace_header(value: str | None) -> tuple[str | None, str | None]:
     trace_id = parts[0] or None
     ob_id = parts[1].strip() or None if len(parts) == 2 else None
     return (trace_id, ob_id)
-
-
-def event_jsonl(events: list[dict]) -> str:
-    """Render event records as JSONL (one compact object per line)."""
-    return "\n".join(json.dumps(e, sort_keys=True) for e in events)

@@ -18,6 +18,9 @@ state; then the epilogue zeroes every PCB, points mtvec at ``entry``,
 sets mepc to the S-mode start, clears x1-x31 and ``mret``s, so AF of
 the post-boot state is exactly the initial specification state.
 
+The skeleton writes the PCB banks, so it also reads them back for the
+monitors' AFs (:meth:`TrapMonitor.register_banks`).
+
 :class:`TrapMonitor` emits all of this from what a monitor declares.
 The handlers are mini-C, compiled at the requested optimization level,
 which gives Figure 11 its -O0/-O1/-O2 axis.  This module is not
@@ -33,7 +36,9 @@ from typing import Callable, Collection, Sequence
 
 from ..cc import Program, compile_program
 from ..core.image import Image
+from ..sym import SymBV, bv_val, ite
 from .asm import Assembler
+from .cpu import CpuState
 from .insn import reg_num
 
 __all__ = ["S_MODE_START", "TrapMonitor"]
@@ -79,6 +84,26 @@ class TrapMonitor:
     def boot_address(self, opt: int = 1) -> int:
         """Address of the boot code in the image at ``opt``."""
         return self._assembly(opt).addr_of("boot")
+
+    def register_banks(self, cpu: CpuState, current: SymBV) -> list:
+        """The AF's saved-register banks, one per PCB, flat (context c's
+        register j at ``c * len(saved_regs) + j``): the live registers
+        for the ``current`` context, which runs with them, and
+        ``pcb[c]`` for every other context c."""
+        word = self.xlen // 8
+        pcb = cpu.mem.region("pcb").block
+        banks = []
+        for c in range(self._pcb_size // self.pcb_stride):
+            for j, (_, num) in enumerate(self.saved_regs):
+                live = cpu.reg(num)
+                offset = bv_val(c * self.pcb_stride + word * j, self.xlen)
+                saved = pcb.load(offset, word, cpu.mem.opts)
+                banks.append(ite(current == c, live, saved))
+        return banks
+
+    @property
+    def _pcb_size(self) -> int:
+        return next(size for name, _, size, _ in self.data_symbols if name == "pcb")
 
     @functools.cache
     def _assembly(self, opt: int) -> Assembler:
@@ -129,9 +154,8 @@ class TrapMonitor:
 
         asm.label("boot")
         self.boot_prologue(asm)
-        pcb_size = next(size for name, _, size, _ in self.data_symbols if name == "pcb")
         asm.la("t0", "pcb")
-        for off in range(0, pcb_size, word):
+        for off in range(0, self._pcb_size, word):
             asm.sw("zero", off, "t0")
         asm.li("t0", asm.addr_of("entry"))
         asm.csrrw("zero", "mtvec", "t0")

@@ -64,6 +64,38 @@ def _uncleared(final, keep=()) -> list[int]:
     return [num for num in range(1, 32) if num not in keep and not prove(final.reg(num) == 0).proved]
 
 
+@pytest.mark.parametrize("monitor", MONITORS)
+def test_af_register_banks(monitor):
+    """On a concrete trap state, the AF's saved-register banks
+    (``TrapMonitor.register_banks``) are the live registers for the
+    current context and ``pcb[c]`` for every other context c."""
+    verifier = verifier_class(monitor)(opt=1)
+    monitor_decl = importlib.import_module(f"repro.{monitor}.impl").MONITOR
+    saved = monitor_decl.saved_regs
+    xlen, word = verifier.XLEN, verifier.XLEN // 8
+    ncontexts = len(verifier.initial_spec_state().regs) // len(saved)
+    current = 1
+    with new_context():
+        cpu = verifier.make_cpu()
+        index = cpu.mem.region(monitor_decl.pcb_index).base
+        cpu.mem.store(bv_val(index, xlen), bv_val(current, xlen))
+        pcb = cpu.mem.region("pcb").base
+        for j, (_, num) in enumerate(saved):
+            cpu.set_reg(num, bv_val(100 + j, xlen))
+            for c in range(ncontexts):
+                addr = pcb + c * monitor_decl.pcb_stride + word * j
+                cpu.mem.store(bv_val(addr, xlen), bv_val(1000 * (c + 1) + j, xlen))
+        banks = monitor_decl.register_banks(cpu, bv_val(current, xlen))
+        af_banks = verifier.abstract(cpu).regs
+    expected = [
+        100 + j if c == current else 1000 * (c + 1) + j
+        for c in range(ncontexts)
+        for j in range(len(saved))
+    ]
+    assert [r.as_int() for r in banks] == expected
+    assert [r.as_int() for r in af_banks] == expected
+
+
 @pytest.mark.parametrize("opt", [0, 1, 2])
 @pytest.mark.parametrize("monitor", MONITORS)
 def test_trap_exit_clears_unsaved_registers(monitor, opt):
@@ -130,3 +162,7 @@ def test_obligation_fingerprint_script_runs():
         r"^obligations fig11-full O0-O2 count=(\d+) sha256=[0-9a-f]{64}$", proc.stdout, re.M
     )
     assert int(count) > 0
+    # One invariant-preservation obligation per spec call: CertiKOS^s
+    # 4, Komodo^s 13, Keystone 5.
+    [count] = re.findall(r"^spec invariants count=(\d+) sha256=[0-9a-f]{64}$", proc.stdout, re.M)
+    assert int(count) == 22
