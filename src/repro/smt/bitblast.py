@@ -10,6 +10,17 @@ Uninterpreted functions are eliminated by Ackermann expansion at the
 blasting boundary: each application gets fresh output bits, plus
 pairwise functional-consistency constraints between applications of
 the same symbol.
+
+A 0/1 operand of an addition or subtraction -- ``ite(c, 1, 0)``,
+``ite(c, 0, 1)`` or a zext of a 1-bit term -- is blasted as the
+carry-in of the ripple chain beneath it, not as a second adder:
+``(a + b) + k`` is one chain over ``a, b``, ``(a - b) - k`` one chain
+over ``a, ~b``, and any other ``(a + K) - k`` (``K`` a constant, 0 if
+absent) one chain over ``a`` and ``K - 1``.  A two-word add-with-carry
+(x86 ``add``/``adc``, ``sub``/``sbb``) then shares every gate with the
+double-width chain it implements, so their equality folds while
+blasting.  The rule keys on term shape alone; every other sum blasts
+as two's-complement ripple addition.
 """
 
 from __future__ import annotations
@@ -304,7 +315,7 @@ class BitBlaster:
         op = t.op
         w = t.width
         if op == "bvconst":
-            return [cnf.TRUE if (t.payload >> i) & 1 else cnf.FALSE for i in range(w)]
+            return self._const_bits(t.payload, w)
         if op == "var":
             bits = [cnf.new_lit() for _ in range(w)]
             self.var_bits[t.payload] = bits
@@ -322,8 +333,14 @@ class BitBlaster:
             gate = {"bvand": cnf.mk_and, "bvor": cnf.mk_or, "bvxor": cnf.mk_xor}[op]
             return [gate(x, y) for x, y in zip(ab, bb)]
         if op == "bvadd":
+            fused = self._carry_sum(t)
+            if fused is not None:
+                return fused
             return self._adder(self.bv_bits(t.args[0]), self.bv_bits(t.args[1]), cnf.FALSE)
         if op == "bvsub":
+            fused = self._borrow_difference(t)
+            if fused is not None:
+                return fused
             bb = [-x for x in self.bv_bits(t.args[1])]
             return self._adder(self.bv_bits(t.args[0]), bb, cnf.TRUE)
         if op == "bvneg":
@@ -356,7 +373,68 @@ class BitBlaster:
             return self._blast_apply(t)
         raise ValueError(f"cannot blast bitvector op {op!r}")
 
+    # -- carry-in fusion ----------------------------------------------------------
+
+    @staticmethod
+    def _carry_of(k: Term) -> tuple[Term, bool] | None:
+        """``(bit, negated)`` if ``k`` is a 0/1 operand: ``ite(c, 1, 0)``
+        carries ``c``, ``ite(c, 0, 1)`` carries ``not c`` and a zext of a
+        1-bit term carries that bit.  Reads the term only."""
+        if k.op == "ite":
+            then, els = k.args[1], k.args[2]
+            if then.op == "bvconst" and els.op == "bvconst":
+                if then.payload == 1 and els.payload == 0:
+                    return k.args[0], False
+                if then.payload == 0 and els.payload == 1:
+                    return k.args[0], True
+        elif k.op == "zext" and k.args[0].width == 1:
+            return k.args[0], False
+        return None
+
+    def _carry_lit(self, bit: Term, negated: bool) -> int:
+        lit = self.bool_lit(bit) if bit.sort is BOOL else self.bv_bits(bit)[0]
+        return -lit if negated else lit
+
+    def _carry_sum(self, t: Term) -> list[int] | None:
+        """``(a + b) + k``, ``k`` on either side: one chain over ``a, b``
+        with carry-in ``k``.  None for any other ``bvadd``."""
+        for total, k in (t.args, t.args[::-1]):
+            if total.op != "bvadd":
+                continue
+            carry = self._carry_of(k)
+            if carry is not None:
+                a, b = total.args
+                abits, bbits = self.bv_bits(a), self.bv_bits(b)
+                return self._adder(abits, bbits, self._carry_lit(*carry))
+        return None
+
+    def _borrow_difference(self, t: Term) -> list[int] | None:
+        """``x - k`` as one chain with carry-in ``not k``: over ``a, ~b``
+        for ``x = a - b`` (``a + ~b + (1 - k)``), else over ``a`` and
+        ``K - 1`` for ``x = a + K`` (``a + (K - 1) + (1 - k)``; ``K`` a
+        constant, and ``a = x``, ``K = 0`` otherwise).  None if ``k`` is
+        not a 0/1 operand."""
+        x, k = t.args
+        carry = self._carry_of(k)
+        if carry is None:
+            return None
+        bit, negated = carry
+        if x.op == "bvsub":
+            abits = self.bv_bits(x.args[0])
+            bbits = [-lit for lit in self.bv_bits(x.args[1])]
+        else:
+            a, const = x, 0
+            if x.op == "bvadd" and x.args[1].op == "bvconst":
+                a, const = x.args[0], x.args[1].payload
+            abits = self.bv_bits(a)
+            bbits = self._const_bits((const - 1) % (1 << t.width), t.width)
+        return self._adder(abits, bbits, self._carry_lit(bit, not negated))
+
     # -- circuits -------------------------------------------------------------
+
+    def _const_bits(self, value: int, width: int) -> list[int]:
+        cnf = self.cnf
+        return [cnf.TRUE if (value >> i) & 1 else cnf.FALSE for i in range(width)]
 
     def _adder(self, a: list[int], b: list[int], carry: int) -> list[int]:
         out = []

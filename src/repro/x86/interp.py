@@ -16,6 +16,15 @@ __all__ = ["X86State", "X86Interp", "run_insns"]
 STACK_SLOTS = 32
 
 
+def _carry_flag(wide: SymBV) -> SymBool:
+    """CF: bit 32 of the 33-bit sum or difference of the zero-extended
+    operands (a carry out, or a borrow: the difference's sign).  The
+    bit-blaster gives it the literal its ripple chain carries, so a
+    borrow shares gates with a 64-bit subtraction, as a comparator
+    ``a < b`` would not."""
+    return wide.extract(32, 32) == 1
+
+
 class X86State:
     """GPRs + flags + EBP-relative stack slots."""
 
@@ -138,7 +147,7 @@ class X86Interp(Interpreter):
         b = self._read_src(state, insn)
         wide = a.zext(33) + b.zext(33)
         result = wide.trunc(32)
-        state.cf = wide.extract(32, 32) == 1
+        state.cf = _carry_flag(wide)
         state.zf = result == 0
         state.sf = result.slt(0)
         sa, sb = a.slt(0), b.slt(0)
@@ -152,7 +161,7 @@ class X86Interp(Interpreter):
         carry = ite(state.cf, bv_val(1, 33), bv_val(0, 33))
         wide = a.zext(33) + b.zext(33) + carry
         result = wide.trunc(32)
-        state.cf = wide.extract(32, 32) == 1
+        state.cf = _carry_flag(wide)
         state.zf = result == 0
         state.sf = result.slt(0)
         state.regs[insn.dst] = result
@@ -162,7 +171,7 @@ class X86Interp(Interpreter):
         a = state.regs[insn.dst]
         b = self._read_src(state, insn)
         result = a - b
-        state.cf = a < b
+        state.cf = _carry_flag(a.zext(33) - b.zext(33))
         state.zf = result == 0
         state.sf = result.slt(0)
         sa, sb = a.slt(0), b.slt(0)
@@ -174,9 +183,9 @@ class X86Interp(Interpreter):
         a = state.regs[insn.dst]
         b = self._read_src(state, insn)
         borrow = ite(state.cf, bv_val(1, 32), bv_val(0, 32))
-        b_total = b.zext(33) + borrow.zext(33)
         result = a - b - borrow
-        state.cf = a.zext(33) < b_total
+        wide_borrow = ite(state.cf, bv_val(1, 33), bv_val(0, 33))
+        state.cf = _carry_flag(a.zext(33) - b.zext(33) - wide_borrow)
         state.zf = result == 0
         state.sf = result.slt(0)
         state.regs[insn.dst] = result
@@ -217,7 +226,7 @@ class X86Interp(Interpreter):
         a = state.regs[insn.dst]
         b = self._read_src(state, insn)
         result = a - b
-        state.cf = a < b
+        state.cf = _carry_flag(a.zext(33) - b.zext(33))
         state.zf = result == 0
         state.sf = result.slt(0)
         sa, sb = a.slt(0), b.slt(0)

@@ -7,10 +7,15 @@ Every bitvector operation is checked two ways:
      and read the var back out of the model.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (
+    BOOL,
+    SAT,
     bv_sort,
     check_sat,
     eval_term,
@@ -33,6 +38,7 @@ from repro.smt import (
     mk_concat,
     mk_eq,
     mk_extract,
+    mk_ite,
     mk_not,
     mk_sext,
     mk_sle,
@@ -44,6 +50,7 @@ from repro.smt import (
     to_signed,
     to_unsigned,
 )
+from repro.smt.bitblast import BitBlaster
 
 W = 8
 MASK = (1 << W) - 1
@@ -201,3 +208,77 @@ def test_uf_consistency():
     assert r.is_unsat
     # f(a) != f(b) alone is satisfiable.
     assert check_sat(mk_not(mk_eq(f_a, f_b))).is_sat
+
+
+# -- carry-in fusion -----------------------------------------------------------
+
+
+def _check_blast(term, k, inputs, ref, fused):
+    """``term``'s blasted circuit computes ``ref`` of its ``inputs`` on
+    every assignment (one solve each, every input bit fixed by an
+    assumption), and its 0/1 operand ``k`` was (``fused``) or was not
+    blasted as a carry-in: a fused operand never gets bits of its own."""
+    blaster = BitBlaster()
+    out = blaster.bv_bits(term)
+    assert (k.tid not in blaster._bv_cache) is fused, term
+    in_bits = [[blaster.bool_lit(v)] if v.sort is BOOL else blaster.bv_bits(v) for v in inputs]
+    sat = blaster.sat
+    for values in itertools.product(*(range(1 << len(bits)) for bits in in_bits)):
+        assumptions = [
+            lit if (value >> i) & 1 else -lit
+            for bits, value in zip(in_bits, values)
+            for i, lit in enumerate(bits)
+        ]
+        assert sat.solve(assumptions) == SAT
+        got = sum(1 << i for i, lit in enumerate(out) if sat.value(lit))
+        want = ref(*values) % (1 << term.width)
+        assert got == want, f"{term!r} at {values}: blasted {got:#x}, want {want:#x}"
+
+
+def _carries(w):
+    """Each 0/1 operand shape at width ``w``: the term, its input and
+    its value as a function of the input's."""
+    c = mk_var(f"fuse_c_{w}", BOOL)
+    shapes = [
+        (mk_ite(c, mk_bv(1, w), mk_bv(0, w)), c, lambda v: v),
+        (mk_ite(c, mk_bv(0, w), mk_bv(1, w)), c, lambda v: 1 - v),
+    ]
+    if w > 1:  # a zext by 0 bits is the bit itself
+        bit = mk_var(f"fuse_d_{w}", bv_sort(1))
+        shapes.append((mk_zext(bit, w - 1), bit, lambda v: v))
+    return shapes
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_fused_carry_chains_match_python(w):
+    a = mk_var(f"fuse_a_{w}", bv_sort(w))
+    b = mk_var(f"fuse_b_{w}", bv_sort(w))
+    total, diff = mk_bvadd(a, b), mk_bvsub(a, b)
+    for k, cin, kval in _carries(w):
+        with_k = [a, b, cin]
+        _check_blast(mk_bvadd(total, k), k, with_k, lambda x, y, v: x + y + kval(v), True)
+        _check_blast(mk_bvadd(k, total), k, with_k, lambda x, y, v: x + y + kval(v), True)
+        _check_blast(mk_bvsub(diff, k), k, with_k, lambda x, y, v: x - y - kval(v), True)
+        _check_blast(mk_bvsub(a, k), k, [a, cin], lambda x, v: x - kval(v), True)
+        for const in range(1, 1 << w):
+            shifted = mk_bvadd(a, mk_bv(const, w))
+            assert shifted.op == "bvadd"
+            _check_blast(
+                mk_bvsub(shifted, k), k, [a, cin], lambda x, v, K=const: x + K - kval(v), True
+            )
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_unfused_shapes_match_python(w):
+    """``ite(c, 2, 0)`` is no 0/1 operand, and a 0/1 operand added to
+    a non-sum has no chain beneath it: both blast as two adders."""
+    a = mk_var(f"nofuse_a_{w}", bv_sort(w))
+    b = mk_var(f"nofuse_b_{w}", bv_sort(w))
+    c = mk_var(f"nofuse_c_{w}", BOOL)
+    two = mk_ite(c, mk_bv(2, w), mk_bv(0, w))
+    total, diff = mk_bvadd(a, b), mk_bvsub(a, b)
+    _check_blast(mk_bvadd(total, two), two, [a, b, c], lambda x, y, v: x + y + 2 * v, False)
+    _check_blast(mk_bvsub(diff, two), two, [a, b, c], lambda x, y, v: x - y - 2 * v, False)
+    one = mk_ite(c, mk_bv(1, w), mk_bv(0, w))
+    _check_blast(mk_bvadd(a, one), one, [a, c], lambda x, v: x + v, False)
+    _check_blast(mk_bvadd(one, a), one, [a, c], lambda x, v: x + v, False)

@@ -1,6 +1,17 @@
 """Tests for the x86-32 verifier: ALU/flags/shift semantics."""
 
-from repro.sym import bv_val, new_context, prove, sym_implies
+import pytest
+
+from repro.sym import (
+    bv_val,
+    fresh_bool,
+    ite,
+    new_context,
+    prove,
+    sym_false,
+    sym_implies,
+    sym_true,
+)
 from repro.x86 import X86State, mk, run_insns
 
 
@@ -12,9 +23,11 @@ def state_with(**regs) -> X86State:
     return s
 
 
-def run(prog, **regs):
+def run(prog, cf=False, **regs):
     with new_context():
-        return run_insns(prog, state_with(**regs))
+        state = state_with(**regs)
+        state.cf = sym_true() if cf else sym_false()
+        return run_insns(prog, state)
 
 
 class TestAluAndFlags:
@@ -50,6 +63,50 @@ class TestAluAndFlags:
     def test_mov_imm_and_reg(self):
         final = run([mk("mov", dst="eax", imm=0x1234), mk("mov", dst="ebx", src="eax")])
         assert final.regs[3].as_int() == 0x1234
+
+
+class TestBorrows:
+    """sub, sbb and cmp take CF from bit 32 of the 33-bit difference of
+    the zero-extended operands, as add/adc take it from the sum."""
+
+    @pytest.mark.parametrize(
+        "mnemonic, eax, ebx, cf_in, result, cf_out",
+        [
+            ("sub", 0, 1, False, 0xFFFFFFFF, True),
+            ("cmp", 0, 1, False, 0, True),
+            ("sub", 5, 3, True, 2, False),
+            ("sbb", 0, 0, True, 0xFFFFFFFF, True),
+            ("sbb", 0, 0, False, 0, False),
+            ("sbb", 0xFFFFFFFF, 0xFFFFFFFF, True, 0xFFFFFFFF, True),
+            ("sbb", 0xFFFFFFFF, 0xFFFFFFFF, False, 0, False),
+            ("sbb", 1, 0, True, 0, False),
+        ],
+    )
+    def test_borrow_edges(self, mnemonic, eax, ebx, cf_in, result, cf_out):
+        final = run([mk(mnemonic, dst="eax", src="ebx")], cf=cf_in, eax=eax, ebx=ebx)
+        assert final.regs[0].as_int() == result
+        assert final.cf.as_bool() is cf_out
+
+    @pytest.mark.parametrize("mnemonic", ["sub", "sbb", "cmp"])
+    @pytest.mark.parametrize(
+        "src",
+        [{"src": "ebx"}, {"imm": 0}, {"imm": 2047}, {"imm": 0xFFFFFFFF}],
+        ids=["reg", "imm0", "imm2047", "imm-1"],
+    )
+    def test_cf_equals_the_comparator(self, mnemonic, src):
+        """Over symbolic operands and incoming CF: ``a < b`` for sub
+        and cmp, ``zext(a) < zext(b) + zext(borrow)`` for sbb."""
+        with new_context():
+            state = X86State.symbolic("tcf")
+            state.cf = fresh_bool("tcf.cf")
+            a, borrow = state.regs[0], ite(state.cf, bv_val(1, 32), bv_val(0, 32))
+            b = state.regs[3] if "src" in src else bv_val(src["imm"], 32)
+            final = run_insns([mk(mnemonic, dst="eax", **src)], state)
+            if mnemonic == "sbb":
+                want = a.zext(33) < b.zext(33) + borrow.zext(33)
+            else:
+                want = a < b
+            assert prove(final.cf == want).proved
 
 
 class TestShifts:
