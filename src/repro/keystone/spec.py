@@ -97,7 +97,6 @@ def spec_run(s, eid: SymBV):
 
 def spec_stop(s, eid: SymBV):
     out = s.copy()
-    ok = (s.cur == HOST) & (eid < NENC) & (select(s.status, eid) == ENC_STOPPED)
     # stop applies to an enclave that has exited (STOPPED after exit);
     # model: host may also forcibly stop a CREATED enclave.
     ok = (s.cur == HOST) & (eid < NENC) & (
