@@ -65,7 +65,8 @@ fi
 # jobs=2, a no-store repeat at jobs=2 answered from the parent's memo),
 # a pool whose idle worker is SIGKILLed between two batches giving the
 # second batch the jobs=1 verdicts, equal JIT verdicts with and without the
-# session's verdict memo, the certificate audit, a jobs=1 store that
+# session's verdict memo and in reverse order on one shared session, the
+# certificate audit, a jobs=1 store that
 # answers every obligation at jobs=2, and the long pole's split into
 # proved piece obligations under an audited split certificate.
 run_job sat-stress python scripts/sat_stress.py

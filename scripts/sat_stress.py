@@ -35,9 +35,10 @@ Six layers of checking, mirroring the ``sat-stress`` CI job:
   * **JIT verdict memo**: a seeded battery of register-redrawn BPF
     instructions over both fixed JITs, plus the 15 bug witnesses (each
     also moved to other registers) on their buggy JITs, runs on one
-    shared session and again with the session reset before every
-    check.  Verdicts must be identical, every witness must be a
-    violation with a counterexample, and the memo hits are printed.
+    shared session, again with the session reset before every check,
+    and again in reverse order on one shared session.  Verdicts must be
+    identical, every witness must be a violation with a
+    counterexample, and the memo hits are printed.
   * **Certificates**: the grid runs cache-backed once, and the
     independent checker audits the store in a child process
     (``python -m repro.smt.checkproof --store --require-certs``).
@@ -430,13 +431,17 @@ def jit_witnesses():
 
 def check_jit_memo() -> int:
     """The JIT battery and witnesses on one shared session, then with the
-    session reset before every check: identical verdicts, and every
-    witness a violation with a counterexample."""
+    session reset before every check, then in reverse order on one
+    shared session: identical verdicts, and every witness a violation
+    with a counterexample.  Checks share their start state's variables,
+    so a shared session's blasted gates and learned clauses depend on
+    the checks before; the reverse pass shows the verdicts do not."""
     from repro import obs
     from repro.smt.solver import reset_incremental_session
 
     battery = jit_memo_battery()
     witnesses = jit_witnesses()
+    checks = battery + witnesses
 
     def verdict(check, jit, insn):
         result = check(insn, jit)
@@ -446,11 +451,13 @@ def check_jit_memo() -> int:
 
     reset_incremental_session()
     with obs.tracing() as col:
-        shared = [verdict(*item) for item in battery + witnesses]
+        shared = [verdict(*item) for item in checks]
     fresh = []
-    for item in battery + witnesses:
+    for item in checks:
         reset_incremental_session()
         fresh.append(verdict(*item))
+    reset_incremental_session()
+    backward = [verdict(*item) for item in reversed(checks)][::-1]
     counters = col.counters
     solved = counters.get("solver.queries", 0) - counters.get("solver.trivial", 0)
     print(
@@ -458,10 +465,11 @@ def check_jit_memo() -> int:
         f"{counters.get('solver.memo.hits', 0)}/{solved} non-trivial checks answered from the memo"
     )
     failures = 0
-    if shared != fresh:
-        diff = [i for i, (a, b) in enumerate(zip(shared, fresh)) if a != b]
-        print(f"FAIL: shared and reset sessions disagree at checks {diff}", file=sys.stderr)
-        failures += 1
+    for mode, got in (("shared", shared), ("reverse-order", backward)):
+        if got != fresh:
+            diff = [i for i, (a, b) in enumerate(zip(got, fresh)) if a != b]
+            print(f"FAIL: {mode} and reset sessions disagree at checks {diff}", file=sys.stderr)
+            failures += 1
     if shared[: len(battery)] != ["ok"] * len(battery):
         print("FAIL: a fixed-JIT check is not ok", file=sys.stderr)
         failures += 1
@@ -471,7 +479,7 @@ def check_jit_memo() -> int:
             failures += 1
     if failures:
         return 1
-    print("jit memo agreement holds")
+    print("jit memo agreement holds (shared, reset and reverse-order sessions)")
     return 0
 
 

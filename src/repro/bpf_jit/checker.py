@@ -10,11 +10,26 @@ Two instantiations: RISC-V (combining the BPF and RISC-V verifiers)
 and x86-32 (combining the BPF and x86-32 verifiers).  Violations come
 back as counterexamples, which is how the kernel patches' regression
 tests were constructed.
+
+Each checker draws its start state once per process (``_rv_start``,
+``_x86_start``): every BPF register, machine register, CSR and stack
+slot is a free variable, and the mapped machine state is bound to the
+BPF registers.  Every check starts from that same state and only reads
+it (``run_insn`` copies its state and ``run_interpreter`` clones the
+caller's), so checks share its terms and the solver session's blasted
+bits, and a check builds only what its instruction computes.
+
+The x86-32 property is stated per half: ``lo == r[31:0]`` and
+``hi == r[63:32]`` for each BPF register ``r``, which is
+``r == hi:lo``.  An untouched register's slots hold exactly those
+halves, so its conjuncts are ``true`` and a query names only the
+registers its instruction touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ..bpf.insn import BpfInsn
 from ..bpf.interp import BpfState, run_insn
@@ -60,16 +75,22 @@ def _rv_image(insns) -> Image:
     return Image(base=0x1000, word_size=4, words=words, symbols=[], entry=0x1000)
 
 
+@cache
+def _rv_start() -> tuple[BpfState, CpuState]:
+    """The RISC-V checker's start state: a BPF state and an equivalent
+    machine state, whose mapped registers hold the same 64-bit values."""
+    bpf0 = BpfState.symbolic("chk")
+    cpu = CpuState.symbolic(64, 0x1000, Memory([], addr_width=64), prefix="chkrv")
+    for bpf_reg, rv_reg in BPF2RV.items():
+        cpu.regs[rv_reg] = bpf0.regs[bpf_reg]
+    return bpf0, cpu
+
+
 def check_rv_insn(insn: BpfInsn, jit: RvJit, max_conflicts: int | None = 200_000) -> CheckResult:
     """Check one BPF instruction against the RISC-V JIT's output."""
-    with new_context() as ctx:
-        bpf0 = BpfState.symbolic("chk")
-        # Machine state equivalent to the BPF state: mapped registers
-        # hold the same 64-bit values.
+    with new_context():
+        bpf0, cpu = _rv_start()
         image = _rv_image(jit.emit_insn(insn))
-        cpu = CpuState.symbolic(64, 0x1000, Memory([], addr_width=64), prefix="chkrv")
-        for bpf_reg, rv_reg in BPF2RV.items():
-            cpu.regs[rv_reg] = bpf0.regs[bpf_reg]
 
         bpf1 = run_insn(insn, bpf0)
         cpu1 = run_interpreter(RiscvInterp(image, xlen=64), cpu, EngineOptions(fuel=500)).merged()
@@ -93,24 +114,29 @@ def check_rv_insn(insn: BpfInsn, jit: RvJit, max_conflicts: int | None = 200_000
     )
 
 
+@cache
+def _x86_start() -> tuple[BpfState, X86State]:
+    """The x86-32 checker's start state: BPF register ``r`` lives in
+    the stack slots ``(lo, hi)``."""
+    bpf0 = BpfState.symbolic("chk86")
+    x86 = X86State.symbolic("chk86m")
+    for r in range(11):
+        x86.stack[slot_lo(r) // 4] = bpf0.regs[r].trunc(32)
+        x86.stack[slot_hi(r) // 4] = bpf0.regs[r].extract(63, 32)
+    return bpf0, x86
+
+
 def check_x86_insn(insn: BpfInsn, jit: X86Jit, max_conflicts: int | None = 200_000) -> CheckResult:
     """Check one BPF instruction against the x86-32 JIT's output."""
-    with new_context() as ctx:
-        bpf0 = BpfState.symbolic("chk86")
-        x86 = X86State.symbolic("chk86m")
-        # Equivalence: BPF reg r lives in stack slots (lo, hi).
-        for r in range(11):
-            x86.stack[slot_lo(r) // 4] = bpf0.regs[r].trunc(32)
-            x86.stack[slot_hi(r) // 4] = bpf0.regs[r].extract(63, 32)
-
+    with new_context():
+        bpf0, x86 = _x86_start()
         bpf1 = run_insn(insn, bpf0)
         x86_1 = run_insns(jit.emit_insn(insn), x86)
 
         prop = sym_true()
         for r in range(11):
-            lo = x86_1.stack[slot_lo(r) // 4]
-            hi = x86_1.stack[slot_hi(r) // 4]
-            prop = prop & (bpf1.regs[r] == hi.concat(lo))
+            prop = prop & (x86_1.stack[slot_lo(r) // 4] == bpf1.regs[r].trunc(32))
+            prop = prop & (x86_1.stack[slot_hi(r) // 4] == bpf1.regs[r].extract(63, 32))
 
         result = prove(prop, max_conflicts=max_conflicts)
     if result.proved:
@@ -177,10 +203,15 @@ def sweep(checker, jit, insns, jobs: int = 1) -> list[CheckResult]:
     the shared scheduler queue (``repro.core.scheduler``), so a JIT
     sweep and a monitor refinement proof submitted by the same process
     interleave on the same workers instead of fighting over separate
-    pools.  Checks in one process share verdicts through its session
-    verdict memo (``repro.smt.solver``), so an instruction whose
-    registers were redrawn is answered without a solve when its query,
-    up to variable names, was already checked there.
+    pools.  Checks in one process start from one symbolic state per
+    checker, drawn at the process's first check, so they share its
+    terms and the session's blasted bits; a query names only the
+    registers its instruction changes, and a check that changes none
+    is decided without a solve.  Checks in one process also share
+    verdicts through its session verdict memo (``repro.smt.solver``),
+    so an instruction whose registers were redrawn is answered without
+    a solve when its query, up to variable names, was already checked
+    there.
 
     To trace the sweep, call it inside ``with obs.tracing() as col:``;
     with scheduler dispatch the per-instruction checks come back as

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.bpf.insn import alu, jmp
-from repro.bpf_jit import RV_BUGS, RvJit, X86Jit, X86_BUGS, check_rv_insn, check_x86_insn
+from repro.bpf_jit import RV_BUGS, X86_BUGS, RvJit, X86Jit, check_rv_insn, check_x86_insn, checker
 from repro.smt import solver as solver_mod
 from repro.smt.evaluator import eval_term
 from repro.smt.solver import Solver, get_incremental_session, reset_incremental_session
@@ -102,8 +102,73 @@ class TestBugCatalog:
         assert any("r1" in name or "r2" in name for name, _ in model.items())
 
 
+class NoImmRvJit(RvJit):
+    """Loads no immediate, so an immediate operand reads a stale t1."""
+
+    def _emit_imm(self, reg, imm):
+        return []
+
+
+class NoHighLoadX86Jit(X86Jit):
+    """Drops the load of a register source's high word, so the pair's
+    high register keeps whatever it held before."""
+
+    def _src_pair_into(self, insn, lo, hi):
+        return super()._src_pair_into(insn, lo, hi)[:1]
+
+
+def _start_terms(state) -> list:
+    """The pc, register, CSR and stack-slot terms of a start state."""
+    csrs = getattr(state, "csrs", {})
+    values = [state.pc, *state.regs, *(csrs[name] for name in sorted(csrs))]
+    return [value.term for value in values + list(getattr(state, "stack", ()))]
+
+
+class TestSharedStartState:
+    """Each checker draws its start state once per process.  Machine
+    state the JIT's output reads but the BPF state does not determine
+    is still a free variable in every check, so a JIT that reads it is
+    caught with a counterexample that binds it; and no check changes
+    the start state the next one reads."""
+
+    WARM_UP = [alu("add", 1, ("r", 2)), alu("mov", 3, 7, alu64=False), alu("lsh", 1, 32)]
+
+    @pytest.mark.parametrize(
+        "check, make_jit, start, buggy, insn, stale",
+        [
+            (check_rv_insn, RvJit, checker._rv_start, NoImmRvJit(),
+             alu("add", 1, 0), "chkrv.x6"),
+            (check_x86_insn, X86Jit, checker._x86_start, NoHighLoadX86Jit(),
+             alu("mov", 1, ("r", 2)), "chk86m.2"),
+        ],
+        ids=["riscv-stale-t1", "x86-32-stale-edx"],
+    )
+    def test_stale_machine_state_is_caught(self, check, make_jit, start, buggy, insn, stale):
+        for warm in self.WARM_UP:
+            assert check(warm, make_jit()).ok
+        before = [_start_terms(state) for state in start()]
+
+        result = check(insn, buggy)
+        assert not result.ok and result.counterexample is not None
+        bound = {name.split("!")[0] for name, _ in result.counterexample.items()}
+        assert stale in bound
+
+        # Terms are interned, so == is identity.
+        assert [_start_terms(state) for state in start()] == before
+        assert check(insn, make_jit()).ok
+
+
 def _bug(bugs, bug_id):
     return next(bug for bug in bugs if bug.id == bug_id)
+
+
+def _by_register(model) -> dict:
+    """A counterexample's BPF register values: ``chk.r1!7`` -> ``r1``."""
+    return {
+        name.split("!")[0].rsplit(".", 1)[1]: value
+        for name, value in model.items()
+        if name.startswith(("chk.r", "chk86.r"))
+    }
 
 
 class TestMemoReplay:
@@ -153,6 +218,13 @@ class TestMemoReplay:
         # The replayed model is a genuine counterexample of the moved
         # instruction's own query.
         assert all(eval_term(term, env) is True for term in query)
+        # ... and it is the first model moved with the instruction: the
+        # new dst (and src) take the witness's r1 (and r2) values.
+        first_regs = _by_register(first.counterexample)
+        second_regs = _by_register(second.counterexample)
+        assert second_regs["r4"] == first_regs["r1"]
+        if bug.witness.src_is_reg:
+            assert second_regs["r6"] == first_regs["r2"]
 
         assert check(bug.witness, make_jit()).ok
         assert check(moved, make_jit()).ok
