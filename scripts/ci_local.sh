@@ -44,6 +44,8 @@ run_job test-fast python -m pytest -x -q -m "not slow"
 run_job test-fast-bench python -m pytest -x -q bench/tests
 # Figure 11's size rows and shape checks (needs pytest-benchmark).
 run_job test-fast-sizes python -m pytest -x -q benchmarks/bench_fig11_sizes.py
+# Figure 7's line counts and shape check (needs pytest-benchmark).
+run_job test-fast-loc python -m pytest -x -q benchmarks/bench_fig7_loc.py
 
 # -- test-slow -------------------------------------------------------
 if [ "$skip_slow" -eq 1 ]; then

@@ -11,7 +11,7 @@ the JIT checker compares against.
 from __future__ import annotations
 
 from ..core.engine import Interpreter
-from ..sym import SymBV, SymBool, bug_on, bv_val, fresh_bv, ite, merge
+from ..sym import MachineState, SymBV, bug_on, bv_val, fresh_bv, ite
 from .insn import BpfInsn, CLASS_ALU, CLASS_ALU64, CLASS_JMP, CLASS_JMP32
 
 __all__ = ["BpfState", "BpfInterp", "run_insn"]
@@ -19,7 +19,7 @@ __all__ = ["BpfState", "BpfInterp", "run_insn"]
 NREGS = 11
 
 
-class BpfState:
+class BpfState(MachineState):
     """R0-R10 (64-bit) plus a program counter over the insn list."""
 
     __slots__ = ("pc", "regs", "exited")
@@ -32,21 +32,6 @@ class BpfState:
     @classmethod
     def symbolic(cls, prefix: str = "bpf") -> "BpfState":
         return cls(bv_val(0, 64), [fresh_bv(f"{prefix}.r{i}", 64) for i in range(NREGS)])
-
-    def copy(self) -> "BpfState":
-        out = BpfState(self.pc, list(self.regs))
-        out.exited = self.exited
-        return out
-
-    def __sym_merge__(self, guard: SymBool, other: "BpfState") -> "BpfState":
-        if self.exited != other.exited:
-            raise ValueError("cannot merge exited with running state")
-        out = BpfState(
-            merge(guard, self.pc, other.pc),
-            [merge(guard, a, b) for a, b in zip(self.regs, other.regs)],
-        )
-        out.exited = self.exited
-        return out
 
 
 def _alu_result(op: str, dst: SymBV, src: SymBV, width: int) -> SymBV:
@@ -89,19 +74,7 @@ class BpfInterp(Interpreter):
     def __init__(self, program: list[BpfInsn]):
         self.program = program
 
-    def pc_of(self, state: BpfState) -> SymBV:
-        return state.pc
-
-    def set_pc(self, state: BpfState, pc_val: int) -> None:
-        state.pc = bv_val(pc_val, 64)
-
     def is_halted(self, state: BpfState) -> bool:
-        return state.exited
-
-    def copy_state(self, state: BpfState) -> BpfState:
-        return state.copy()
-
-    def merge_key(self, state: BpfState):
         return state.exited
 
     def fetch(self, state: BpfState) -> BpfInsn:

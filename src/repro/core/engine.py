@@ -21,9 +21,10 @@ state (§3.2).  The engine below drives that evaluation:
     then consider every instruction, producing guarded unions whose
     evaluation blows up exactly as Figure 5 illustrates.
 
-Interpreters implement the small :class:`Interpreter` protocol; the
-ISA verifiers in ``repro.riscv``/``x86``/``llvm``/``bpf`` are all
-instances.
+Interpreters implement the three-method :class:`Interpreter` protocol
+(``fetch``, ``execute``, ``is_halted``) over
+:class:`repro.sym.MachineState` states; the ISA verifiers in
+``repro.riscv``/``x86``/``llvm``/``bpf`` are all instances.
 
 The guarded final states this engine produces are where parallel
 verification starts: every ``assert_prop``/``bug_on`` recorded under a
@@ -43,7 +44,7 @@ from typing import Any
 
 from .. import obs
 from ..smt import Term, mk_and, mk_bool, mk_or
-from ..sym import SymBV, SymBool, Union, current, merge_states, region
+from ..sym import SymBool, Union, bv_val, current, merge_states, region
 from ..sym.reflect import NotConcretizable, split_concrete
 from .errors import EngineFuelExhausted, UnconstrainedPc
 
@@ -53,33 +54,13 @@ __all__ = ["Interpreter", "EngineOptions", "Paths", "run_interpreter"]
 class Interpreter:
     """Protocol for interpreters liftable by the engine.
 
-    Subclasses provide the fetch-decode-execute pieces; the engine
-    owns control flow, path splitting, and state merging.
+    An interpreter declares only how to fetch and execute one
+    instruction and when a state has halted.  The engine owns control
+    flow, path splitting, and the states themselves: a state is a
+    :class:`repro.sym.MachineState` whose ``pc`` field holds a
+    bitvector, and the engine reads that pc, sets it to each concrete
+    leaf of a split, and copies and merges the state field by field.
     """
-
-    def pc_of(self, state) -> SymBV:
-        raise NotImplementedError
-
-    def set_pc(self, state, pc_val: int) -> None:
-        """Overwrite the state's pc with a concrete value.
-
-        Called by ``split_pc`` on each leaf's state (the stepped state
-        itself for the last leaf, a clone for the others): the concrete
-        pc is what enables partial evaluation downstream.
-        """
-        raise NotImplementedError
-
-    def is_halted(self, state) -> bool:
-        """Whether the state finished execution.  Must be concrete:
-        halting is control flow, and control flow is concretized by
-        the pc split."""
-        raise NotImplementedError
-
-    def copy_state(self, state):
-        """An independent copy of ``state``: executing either must not
-        change the other.  The engine calls it once on the caller's
-        state at entry and once per extra successor of a fork."""
-        raise NotImplementedError
 
     def fetch(self, state):
         """Return the instruction at the state's pc.
@@ -94,11 +75,11 @@ class Interpreter:
         """Execute one instruction, mutating ``state`` (including pc)."""
         raise NotImplementedError
 
-    def merge_key(self, state):
-        """Extra control state to split on besides the pc (e.g. a
-        'halted' flag or privilege mode).  Must be hashable and
-        concrete."""
-        return None
+    def is_halted(self, state) -> bool:
+        """Whether the state finished execution.  Must be concrete:
+        halting is control flow, and control flow is concretized by
+        the pc split."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -136,7 +117,7 @@ def run_interpreter(interp: Interpreter, state, options: EngineOptions | None = 
     ``state`` is left as it was: the engine runs on a clone of it.
     """
     options = options or EngineOptions()
-    state = interp.copy_state(state)
+    state = state.copy()
     if options.split_pc and options.merge_states:
         return _run_split_merged(interp, state, options)
     if options.split_pc:
@@ -144,16 +125,15 @@ def run_interpreter(interp: Interpreter, state, options: EngineOptions | None = 
     return _run_merged_pc(interp, state, options)
 
 
-def _pc_leaves(interp: Interpreter, state, options: EngineOptions):
+def _pc_leaves(state, options: EngineOptions):
     """Split a (possibly symbolic) pc into (guard, concrete pc) pairs.
 
     This is the ``split-pc`` symbolic optimization (§4): recursively
     break the ite value and evaluate each branch with a concrete pc,
     maximizing opportunities for partial evaluation.
     """
-    pc = interp.pc_of(state)
     try:
-        raw = split_concrete(pc, limit=options.max_union)
+        raw = split_concrete(state.pc, limit=options.max_union)
     except NotConcretizable as exc:
         raise UnconstrainedPc(
             f"program counter is not determined by path conditions ({exc}); "
@@ -167,7 +147,7 @@ def _pc_leaves(interp: Interpreter, state, options: EngineOptions):
     return leaves
 
 
-def _successors(interp: Interpreter, guard: Term, st, options: EngineOptions):
+def _successors(guard: Term, st, options: EngineOptions):
     """The ``(guard, pc, state)`` successors of a state the engine owns,
     one per feasible concrete pc leaf, each state's pc set to its leaf.
 
@@ -177,14 +157,15 @@ def _successors(interp: Interpreter, guard: Term, st, options: EngineOptions):
     copied only for the others, so the caller must not use it again.
     """
     leaves = []
-    for leaf_guard, pc_val in _pc_leaves(interp, st, options):
+    for leaf_guard, pc_val in _pc_leaves(st, options):
         g = mk_and(guard, leaf_guard)
         if g is not mk_bool(False):
             leaves.append((g, pc_val))
+    width = st.pc.width
     out = []
     for i, (g, pc_val) in enumerate(leaves):
-        succ = st if i == len(leaves) - 1 else interp.copy_state(st)
-        interp.set_pc(succ, pc_val)
+        succ = st if i == len(leaves) - 1 else st.copy()
+        succ.pc = bv_val(pc_val, width)
         out.append((g, pc_val, succ))
     return out
 
@@ -193,30 +174,27 @@ def _run_split_merged(interp: Interpreter, state, options: EngineOptions) -> Pat
     """split-pc + state merging: the production configuration."""
     ctx = current()
     result = Paths()
-    # Worklist keyed by (pc, merge_key); entries merge on collision.
-    pending: dict[tuple, tuple[Term, Any]] = {}
-    order: list[tuple] = []  # min-heap of keys for deterministic processing
+    # Worklist keyed by concrete pc; entries merge on collision.  Only
+    # running states enter it, and merging two running states gives a
+    # running state, so a popped state never needs a halting check.
+    pending: dict[int, tuple[Term, Any]] = {}
+    order: list[int] = []  # min-heap of pcs for deterministic processing
 
     def enqueue(guard: Term, st) -> None:
         if interp.is_halted(st):
             result.finals.append((guard, st))
             return
-        for g, pc_val, succ in _successors(interp, guard, st, options):
-            key = (pc_val, interp.merge_key(succ))
-            if key in pending:
-                old_guard, old_state = pending[key]
-                pending[key] = (mk_or(old_guard, g), merge_states(SymBool(g), succ, old_state))
+        for g, pc_val, succ in _successors(guard, st, options):
+            if pc_val in pending:
+                old_guard, old_state = pending[pc_val]
+                pending[pc_val] = (mk_or(old_guard, g), merge_states(SymBool(g), succ, old_state))
             else:
-                pending[key] = (g, succ)
-                heapq.heappush(order, key)
+                pending[pc_val] = (g, succ)
+                heapq.heappush(order, pc_val)
 
     enqueue(mk_bool(True), state)
     while order:
-        key = heapq.heappop(order)
-        guard, st = pending.pop(key)
-        if interp.is_halted(st):
-            result.finals.append((guard, st))
-            continue
+        guard, st = pending.pop(heapq.heappop(order))
         if result.steps >= options.fuel:
             raise EngineFuelExhausted(f"exceeded {options.fuel} steps; unbounded loop?")
         result.steps += 1
@@ -251,7 +229,7 @@ def _run_split_paths(interp: Interpreter, state, options: EngineOptions) -> Path
         if interp.is_halted(st):
             result.finals.append((guard, st))
             continue
-        stack.extend((g, succ) for g, _pc, succ in _successors(interp, guard, st, options))
+        stack.extend((g, succ) for g, _pc, succ in _successors(guard, st, options))
     return result
 
 
@@ -281,7 +259,7 @@ def _run_merged_pc(interp: Interpreter, state, options: EngineOptions) -> Paths:
             last = len(insn) - 1
             states = []
             for i, (g, single) in enumerate(insn.alternatives):
-                alt = st if i == last else interp.copy_state(st)
+                alt = st if i == last else st.copy()
                 interp.execute(alt, single)
                 states.append((g, alt))
             merged = states[0][1]

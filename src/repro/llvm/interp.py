@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.engine import Interpreter
 from ..core.memory import Memory
-from ..sym import SymBV, SymBool, bug_on, bv_val, fresh_bv, ite, merge
+from ..sym import MachineState, SymBV, SymBool, bug_on, bv_val, fresh_bv, ite, merge
 from .ir import (
     Bin,
     Br,
@@ -36,7 +36,7 @@ __all__ = ["LlvmState", "LlvmInterp", "run_function"]
 PTR_WIDTH = 32
 
 
-class LlvmState:
+class LlvmState(MachineState):
     """Block pc + mutable locals + arguments + memory + return slot."""
 
     __slots__ = ("pc", "locals", "params", "mem", "returned", "retval")
@@ -48,12 +48,6 @@ class LlvmState:
         self.mem = mem
         self.returned = False
         self.retval: SymBV | None = None
-
-    def copy(self) -> "LlvmState":
-        out = LlvmState(self.pc, dict(self.locals), list(self.params), self.mem.copy())
-        out.returned = self.returned
-        out.retval = self.retval
-        return out
 
     def __sym_merge__(self, guard: SymBool, other: "LlvmState") -> "LlvmState":
         if self.returned != other.returned:
@@ -91,19 +85,7 @@ class LlvmInterp(Interpreter):
 
     # -- engine protocol ----------------------------------------------------------
 
-    def pc_of(self, state: LlvmState) -> SymBV:
-        return state.pc
-
-    def set_pc(self, state: LlvmState, pc_val: int) -> None:
-        state.pc = bv_val(pc_val, PTR_WIDTH)
-
     def is_halted(self, state: LlvmState) -> bool:
-        return state.returned
-
-    def copy_state(self, state: LlvmState) -> LlvmState:
-        return state.copy()
-
-    def merge_key(self, state: LlvmState):
         return state.returned
 
     def fetch(self, state: LlvmState):

@@ -9,7 +9,7 @@ PMP/page-walk model (``repro.riscv.pmp``), as in the paper.
 from __future__ import annotations
 
 from ..core.memory import Memory
-from ..sym import SymBV, SymBool, bv_val, fresh_bv, merge
+from ..sym import MachineState, SymBV, bv_val, fresh_bv
 
 __all__ = ["CpuState", "MACHINE_CSRS"]
 
@@ -42,7 +42,7 @@ MACHINE_CSRS = [
 ]
 
 
-class CpuState:
+class CpuState(MachineState):
     """Registers, CSRs, memory, and trap bookkeeping."""
 
     __slots__ = ("xlen", "pc", "regs", "csrs", "mem", "exited", "trap")
@@ -87,28 +87,6 @@ class CpuState:
 
     def set_csr(self, name: str, value: SymBV) -> None:
         self.csrs[name] = value
-
-    # -- copying / merging ----------------------------------------------------------
-
-    def copy(self) -> "CpuState":
-        out = CpuState(self.xlen, self.pc, list(self.regs), dict(self.csrs), self.mem.copy())
-        out.exited = self.exited
-        out.trap = self.trap
-        return out
-
-    def __sym_merge__(self, guard: SymBool, other: "CpuState") -> "CpuState":
-        if self.exited != other.exited or self.trap != other.trap:
-            raise ValueError("cannot merge states with different control status")
-        out = CpuState(
-            self.xlen,
-            merge(guard, self.pc, other.pc),
-            [merge(guard, a, b) for a, b in zip(self.regs, other.regs)],
-            {k: merge(guard, v, other.csrs[k]) for k, v in self.csrs.items()},
-            merge(guard, self.mem, other.mem),
-        )
-        out.exited = self.exited
-        out.trap = self.trap
-        return out
 
     def __repr__(self) -> str:
         return f"CpuState(xlen={self.xlen}, pc={self.pc!r}, exited={self.exited})"

@@ -27,20 +27,8 @@ class RiscvInterp(Interpreter):
 
     # -- engine protocol ----------------------------------------------------------
 
-    def pc_of(self, state: CpuState) -> SymBV:
-        return state.pc
-
-    def set_pc(self, state: CpuState, pc_val: int) -> None:
-        state.pc = bv_val(pc_val, state.xlen)
-
     def is_halted(self, state: CpuState) -> bool:
         return state.exited or state.trap is not None
-
-    def copy_state(self, state: CpuState) -> CpuState:
-        return state.copy()
-
-    def merge_key(self, state: CpuState):
-        return (state.exited, state.trap)
 
     def fetch(self, state: CpuState) -> Insn:
         with region("riscv.fetch"):

@@ -319,9 +319,9 @@ class ArenaSolver:
         Cold tier: the decidable variables (current cone, or every
         variable) in index order.  Hot tier: variables that already
         carry activity.  Relevancy-restricted solves reset cone
-        activity first (see ``solve``), so their decision sequence —
-        and hence their counters — depend only on the query's own
-        structure, never on what the session solved before it.
+        activity first (see ``solve``), so no earlier query's bumps
+        order their decisions; the clauses and variable numbering
+        earlier queries left behind still shape the search.
         """
         assign, act = self._assign, self._activity
         if self._rel is None:
@@ -636,9 +636,9 @@ class ArenaSolver:
             self.proof.final = None
         self._rel = relevant
         if relevant is not None:
-            # History independence: a cone-restricted solve starts from
-            # zero activity and a fresh increment so its decision
-            # sequence (and counters) depend only on the query itself.
+            # A cone-restricted solve starts from zero activity and a
+            # fresh increment, so no earlier query's bumps order its
+            # decisions (its learned clauses still steer the search).
             act = self._activity
             for v in relevant:
                 act[v] = 0.0
@@ -774,9 +774,12 @@ class ArenaSolver:
     def maintain(self) -> None:
         """Between-solve housekeeping for long-lived (session) solvers:
         backtrack to the root level and trim the learned-clause DB.
-        Cone-restricted solves skip mid-search reduction so that their
-        counters stay history-independent; call this after each query
-        to keep the DB bounded instead."""
+        Cone-restricted solves skip mid-search reduction, so a query's
+        search does not depend on how many clauses the session has
+        learned; call this after each query to keep the DB bounded
+        instead.  The learned clauses it keeps still steer later
+        searches: a session's models and counters depend on what it
+        solved before, its verdicts do not."""
         self._backtrack(0)
         self._reduce_learned()
 

@@ -17,8 +17,13 @@ every query.  Tseitin definitions and Ackermann constraints blast once
 per term node and stay loaded; each obligation is discharged under
 assumptions (the query's root literals) with decisions restricted to
 the query's variable *cone*, so learned clauses survive from one
-obligation to the next while verdicts, models, and per-query counters
-stay exactly what a standalone solve would produce.  Why this is sound:
+obligation to the next.  A verdict does not depend on what the session
+solved before, and every model satisfies its query
+(``test_incremental_matches_fresh_on_random_queries`` in
+``tests/test_incremental.py`` checks both).  Which model is found, and
+how much search it takes, can: the learned clauses a session keeps and
+the variable numbering of the gates it already blasted steer the next
+search.  Why the verdicts are sound:
 
 * permanent clauses are only Tseitin gate definitions, Ackermann
   consistency constraints, and learned clauses (pure resolution
@@ -767,8 +772,9 @@ class Solver:
             result = CheckResult(UNSAT, stats=self.last_stats)
         else:
             result = CheckResult(UNKNOWN, stats=self.last_stats)
-        # Between-query housekeeping: trim the learned DB outside the
-        # solve so per-query counters never depend on session history.
+        # Between-query housekeeping, outside the solve: trim the
+        # learned DB.  The clauses it keeps steer later searches (their
+        # models and counters), never their verdicts.
         sat.maintain()
         if self.cache is not None:
             self.cache.store(digest, var_map, result)

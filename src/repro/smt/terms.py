@@ -180,20 +180,25 @@ manager = TermManager()
 # ---------------------------------------------------------------------------
 # Leaf constructors
 
+# The two boolean constants, interned once at import: nothing replaces
+# ``manager``, so they stay its terms.
+_TRUE = manager.intern("boolconst", BOOL, (), True)
+_FALSE = manager.intern("boolconst", BOOL, (), False)
+
 
 def mk_bool(value: bool) -> Term:
     """The boolean constant ``value``."""
-    return manager.intern("boolconst", BOOL, (), bool(value))
+    return _TRUE if value else _FALSE
 
 
 def mk_true() -> Term:
     """The constant ``true``."""
-    return mk_bool(True)
+    return _TRUE
 
 
 def mk_false() -> Term:
     """The constant ``false``."""
-    return mk_bool(False)
+    return _FALSE
 
 
 def mk_bv(value: int, width: int) -> Term:

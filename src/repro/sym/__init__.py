@@ -15,7 +15,7 @@ flags ``fetch`` exploding under a symbolic pc.
 
 from ..obs import region
 from .context import Context, VC, assert_prop, bug_on, current, new_context, path_condition
-from .merge import Union, merge, merge_states
+from .merge import MachineState, Union, merge, merge_states
 from .reflect import destruct_linear
 from .solverapi import ProofResult, VerificationError, check_batch, prove, solve, verify_vcs
 from .value import (

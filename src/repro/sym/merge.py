@@ -1,8 +1,8 @@
 """State merging (Rosette's hybrid symbolic evaluation strategy, §3.2).
 
 ``merge(guard, a, b)`` combines two values into one guarded value:
-bitvectors and booleans become ``ite`` terms; structures merge
-field-wise; values that cannot merge symbolically become guarded
+bitvectors and booleans become ``ite`` terms; a :class:`MachineState`
+merges field by field; values that cannot merge symbolically become guarded
 :class:`Union` values.  Merging at control-flow joins is what keeps
 encodings polynomial in program size — and over-merging (e.g. of the
 program counter) is exactly the bottleneck ``split_pc`` repairs.
@@ -10,7 +10,6 @@ program counter) is exactly the bottleneck ``split_pc`` repairs.
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
 from .value import SymBV, SymBool, sym_false
@@ -114,23 +113,49 @@ class Union:
         return f"Union({inner})"
 
 
-def merge_states(guard: SymBool, a: Any, b: Any) -> Any:
-    """Field-wise merge of two machine-state objects of the same type.
-
-    States must expose ``__dict__``-style or dataclass-style fields or
-    implement ``__sym_merge__``; a deep copy of ``a`` receives merged
-    fields (states are treated as mutable records, like the ``cpu``
-    struct in Figure 4).
+class MachineState:
+    """A machine state as a record of fields (Figure 4's ``struct cpu``),
+    which the engine copies and merges field by field, as Rosette merges
+    a struct.  Fields are the subclass's ``__slots__``, merged in order.
     """
-    if hasattr(a, "__sym_merge__"):
-        return a.__sym_merge__(guard, b)
-    if type(a) is not type(b):
-        raise TypeError(f"cannot merge states of types {type(a)} and {type(b)}")
-    out = copy.copy(a)
-    if hasattr(a, "__slots__"):
-        names = a.__slots__
-    else:
-        names = list(vars(a).keys())
-    for name in names:
-        setattr(out, name, merge(guard, getattr(a, name), getattr(b, name)))
-    return out
+
+    __slots__ = ()
+
+    def copy(self):
+        """An independent copy.  A field value with a ``copy`` method (a
+        list, a dict, a ``Memory``) is copied with it; any other (a term,
+        a flag) is shared.  Lists and dicts are copied shallowly, so this
+        is right only while they hold immutable values such as terms."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            value = getattr(self, name)
+            copy = getattr(value, "copy", None)
+            setattr(out, name, value if copy is None else copy())
+        return out
+
+    def __sym_merge__(self, guard: SymBool, other):
+        """Merge field by field (guard true selects ``self``): a list
+        element by element, a dict key by key in ``self``'s order, a plain
+        value (``None``, bool, int, str) only if equal on both sides, and
+        any other field with :func:`merge`."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            a, b = getattr(self, name), getattr(other, name)
+            if isinstance(a, list):
+                value = [merge(guard, x, y) for x, y in zip(a, b)]
+            elif isinstance(a, dict):
+                value = {k: merge(guard, v, b[k]) for k, v in a.items()}
+            elif a is None or isinstance(a, (bool, int, str)):
+                if a != b:
+                    raise ValueError(f"cannot merge {type(self).__name__}s: {name} {a!r} != {b!r}")
+                value = a
+            else:
+                value = merge(guard, a, b)
+            setattr(out, name, value)
+        return out
+
+
+def merge_states(guard: SymBool, a: Any, b: Any) -> Any:
+    """A new state merging machine states ``a`` and ``b`` (guard true
+    selects ``a``): ``a.__sym_merge__(guard, b)``."""
+    return a.__sym_merge__(guard, b)

@@ -20,7 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.engine import Interpreter
-from ..sym import SymBV, SymBool, Union, bug_on, bv_val, fresh_bv, ite, merge, region, sym_false
+from ..sym import (
+    MachineState,
+    SymBV,
+    SymBool,
+    Union,
+    bug_on,
+    bv_val,
+    fresh_bv,
+    ite,
+    region,
+    sym_false,
+)
 
 __all__ = ["Insn", "ToyCpu", "ToyRISC", "sign_program", "REG_NAMES"]
 
@@ -63,7 +74,7 @@ def li(rd, imm: int) -> Insn:
     return Insn("li", rd=_reg(rd), imm=imm)
 
 
-class ToyCpu:
+class ToyCpu(MachineState):
     """CPU state: pc and two registers (Figure 4's ``struct cpu``)."""
 
     __slots__ = ("pc", "regs", "halted")
@@ -85,16 +96,6 @@ class ToyCpu:
     def reg(self, idx: int) -> SymBV:
         return self.regs[idx]
 
-    def copy(self) -> "ToyCpu":
-        return ToyCpu(self.pc, list(self.regs), self.halted)
-
-    def __sym_merge__(self, guard: SymBool, other: "ToyCpu") -> "ToyCpu":
-        return ToyCpu(
-            merge(guard, self.pc, other.pc),
-            [merge(guard, a, b) for a, b in zip(self.regs, other.regs)],
-            merge(guard, self.halted, other.halted),
-        )
-
     def __repr__(self) -> str:
         return f"ToyCpu(pc={self.pc!r}, a0={self.regs[0]!r}, a1={self.regs[1]!r})"
 
@@ -112,19 +113,7 @@ class ToyRISC(Interpreter):
 
     # -- engine protocol ----------------------------------------------------
 
-    def pc_of(self, state: ToyCpu) -> SymBV:
-        return state.pc
-
-    def set_pc(self, state: ToyCpu, pc_val: int) -> None:
-        state.pc = bv_val(pc_val, state.width)
-
     def is_halted(self, state: ToyCpu) -> bool:
-        return state.halted.is_concrete and state.halted.as_bool()
-
-    def copy_state(self, state: ToyCpu) -> ToyCpu:
-        return state.copy()
-
-    def merge_key(self, state: ToyCpu):
         return state.halted.is_concrete and state.halted.as_bool()
 
     def fetch(self, state: ToyCpu):

@@ -8,7 +8,7 @@ EBP).  Control flow uses instruction indices as the pc.
 from __future__ import annotations
 
 from ..core.engine import Interpreter
-from ..sym import SymBV, SymBool, bv_val, fresh_bv, ite, merge, sym_false
+from ..sym import MachineState, SymBV, SymBool, bv_val, fresh_bv, ite, sym_false
 from .insn import X86Insn
 
 __all__ = ["X86State", "X86Interp", "run_insns"]
@@ -25,7 +25,7 @@ def _carry_flag(wide: SymBV) -> SymBool:
     return wide.extract(32, 32) == 1
 
 
-class X86State:
+class X86State(MachineState):
     """GPRs + flags + EBP-relative stack slots."""
 
     __slots__ = ("pc", "regs", "cf", "zf", "sf", "of", "stack", "exited")
@@ -52,24 +52,6 @@ class X86State:
             [fresh_bv(f"{prefix}.stk{i}", 32) for i in range(STACK_SLOTS)],
         )
 
-    def copy(self) -> "X86State":
-        out = X86State(self.pc, list(self.regs), self.cf, self.zf, self.sf, self.of, list(self.stack))
-        out.exited = self.exited
-        return out
-
-    def __sym_merge__(self, guard: SymBool, other: "X86State") -> "X86State":
-        out = X86State(
-            merge(guard, self.pc, other.pc),
-            [merge(guard, a, b) for a, b in zip(self.regs, other.regs)],
-            merge(guard, self.cf, other.cf),
-            merge(guard, self.zf, other.zf),
-            merge(guard, self.sf, other.sf),
-            merge(guard, self.of, other.of),
-            [merge(guard, a, b) for a, b in zip(self.stack, other.stack)],
-        )
-        out.exited = self.exited
-        return out
-
     def slot(self, disp: int) -> int:
         index, rem = divmod(disp, 4)
         if rem or not 0 <= index < STACK_SLOTS:
@@ -81,19 +63,7 @@ class X86Interp(Interpreter):
     def __init__(self, program: list[X86Insn]):
         self.program = program
 
-    def pc_of(self, state):
-        return state.pc
-
-    def set_pc(self, state, pc_val):
-        state.pc = bv_val(pc_val, 32)
-
     def is_halted(self, state):
-        return state.exited
-
-    def copy_state(self, state):
-        return state.copy()
-
-    def merge_key(self, state):
         return state.exited
 
     def fetch(self, state):

@@ -3,15 +3,31 @@ fuel, path coverage, and the Paths API."""
 
 import pytest
 
+from repro import obs
+from repro.bpf import BpfState
 from repro.core import EngineOptions, run_interpreter
 from repro.core.engine import Interpreter, Paths
 from repro.core.errors import EngineFuelExhausted, UnconstrainedPc
+from repro.core.memory import MCell, Memory, Region
+from repro.llvm import LlvmState
+from repro.riscv import CpuState
 from repro.smt import mk_bool
-from repro.sym import SymBool, bv_val, fresh_bv, ite, merge, new_context, prove
+from repro.sym import (
+    MachineState,
+    SymBool,
+    bv_val,
+    fresh_bool,
+    fresh_bv,
+    ite,
+    merge_states,
+    new_context,
+    prove,
+)
 from repro.toyrisc import ToyCpu, ToyRISC, li, ret, sign_program
+from repro.x86 import X86State
 
 
-class MiniState:
+class MiniState(MachineState):
     """A two-register machine used to probe engine behaviour."""
 
     __slots__ = ("pc", "x", "halted")
@@ -21,13 +37,6 @@ class MiniState:
         self.x = x
         self.halted = halted
 
-    def copy(self):
-        return MiniState(self.pc, self.x, self.halted)
-
-    def __sym_merge__(self, guard: SymBool, other: "MiniState"):
-        assert self.halted == other.halted
-        return MiniState(merge(guard, self.pc, other.pc), merge(guard, self.x, other.x), self.halted)
-
 
 class MiniInterp(Interpreter):
     """program: list of callables state -> None (set pc/x/halted)."""
@@ -35,20 +44,9 @@ class MiniInterp(Interpreter):
     def __init__(self, program):
         self.program = program
         self.executed = []
-        self.copies = 0
-
-    def pc_of(self, state):
-        return state.pc
-
-    def set_pc(self, state, pc_val):
-        state.pc = bv_val(pc_val, 16)
 
     def is_halted(self, state):
         return state.halted
-
-    def copy_state(self, state):
-        self.copies += 1
-        return state.copy()
 
     def fetch(self, state):
         return self.program[state.pc.as_int()]
@@ -176,6 +174,20 @@ def _snapshot(cpu):
     return (cpu.pc.term, tuple(r.term for r in cpu.regs), cpu.halted.term)
 
 
+@pytest.fixture
+def copies(monkeypatch):
+    """Every ``MiniState`` the engine copies, in order."""
+    copied = []
+    copy = MiniState.copy
+
+    def counting_copy(state):
+        copied.append(state)
+        return copy(state)
+
+    monkeypatch.setattr(MiniState, "copy", counting_copy)
+    return copied
+
+
 class TestStateOwnership:
     """The engine runs on a clone of the caller's state and clones
     again only where a state forks."""
@@ -198,21 +210,121 @@ class TestStateOwnership:
             assert _snapshot(cpu) == before
 
     @pytest.mark.parametrize("merge_states", [True, False])
-    def test_straight_line_clones_only_at_entry(self, merge_states):
+    def test_straight_line_clones_only_at_entry(self, merge_states, copies):
         prog = [add_to_x(1, 1), add_to_x(2, 2), goto(3), halt]
         interp = MiniInterp(prog)
         with new_context():
             paths = run_interpreter(interp, fresh_state(), EngineOptions(merge_states=merge_states))
         assert paths.steps == 4
-        assert interp.copies == 1
+        assert len(copies) == 1
 
     @pytest.mark.parametrize("merge_states", [True, False])
-    def test_diamond_clones_once_more_at_its_fork(self, merge_states):
+    def test_diamond_clones_once_more_at_its_fork(self, merge_states, copies):
         prog = [branch_on_x(1, 2), add_to_x(1, 3), add_to_x(2, 3), halt]
         interp = MiniInterp(prog)
         with new_context():
             run_interpreter(interp, fresh_state(), EngineOptions(merge_states=merge_states))
-        assert interp.copies == 2
+        assert len(copies) == 2
+
+
+RAM = 0x100  # the base of the one-word memory region of a state that has memory
+
+
+def _memory(addr_width):
+    return Memory([Region("ram", RAM, MCell(8))], addr_width=addr_width)
+
+
+STATES = {
+    "riscv": lambda: CpuState.symbolic(64, 0x1000, _memory(64), prefix="ms.rv"),
+    "bpf": lambda: BpfState.symbolic("ms.bpf"),
+    "x86": lambda: X86State.symbolic("ms.x86"),
+    "toyrisc": lambda: ToyCpu.symbolic(8),
+    "llvm": lambda: LlvmState(
+        bv_val(0, 32), {"v": fresh_bv("ms.v", 32)}, [fresh_bv("ms.p", 32)], _memory(32)
+    ),
+}
+
+
+def _contents(value):
+    """What a field holds, as terms and plain values."""
+    if isinstance(value, list):
+        return [x.term for x in value]
+    if isinstance(value, dict):
+        return {k: x.term for k, x in value.items()}
+    if isinstance(value, Memory):
+        return value.load(bv_val(RAM, value.addr_width), 8).term
+    return getattr(value, "term", value)
+
+
+def _write(value):
+    """Write into a container field: a register, CSR, stack slot, local
+    or param, or a store to memory."""
+    if isinstance(value, list):
+        value[-1] = bv_val(0x5A, value[-1].width)
+    elif isinstance(value, dict):
+        key = next(iter(value))
+        value[key] = value["ms.new"] = bv_val(0x5A, value[key].width)
+    else:
+        value.store(bv_val(RAM, value.addr_width), bv_val(0x5A, 64))
+
+
+class TestMachineStates:
+    """Every interpreter's state is a :class:`MachineState`: the engine
+    copies and merges it field by field."""
+
+    @pytest.mark.parametrize("kind", sorted(STATES))
+    def test_copy_shares_no_container(self, kind):
+        with new_context():
+            state = STATES[kind]()
+            assert isinstance(state, MachineState)
+            before = {name: _contents(getattr(state, name)) for name in state.__slots__}
+            dup = state.copy()
+            written = []
+            for name in state.__slots__:
+                field, copied = getattr(state, name), getattr(dup, name)
+                if isinstance(field, (list, dict, Memory)):
+                    assert copied is not field
+                    _write(copied)
+                    assert _contents(copied) != before[name]
+                    written.append(name)
+                else:
+                    assert copied is field  # terms and flags are shared
+            assert {name: _contents(getattr(state, name)) for name in state.__slots__} == before
+        assert written
+
+    @pytest.mark.parametrize(
+        ("kind", "field", "value"),
+        [("riscv", "exited", True), ("riscv", "trap", "ecall"), ("x86", "exited", True)],
+    )
+    def test_merge_rejects_differing_plain_field(self, kind, field, value):
+        with new_context():
+            state = STATES[kind]()
+            other = state.copy()
+            setattr(other, field, value)
+            with pytest.raises(ValueError, match=field):
+                merge_states(fresh_bool("ms.g"), state, other)
+            with pytest.raises(ValueError, match=field):
+                merge_states(fresh_bool("ms.g"), other, state)
+
+    @pytest.mark.parametrize(
+        ("make", "merges"),
+        [
+            (lambda: CpuState.symbolic(64, 0x1000, Memory([], addr_width=64)), 59),
+            (X86State.symbolic, 45),
+            (BpfState.symbolic, 12),
+            (ToyCpu.symbolic, 4),
+        ],
+        ids=["riscv", "x86", "bpf", "toyrisc"],
+    )
+    def test_merge_counts_one_merge_per_field_element(self, make, merges):
+        """pc, then each element of each list and dict, each other
+        field, and a memory once: the ``sym.merges`` the quick grid's
+        counters are compared on."""
+        with new_context():
+            a, b = make(), make()
+            with obs.tracing() as col:
+                merge_states(fresh_bool("ms.g"), a, b)
+        assert col.counters["sym.merges"] == merges
 
 
 class TestPathsApi:

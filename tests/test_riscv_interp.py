@@ -393,7 +393,7 @@ class TestDecodeOnce:
             with new_context():
                 cpu = CpuState.symbolic(XLEN, 0x1000, Memory([], addr_width=XLEN))
                 for addr in sorted(image.words):
-                    interp.set_pc(cpu, addr)
+                    cpu.pc = bv_val(addr, XLEN)
                     interp.fetch(cpu)
         info = decode_validated.cache_info()
         assert info.misses == len(set(image.words.values())) == 4

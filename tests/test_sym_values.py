@@ -6,6 +6,7 @@ import pytest
 
 from repro.smt import eval_term
 from repro.sym import (
+    MachineState,
     SymbolicBranchError,
     Union,
     bv_val,
@@ -127,7 +128,9 @@ class TestIteMerge:
         assert len(u2) == 3
 
     def test_merge_states_objects(self):
-        class S:
+        class S(MachineState):
+            __slots__ = ("x",)
+
             def __init__(self, x):
                 self.x = x
 
