@@ -37,7 +37,8 @@ runs the same queue and policy in the calling thread
 (``InlineScheduler``).  Either way, verdicts are memoized in the
 sharded content-addressed store (``repro.core.store.VerdictStore``)
 when a ``cache_dir`` is given, and in the dispatching process's session
-memo when not.
+memo when not: :func:`_open_cache` picks the tier, and both answer one
+``read_local``/``read_through``/``store`` interface.
 
 An obligation is discharged in two steps.  The lookup
 (:func:`_lookup_obligation`: trivial roots, canonicalize, this
@@ -45,7 +46,14 @@ machine's verdict tier) runs where the scheduler hands the obligation
 out, so a hit is answered there and costs a lookup, never a pool round
 trip.  Only a miss reaches the executor (:func:`_check_obligation`),
 with its digest and variable map: it reads a remote tier through, if
-the store has one, then splits or solves.
+the store has one, then splits or solves.  Either step builds the
+obligation's result from the solver's answer: ``ObligationResult.stats``
+is where the answer came from (``trivial``, ``memo_hit`` or
+``cache_hit``, its ``digest``, ``timed_out``, ``cert`` or
+``cert_error``), its ``time_s`` and whether a durable tier was asked
+(``cached``).  A spent deadline is ``unknown`` with ``timed_out``, which
+the scheduler retries.  What a solve cost is recorded only inside a
+tracing session, as the ``sat.*`` and ``bitblast.*`` counters.
 
 **Piece obligations** (§4's split-cases, one level below the VC): a
 refinement VC's goal is ``not(and(c1..cn))``, one conjunct per
@@ -73,7 +81,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..obs import count as _obs_count, span as _obs_span
 from ..smt import (
-    SolverTimeout,
     Term,
     canonicalize_nodes,
     deserialize_terms,
@@ -84,14 +91,7 @@ from ..smt import (
 )
 from ..smt.model import Model
 from ..smt.proof import build_split_certificate, canonical_query_payload
-from ..smt.solver import (
-    CheckResult,
-    SAT,
-    Solver,
-    SolverCache,
-    UNSAT,
-    get_incremental_session,
-)
+from ..smt.solver import CheckResult, SAT, Solver, UNSAT, get_incremental_session
 
 __all__ = [
     "Obligation",
@@ -441,28 +441,25 @@ class Split:
         return ObligationResult(self.name, PROVED, stats=stats)
 
     def record(self, cache_dir: str | None) -> None:
-        """Record the proved whole where dispatch looks it up: the store
-        at ``cache_dir`` (the process's one store object for it) gets an
-        ``unsat`` entry and a ``split`` certificate naming each
-        conjunct's piece; with no store, this process's session memo
-        gets the verdict."""
-        if not cache_dir:
-            get_incremental_session().memo[self.digest] = {"status": UNSAT}
-            return
-        cache = _open_cache(cache_dir)
-        # This thread's CPU: on the pool this runs on the dispatcher
-        # thread, beside the waiting callers.
-        emit_start = time.thread_time()
-        with _obs_span("cert.build", cat="solver-cache"):
-            cert = build_split_certificate(
-                self.digest,
-                canonical_query_payload(self.query, self.var_map),
-                [self.digests[slot] for slot in self.conjuncts],
-            )
-        cache.store_certificate(self.digest, cert)
-        _obs_count("solver.certs")
-        _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
-        cache.store(self.digest, {}, CheckResult(UNSAT))
+        """Record the proved whole where dispatch looks it up, in the
+        tier :func:`_open_cache` gives for ``cache_dir``: an ``unsat``
+        entry, after a ``split`` certificate naming each conjunct's
+        piece when the tier is durable (a store)."""
+        tier = _open_cache(cache_dir)
+        if tier.durable:
+            # This thread's CPU: on the pool this runs on the dispatcher
+            # thread, beside the waiting callers.
+            emit_start = time.thread_time()
+            with _obs_span("cert.build", cat="solver-cache"):
+                cert = build_split_certificate(
+                    self.digest,
+                    canonical_query_payload(self.query, self.var_map),
+                    [self.digests[slot] for slot in self.conjuncts],
+                )
+            tier.store_certificate(self.digest, cert)
+            _obs_count("solver.certs")
+            _obs_count("solver.cert_build_s", time.thread_time() - emit_start)
+        tier.store(self.digest, {}, CheckResult(UNSAT))
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +471,22 @@ _STORES: dict[tuple[str, str], object] = {}
 
 
 def _open_cache(cache_dir: str | None):
-    """The store at ``cache_dir``, opened once per process: the sharded
-    content-addressed store, with a remote read-through/write-back tier
-    when ``REPRO_REMOTE_STORE`` points at a store server."""
+    """This process's verdict tier for ``cache_dir``: the store there,
+    opened once per process (the sharded content-addressed store, with a
+    remote read-through/write-back tier when ``REPRO_REMOTE_STORE``
+    points at a store server), or without one the session's memo."""
     if not cache_dir:
-        return None
+        return get_incremental_session().memo
     from .remote import remote_store_url
 
     key = (cache_dir, remote_store_url())
-    cache = _STORES.get(key)
-    if cache is None:
+    store = _STORES.get(key)
+    if store is None:
         from .store import open_store
 
         # Two threads may both open it; every caller gets the one kept.
-        cache = _STORES.setdefault(key, open_store(*key))
-    return cache
+        store = _STORES.setdefault(key, open_store(*key))
+    return store
 
 
 def _lookup_obligation(obligation: Obligation, cache_dir: str | None) -> ObligationResult | tuple:
@@ -505,7 +503,7 @@ def _lookup_obligation(obligation: Obligation, cache_dir: str | None) -> Obligat
     digest, var_map, hit = solver.lookup(obligation.payload)
     if hit is None:
         return digest, var_map
-    return _result(obligation.name, hit, _stats(solver, start))
+    return _result(obligation.name, hit, _stats(hit.stats, solver.cache, start))
 
 
 def _check_obligation(
@@ -520,12 +518,12 @@ def _check_obligation(
     (:func:`_lookup_obligation` gave its ``digest`` and ``var_map``), in
     the current process.
 
-    A store with a tier behind it is read through first
-    (``Solver.read_through``).  On a miss there, an obligation whose
-    goal splits is answered by its :class:`Split`, without terms; any
-    other is rebuilt (``deserialize_terms``) and solved.  The
-    scheduler's task executor calls this, in a worker or in the calling
-    thread; it never canonicalizes the obligation again.
+    The tier is read through first (``Solver.read_through``: a remote
+    behind a store, nothing behind the memo).  On a miss there, an
+    obligation whose goal splits is answered by its :class:`Split`,
+    without terms; any other is rebuilt (``deserialize_terms``) and
+    solved.  The scheduler's task executor calls this, in a worker or in
+    the calling thread; it never canonicalizes the obligation again.
     """
     start = time.perf_counter()
     solver = Solver(
@@ -538,16 +536,12 @@ def _check_obligation(
     if result is None:
         split = Split.derive(obligation.name, query, digest, var_map)
         if split is not None:
-            split.stats = _stats(solver, start)
+            split.stats = _stats({"digest": digest}, solver.cache, start)
             return split
         # A ``true`` root asserts nothing: the solve leaves it out.
         terms = [t for t in deserialize_terms(query) if t is not mk_true()]
-        try:
-            result = solver.solve(query, digest, var_map, terms)
-        except SolverTimeout:
-            stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
-            return ObligationResult(obligation.name, UNKNOWN, stats=stats)
-    return _result(obligation.name, result, _stats(solver, start))
+        result = solver.solve(query, digest, var_map, terms)
+    return _result(obligation.name, result, _stats(result.stats, solver.cache, start))
 
 
 def _result(name: str, result: CheckResult, stats: dict) -> ObligationResult:
@@ -562,29 +556,26 @@ def _result(name: str, result: CheckResult, stats: dict) -> ObligationResult:
 
 def _memoize(result, cache_dir: str | None, digest: str, var_map: dict) -> None:
     """Record a verdict a pool worker returned where dispatch looks it
-    up, as :meth:`Split.record` does for a proved whole: with a store at
-    ``cache_dir`` the worker's solve already wrote it there, so nothing
-    is done; with no store this process's session memo gets its status,
-    and for a failure its model under canonical names (the entry the
-    worker's own solve recorded in its memo).  Anything else (a split,
-    ``unknown``) is not recorded."""
-    if cache_dir or not isinstance(result, ObligationResult):
+    up, as :meth:`Split.record` does for a proved whole: a durable tier
+    (a store) already holds it, written by the worker's solve; the
+    session memo gets its status, and for a failure its model under
+    canonical names (the entry the worker's own solve recorded in its
+    memo).  Anything else (a split, ``unknown``) is not recorded."""
+    tier = _open_cache(cache_dir)
+    if tier.durable or not isinstance(result, ObligationResult):
         return
     if result.proved:
-        check = CheckResult(UNSAT)
+        tier.store(digest, var_map, CheckResult(UNSAT))
     elif result.status == FAILED and result.model_values is not None:
-        check = CheckResult(SAT, Model(result.model_values))
-    else:
-        return
-    get_incremental_session().memo[digest] = SolverCache._result_to_entry(check, var_map)
+        tier.store(digest, var_map, CheckResult(SAT, Model(result.model_values)))
 
 
-def _stats(solver: Solver, start: float) -> dict:
-    """An obligation's stats: its solver's, timed from ``start``."""
-    stats = dict(solver.last_stats)
-    stats["time_s"] = time.perf_counter() - start
+def _stats(answer: dict, tier, start: float) -> dict:
+    """An obligation's stats: its answer's provenance, timed from
+    ``start``; ``cached`` when a durable tier was asked."""
+    stats = dict(answer, time_s=time.perf_counter() - start)
     stats["cache_hit"] = bool(stats.get("cache_hit", False))
-    stats["cached"] = solver.cache is not None and not stats.get("trivial", False)
+    stats["cached"] = tier.durable and not stats.get("trivial", False)
     return stats
 
 

@@ -31,9 +31,9 @@ Scheduling discipline:
     another task is already answering, for the same store and under the
     same budget (``max_conflicts``, ``timeout_s``), is parked behind
     that task, off the queue, and goes back to the head, in order, once
-    it is finalized: one solve per digest at a time.  Without a store,
-    each decided verdict a worker returns is recorded in this process's
-    memo, where the next lookup reads it;
+    it is finalized: one solve per digest at a time.  A store already
+    holds each verdict a worker returns; the memo, which is not
+    durable, records each decided one, where the next lookup reads it;
   * a retried task goes back to the *head* of the queue;
   * when a worker answers an obligation with a ``Split`` (its lookup
     missed and its goal is a conjunction, see ``repro.core.runner``),
@@ -48,9 +48,10 @@ Scheduling discipline:
 
 Resilience (per KVerus' proof-fleet scheduling): each obligation, and
 each piece, gets a wall-clock ``timeout_s`` enforced inside the SAT core
-plus **one bounded retry**; a timed-out-twice obligation reports
-``unknown`` instead of wedging the run, and a task whose lookup or run
-raises reports ``unknown`` with ``worker_error``.  A worker that dies,
+plus **one bounded retry**; a spent deadline is the solver's answer,
+``unknown`` with ``timed_out``, so a timed-out-twice obligation reports
+it instead of wedging the run, and a task whose lookup or run raises
+reports ``unknown`` with ``worker_error``.  A worker that dies,
 busy or idle, reads as EOF on its result pipe (or breaks its task pipe
 when a task is sent to it): its in-flight task is requeued, or reported
 ``worker died`` once its retries are spent, and the worker is replaced
@@ -70,7 +71,11 @@ executor (:func:`_execute`), so lookups, pieces, retries, crash
 capture, reduction and telemetry exist once, and both return
 ``RunnerStats`` (queue depth, retries, timeouts, per-worker
 utilization, which counts worker runs only), which flows through
-``ProofResult.stats`` into the ``BENCH_runner.json`` artifact.
+``ProofResult.stats`` into the ``BENCH_runner.json`` artifact.  An
+obligation's own ``stats`` are its answer's provenance and time; what
+its solve cost is recorded only inside a tracing session (the ``sat.*``
+and ``bitblast.*`` counters, which a traced worker's snapshot carries
+back to the parent's session).
 """
 
 from __future__ import annotations

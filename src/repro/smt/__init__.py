@@ -23,9 +23,9 @@ _EXPORTS = {
         "SAT",
         "Solver",
         "SolverCache",
-        "SolverTimeout",
         "UNKNOWN",
         "UNSAT",
+        "VerdictMemo",
         "check_sat",
     ),
     "sorts": ("BOOL", "BitVecSort", "Sort", "bv_sort", "is_bool", "is_bv"),

@@ -1,4 +1,4 @@
-"""Solver frontend: assertion stack, check-sat, models.
+"""Solver frontend: assertions, check-sat, models.
 
 This is the stack's substitute for Z3 (Figure 1, bottom box):
 "constraint solving, counterexample generation".  Each ``check`` call
@@ -45,30 +45,43 @@ search.  Why the verdicts are sound:
   solved earlier in the same session — exactly the trust a store hit
   already places in the digest — and its model is renamed to the
   hitting query's variables, so it satisfies that query; like every
-  cache-less answer, it carries no certificate.
+  answer of a tier that is not durable, it carries no certificate.
 
 A check is three public steps over one serialized node list:
-:meth:`Solver.lookup` (the trivial-root check, canonicalize, then this
-machine's verdict tier: the session memo, or the store's own entries),
-:meth:`Solver.read_through` (after a store miss, the tier behind the
-store, if any) and :meth:`Solver.solve` (blast, SAT, certificate,
-record).  :meth:`Solver.check` serializes its terms once and calls
-them in turn.  The runner (``repro.core.runner``) calls them directly
-on an obligation's payload, so a hit builds no terms: the scheduler
-looks the node list up as given where it hands the obligation out, and
-only a miss reaches the executor, which reads through and then either
-answers a goal ``not(and(c1..cn))`` with one piece obligation per
-distinct conjunct or builds the terms and solves.  Each solve is one
-search.
+:meth:`Solver.lookup` (the trivial-root check, canonicalize, then the
+local entries of this solver's verdict tier), :meth:`Solver.read_through`
+(after a local miss, what stands behind the tier, if anything) and
+:meth:`Solver.solve` (blast, SAT, certificate, record).
+:meth:`Solver.check` serializes its terms once and calls them in turn.
+The runner (``repro.core.runner``) calls them directly on an
+obligation's payload, so a hit builds no terms: the scheduler looks the
+node list up as given where it hands the obligation out, and only a
+miss reaches the executor, which reads through and then either answers
+a goal ``not(and(c1..cn))`` with one piece obligation per distinct
+conjunct or builds the terms and solves.  Each solve is one search.
 
-A check without a cache first consults the session's *verdict memo*
-(``IncrementalSession.memo``), keyed by the canonical digest the store
-uses and holding entries in the store's format.  Only SAT and UNSAT are
-recorded: verdicts do not depend on the budget, so a hit answers
-whatever the caller's ``max_conflicts`` or ``timeout_s``, while UNKNOWN
-and timeouts are never recorded.  Cache-backed checks never consult
-it: the store stays their only verdict tier, so every entry and
-certificate is still written.
+Each step returns its answer, and the answer is all a check reports:
+its ``stats`` say where it came from (``trivial``, ``memo_hit`` or
+``cache_hit``, the ``digest`` of every non-trivial query, ``timed_out``,
+``cert`` or ``cert_error``) and how long it took (``time_s``).  A spent
+deadline is an answer too, ``unknown`` with ``timed_out``, as a spent
+conflict budget is ``unknown``.  What a solve cost (the search
+counters, CNF sizes, reused clauses, cone size) is recorded only inside
+an ``obs.tracing()`` session, as the ``sat.*`` and ``bitblast.*``
+counters and the args of the ``bitblast`` and ``sat.solve`` spans; a
+:class:`Solver` keeps no state from one call to the next.
+
+A solver's verdict tier (``Solver.cache``) is the store it was given
+(a :class:`SolverCache`), or else the session's *verdict memo*
+(``IncrementalSession.memo``, a :class:`VerdictMemo`), keyed by the
+canonical digest the store uses and holding entries in the store's
+format.  Both record SAT and UNSAT only: verdicts do not depend on the
+budget, so a hit answers whatever the caller's ``max_conflicts`` or
+``timeout_s``, while UNKNOWN and timeouts are never recorded.  What
+differs between the two is declared once, as ``durable``: only a
+durable tier (a store) gets certificates.  A cache-backed check never
+consults the memo: the store stays its only verdict tier, so every
+entry and certificate is still written.
 
 This is the only solve path.  A check that must not see any earlier
 query (a reference run, say) calls :func:`reset_incremental_session`
@@ -110,7 +123,7 @@ __all__ = [
     "Solver",
     "CheckResult",
     "SolverCache",
-    "SolverTimeout",
+    "VerdictMemo",
     "IncrementalSession",
     "get_incremental_session",
     "reset_incremental_session",
@@ -123,8 +136,7 @@ __all__ = [
 class IncrementalSession:
     """A long-lived solver + blaster pair shared by all checks in a
     process (one per scheduler worker, since workers are processes),
-    plus the verdict memo of its cache-less checks: canonical digest ->
-    store-form entry (see :meth:`SolverCache._result_to_entry`)."""
+    plus the verdict memo of its cache-less checks."""
 
     def __init__(self) -> None:
         self.sat = ArenaSolver()
@@ -133,8 +145,7 @@ class IncrementalSession:
         # query's refutation may lean on clauses blasted now.
         self.sat.proof = ProofLog()
         self.blaster = BitBlaster(self.sat)
-        self.checks = 0
-        self.memo: dict[str, dict] = {}
+        self.memo = VerdictMemo()
 
 
 _session: IncrementalSession | None = None
@@ -182,7 +193,7 @@ def _walk_query(terms: list[Term]) -> tuple[set[int], set[str]]:
     return seen, names
 
 
-# Per-solve search counters, reported per check.
+# Per-solve search counters, recorded as ``sat.*`` counters.
 _SEARCH_COUNTERS = (
     "conflicts",
     "decisions",
@@ -191,11 +202,6 @@ _SEARCH_COUNTERS = (
     "learned_clauses",
     "conflict_literals",
 )
-
-
-class SolverTimeout(Exception):
-    """Raised when the SAT core gives a check up at its wall-clock
-    deadline (a spent conflict budget answers ``unknown`` instead)."""
 
 
 class CheckResult:
@@ -246,7 +252,15 @@ class SolverCache:
     alpha-equivalent queries share counterexamples, not just verdicts.
     ``unknown`` verdicts are budget-dependent and are never cached, and
     a stored entry that is not a verdict reads as a miss, never a proof.
+
+    As a verdict tier it is ``durable``: its answers outlive the process
+    and travel between machines, so it gets a certificate for every
+    verdict, and a pool worker's solve writes it directly.
     """
+
+    # The tier's counters are ``solver.cache.*``.
+    name = "cache"
+    durable = True
 
     def __init__(self, path: str):
         self.path = path
@@ -451,7 +465,10 @@ class SolverCache:
     def read_local(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
         """This store's own entry for ``digest`` as a result, or None:
         a file read on this machine, never a network request."""
-        entry = self._read_entry(digest)
+        with obs_span("cache.lookup", cat="solver-cache") as largs:
+            entry = self._read_entry(digest)
+        if largs is not None:
+            largs["hit"] = entry is not None
         return None if entry is None else self._entry_to_result(entry, var_map)
 
     def read_through(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
@@ -469,8 +486,8 @@ class SolverCache:
         hitting query: models come back from canonical variable names to
         the query's own names via ``var_map``.  Shared with the remote
         read-through tier, which adopts entries from other machines and
-        must replay them identically, and with the session's verdict
-        memo (``hit="memo_hit"``)."""
+        must replay them identically, and with :class:`VerdictMemo`
+        (``hit="memo_hit"``)."""
         stats = {hit: True, "time_s": 0.0}
         if entry["status"] == SAT:
             canon_to_name = {canon: name for name, canon in var_map.items()}
@@ -505,49 +522,74 @@ class SolverCache:
         return self._atomic_write(self._entry_path(digest), json.dumps(entry).encode())
 
 
+class VerdictMemo(dict):
+    """The session's verdict tier: canonical digest -> store-form entry
+    (:meth:`SolverCache._result_to_entry`), in this process's memory.
+
+    It answers the :class:`SolverCache` interface (``read_local``,
+    ``read_through``, ``store``) and lives and dies with its
+    :class:`IncrementalSession`.  It is not ``durable``: its answers
+    carry no certificate, and without a store the dispatching process
+    records the verdicts its pool workers return in its own memo.
+    """
+
+    # The tier's counters are ``solver.memo.*``.
+    name = "memo"
+    durable = False
+
+    def read_local(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
+        """The memo's entry for ``digest`` as a ``memo_hit``, or None."""
+        entry = self.get(digest)
+        if entry is None:
+            return None
+        return SolverCache._entry_to_result(entry, var_map, hit="memo_hit")
+
+    def read_through(self, digest: str, var_map: dict[str, str]) -> None:
+        """Nothing stands behind the memo."""
+        return None
+
+    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> bool:
+        """Record a SAT or UNSAT verdict; True when one was recorded."""
+        if result.status not in (SAT, UNSAT):
+            return False
+        self[digest] = SolverCache._result_to_entry(result, var_map)
+        return True
+
+
 class Solver:
-    """Assertion stack plus check-sat.
+    """Assertion list plus check-sat.
 
     Each ``check`` discharges into the process-wide incremental session
     (see module docstring): the query's roots become assumption
     literals over a shared clause arena, so CNF for shared structure is
-    emitted once and learned clauses survive across checks.  An
-    optional ``cache`` memoizes verdicts across checks, processes, and
-    runs; without one, the session's verdict memo answers repeats of
-    an alpha-equivalent query for as long as the session lives.
+    emitted once and learned clauses survive across checks.  ``cache``
+    is the verdict tier: a store memoizes verdicts across checks,
+    processes and runs; without one, the session's verdict memo answers
+    repeats of an alpha-equivalent query for as long as the session
+    lives.
 
-    A check is :meth:`lookup` then, on a miss, :meth:`solve`, over one
-    serialized node list; a caller holding the list calls them itself.
+    A check is :meth:`lookup` then, on a miss, :meth:`read_through` and
+    :meth:`solve`, over one serialized node list; a caller holding the
+    list calls them itself.  Each returns its answer; the solver keeps
+    nothing of one check for the next.
     """
 
     def __init__(
         self,
         max_conflicts: int | None = None,
         timeout_s: float | None = None,
-        cache: SolverCache | None = None,
+        cache: SolverCache | VerdictMemo | None = None,
     ):
         self._assertions: list[Term] = []
-        self._scopes: list[int] = []
         self.max_conflicts = max_conflicts
         self.timeout_s = timeout_s
-        self.cache = cache
-        self.last_stats: dict = {}
-        # The budget clock, started here and by each lookup().
-        self._start = time.perf_counter()
+        self.cache = get_incremental_session().memo if cache is None else cache
 
     def add(self, *terms: Term) -> None:
         for t in terms:
             if t.sort is not BOOL:
                 raise TypeError(f"assertion must be boolean, got {t.sort!r}")
             self._assertions.append(t)
-
-    def push(self) -> None:
-        self._scopes.append(len(self._assertions))
-
-    def pop(self) -> None:
-        if not self._scopes:
-            raise RuntimeError("pop without matching push")
-        del self._assertions[self._scopes.pop() :]
 
     @property
     def assertions(self) -> tuple[Term, ...]:
@@ -564,95 +606,72 @@ class Solver:
         return hit if hit is not None else self.solve(query, digest, var_map, terms)
 
     def lookup(self, query: dict) -> tuple[str | None, dict[str, str], CheckResult | None]:
-        """Look a serialized query up as given in this machine's verdict
-        tier: ``(digest, var_map, hit)``, ``hit`` None on a miss.  A
-        ``false`` root answers UNSAT and only ``true`` roots SAT (empty
-        model), with no digest; any other query is canonicalized and
-        looked up in the store's own entries, or without a store in the
-        session's verdict memo.  A store miss is not final: it is
-        counted by :meth:`read_through`, which reads the tier behind the
-        store, and leaves only the digest in ``last_stats``.  Starts the
-        budget clock."""
-        self._start = time.perf_counter()
+        """Look a serialized query up as given in the local entries of
+        this solver's verdict tier: ``(digest, var_map, hit)``, ``hit``
+        None on a miss.  A ``false`` root answers UNSAT and only
+        ``true`` roots SAT (empty model), with no digest; any other
+        query is canonicalized and read from the tier.  A miss is not
+        final: :meth:`read_through` reads what stands behind the tier
+        and counts the miss."""
         obs_count("solver.queries")
         # The roots' constant values, None for a root that is no constant.
         nodes = query["nodes"]
         consts = [nodes[r][3] if nodes[r][0] == "boolconst" else None for r in query["roots"]]
         if False in consts or all(consts):
             obs_count("solver.trivial")
-            self.last_stats = {"trivial": True, "time_s": 0.0}
             status, model = (UNSAT, None) if False in consts else (SAT, Model({}))
-            return None, {}, CheckResult(status, model, stats=self.last_stats)
+            return None, {}, CheckResult(status, model, stats={"trivial": True, "time_s": 0.0})
 
         with obs_span("canonicalize", cat="solver-cache") as cargs:
             digest, var_map = canonicalize_nodes(query)
         if cargs is not None:
             cargs["vars"] = len(var_map)
-        if self.cache is None:
-            entry = get_incremental_session().memo.get(digest)
-            if entry is None:
-                obs_count("solver.memo.misses")
-                self.last_stats = {}
-                return digest, var_map, None
-            obs_count("solver.memo.hits")
-            hit = SolverCache._entry_to_result(entry, var_map, hit="memo_hit")
-            self.last_stats = hit.stats
-            return digest, var_map, hit
-        with obs_span("cache.lookup", cat="solver-cache") as largs:
-            hit = self.cache.read_local(digest, var_map)
-        if largs is not None:
-            largs["hit"] = hit is not None
-        if hit is None:
-            self.last_stats = {"digest": digest}
-            return digest, var_map, None
-        return digest, var_map, self._store_hit(hit, digest)
+        hit = self.cache.read_local(digest, var_map)
+        return digest, var_map, None if hit is None else self._hit(hit, digest)
 
     def read_through(self, digest: str, var_map: dict[str, str]) -> CheckResult | None:
-        """Finish a lookup that missed the store's own entries: read the
-        tier behind the store, if it has one (a remote, whose entry is
-        fetched and certificate-checked before it is adopted), and count
-        the store's hit or miss.  None on a miss, and always without a
-        store (nothing stands behind the session memo)."""
-        if self.cache is None:
-            return None
+        """Finish a lookup that missed the tier's local entries: read
+        what stands behind the tier (a remote behind a store, whose
+        entry is fetched and certificate-checked before it is adopted;
+        nothing behind the memo), and count the hit or the miss.  None
+        on a miss: the query is then solved."""
         hit = self.cache.read_through(digest, var_map)
         if hit is None:
-            obs_count("solver.cache.misses")
-            self.last_stats = {"digest": digest}
+            obs_count(f"solver.{self.cache.name}.misses")
             return None
-        return self._store_hit(hit, digest)
+        return self._hit(hit, digest)
 
-    def _store_hit(self, hit: CheckResult, digest: str) -> CheckResult:
-        obs_count("solver.cache.hits")
+    def _hit(self, hit: CheckResult, digest: str) -> CheckResult:
+        obs_count(f"solver.{self.cache.name}.hits")
         hit.stats["digest"] = digest
-        self.last_stats = dict(hit.stats)
         return hit
 
     def solve(
         self, query: dict, digest: str, var_map: dict[str, str], terms: list[Term]
     ) -> CheckResult:
-        """Answer a query its :meth:`lookup` missed, given its roots as
+        """Answer a query its lookup missed, given its roots as
         ``terms``: blast them into the shared session, solve under them
         as assumptions within their cone, certify the answer from
-        ``query`` and record it where the lookup looked."""
+        ``query`` and record it in the tier.  The budget clock starts
+        here; a spent deadline answers ``unknown`` with ``timed_out``."""
+        start = time.perf_counter()
         try:
-            return self._solve(query, digest, var_map, terms)
-        except SolverTimeout:
-            raise  # the session is backtracked and still consistent
+            return self._solve(query, digest, var_map, terms, start)
         except BaseException:
-            # Anything else may have interrupted the session mid
-            # mutation; rebuild it on the next query.
+            # It may have interrupted the session mid mutation; rebuild
+            # it on the next query.
             reset_incremental_session()
             raise
 
     def _emit_certificate(
         self, sat, blaster, terms, query, digest, var_map, status, model_values, assumptions
-    ) -> None:
-        """Assemble and store this query's certificate (cache-backed
-        checks only).  Must run while the solver still holds the
-        answer's assignment — before any maintain()/backtrack."""
-        if self.cache is None:
-            return
+    ) -> str | None:
+        """Assemble and store this query's certificate in a durable
+        tier: ``"cert"`` when one was stored, ``"cert_error"`` when it
+        could not be built, else None.  Must run while the solver still
+        holds the answer's assignment — before any maintain()/backtrack."""
+        if not self.cache.durable or status not in (SAT, UNSAT):
+            return None
         # CPU time, not wall: with more workers than cores, wall inside
         # this window counts the *other* workers' preemption as cert cost.
         emit_start = time.process_time()
@@ -660,42 +679,36 @@ class Solver:
             with obs_span("cert.build", cat="solver-cache"):
                 if status == UNSAT:
                     cert = build_unsat_certificate(sat, query, digest, var_map, assumptions)
-                elif status == SAT:
+                else:
                     cert = build_model_certificate(
                         sat, blaster, terms, query, digest, var_map, model_values
                     )
-                else:
-                    return
             self.cache.store_certificate(digest, cert)
             obs_count("solver.certs")
             # Emission seconds, accumulated as a float counter: the CI
             # overhead gate divides this by the same run's wall clock,
             # so it needs no second run and no wall differencing.
             obs_count("solver.cert_build_s", time.process_time() - emit_start)
-            self.last_stats["cert"] = True
+            return "cert"
         except CertificateError:
             # A cert we cannot assemble must never turn a sound verdict
             # into a failure; the store audit surfaces the gap instead.
             obs_count("solver.cert_errors")
-            self.last_stats["cert_error"] = True
+            return "cert_error"
 
-    def _solve(self, query, digest, var_map, terms) -> CheckResult:
+    def _solve(self, query, digest, var_map, terms, start) -> CheckResult:
         """The body of :meth:`solve`."""
-        start = self._start
         session = get_incremental_session()
         sat, blaster = session.sat, session.blaster
-        session.checks += 1
         obs_count("sat.incremental_hits")
 
         tids, names = _walk_query(terms)
-        prior_tids = [
-            tid for tid in tids if tid in blaster._bool_cache or tid in blaster._bv_cache
-        ]
-        emit_before = (
-            {label: tuple(cell) for label, cell in blaster.emitted.items()}
-            if _obs_enabled()
-            else None
-        )
+        traced = _obs_enabled()
+        if traced:
+            prior_tids = [
+                tid for tid in tids if tid in blaster._bool_cache or tid in blaster._bv_cache
+            ]
+            emit_before = {label: tuple(cell) for label, cell in blaster.emitted.items()}
         vars_before = sat.num_vars
         clauses_before = sat.added_clauses
         with obs_span("bitblast", cat="bitblast") as bargs:
@@ -703,17 +716,18 @@ class Solver:
             # query asserts outlives it in the shared clause database.
             roots = [blaster.bool_lit(t) for t in terms]
         blast_time = time.perf_counter() - start
-        new_vars = sat.num_vars - vars_before
-        new_clauses = sat.added_clauses - clauses_before
-        reused_clauses = blaster.clauses_for(prior_tids)
-        obs_count("sat.reused_clauses", reused_clauses)
-        if bargs is not None:
-            bargs.update(vars=new_vars, clauses=new_clauses, reused_clauses=reused_clauses)
+        if traced:
+            new_vars = sat.num_vars - vars_before
+            new_clauses = sat.added_clauses - clauses_before
+            reused_clauses = blaster.clauses_for(prior_tids)
+            obs_count("sat.reused_clauses", reused_clauses)
+            if bargs is not None:
+                bargs.update(vars=new_vars, clauses=new_clauses, reused_clauses=reused_clauses)
             obs_count("bitblast.queries")
             obs_count("bitblast.vars", new_vars)
             obs_count("bitblast.clauses", new_clauses)
             for label, (aux_vars, clauses) in sorted(blaster.emitted.items()):
-                prev = emit_before.get(label, (0, 0)) if emit_before else (0, 0)
+                prev = emit_before.get(label, (0, 0))
                 d_vars, d_clauses = aux_vars - prev[0], clauses - prev[1]
                 if d_vars or d_clauses:
                     obs_count(f"bitblast.aux_vars.{label}", d_vars)
@@ -733,59 +747,36 @@ class Solver:
         elapsed = time.perf_counter() - start
         obs_observe("bitblast.seconds", blast_time)
         obs_observe("sat.solve_seconds", max(0.0, elapsed - blast_time))
-        sat_stats = sat.stats()
-        if sargs is not None:
-            sargs["status"] = status
-            sargs.update(sat_stats)
-            sargs["cone_vars"] = len(cone)
-        self._note_sat_counters(sat_stats)
-        self.last_stats = {
-            "time_s": elapsed,
-            "blast_time_s": blast_time,
-            "incremental": True,
-            "sat_vars": sat.num_vars,
-            "sat_clauses": sat.added_clauses,
-            "blasted_vars": new_vars,
-            "blasted_clauses": new_clauses,
-            "reused_clauses": reused_clauses,
-            "cone_vars": len(cone),
-            **{key: sat_stats[key] for key in _SEARCH_COUNTERS},
-            "max_decision_level": sat.max_decision_level,
-        }
-        if self.cache is not None:
-            self.last_stats["digest"] = digest
+        if traced:
+            sat_stats = sat.stats()
+            if sargs is not None:
+                sargs["status"] = status
+                sargs.update(sat_stats)
+                sargs["cone_vars"] = len(cone)
+            for key in _SEARCH_COUNTERS:
+                obs_count(f"sat.{key}", sat_stats[key])
+        stats: dict = {"digest": digest, "time_s": elapsed}
         # Only an answer the core gave up on is a timeout: a verdict it
         # reached within its own clock stands, however long blasting took.
         if status == UNKNOWN and sat.timed_out:
-            self.last_stats["timed_out"] = True
-            raise SolverTimeout(f"check exceeded {self.timeout_s}s (took {elapsed:.2f}s)")
+            stats["timed_out"] = True
         model_values = blaster.extract_model(names) if status == SAT else None
         # Certificates read the live assignment (model bits) and the
         # root-level trail (unit justifications), so they must be built
         # before maintain() backtracks the session.
-        self._emit_certificate(
+        cert = self._emit_certificate(
             sat, blaster, terms, query, digest, var_map, status, model_values, roots
         )
-        if status == SAT:
-            result = CheckResult(SAT, Model(model_values), stats=self.last_stats)
-        elif status == UNSAT:
-            result = CheckResult(UNSAT, stats=self.last_stats)
-        else:
-            result = CheckResult(UNKNOWN, stats=self.last_stats)
+        if cert is not None:
+            stats[cert] = True
+        model = Model(model_values) if status == SAT else None
+        result = CheckResult(status, model, stats=stats)
         # Between-query housekeeping, outside the solve: trim the
         # learned DB.  The clauses it keeps steer later searches (their
         # models and counters), never their verdicts.
         sat.maintain()
-        if self.cache is not None:
-            self.cache.store(digest, var_map, result)
-        elif status != UNKNOWN:
-            session.memo[digest] = SolverCache._result_to_entry(result, var_map)
+        self.cache.store(digest, var_map, result)
         return result
-
-    @staticmethod
-    def _note_sat_counters(sat_stats: dict) -> None:
-        for key in _SEARCH_COUNTERS:
-            obs_count(f"sat.{key}", sat_stats[key])
 
 
 def check_sat(*terms: Term, max_conflicts: int | None = None) -> CheckResult:

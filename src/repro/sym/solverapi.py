@@ -63,17 +63,20 @@ def prove(
     max_conflicts: int | None = None,
     timeout_s: float | None = None,
 ) -> ProofResult:
-    """Prove a single property under assumptions."""
+    """Prove a single property under assumptions.  A spent budget,
+    ``max_conflicts`` or the ``timeout_s`` deadline, answers unknown;
+    ``stats`` are the solver's answer's (where it came from, and
+    ``timed_out`` for a spent deadline)."""
     prop = _coerce_bool(prop)
     assume = mk_and(*(_coerce_bool(a).term for a in assumptions)) if assumptions else mk_bool(True)
     solver = Solver(max_conflicts=max_conflicts, timeout_s=timeout_s)
     solver.add(assume)
     result = solver.check(mk_not(prop.term))
     if result.is_unsat:
-        return ProofResult(True, stats=solver.last_stats)
+        return ProofResult(True, stats=result.stats)
     if result.is_sat:
-        return ProofResult(False, counterexample=result.model, stats=solver.last_stats)
-    return ProofResult(False, unknown=True, stats=solver.last_stats)
+        return ProofResult(False, counterexample=result.model, stats=result.stats)
+    return ProofResult(False, unknown=True, stats=result.stats)
 
 
 def solve(*constraints, max_conflicts: int | None = None) -> Model | None:

@@ -189,8 +189,9 @@ class TestMemoReplay:
         real_check = Solver.check
 
         def spy(solver, *extra):
-            calls.append((solver, list(solver.assertions) + list(extra)))
-            return real_check(solver, *extra)
+            result = real_check(solver, *extra)
+            calls.append((list(solver.assertions) + list(extra), result))
+            return result
 
         monkeypatch.setattr(Solver, "check", spy)
         reset_incremental_session()
@@ -203,15 +204,15 @@ class TestMemoReplay:
         session = get_incremental_session()
         vars_before = session.sat.num_vars
         second = check(moved, buggy)
-        solver, query = calls[-1]
-        assert solver.last_stats == {"memo_hit": True, "time_s": 0.0}
+        query, answer = calls[-1]
+        assert answer.stats == {"memo_hit": True, "time_s": 0.0, "digest": calls[0][1].stats["digest"]}
         assert get_incremental_session() is session
         assert session.sat.num_vars == vars_before
 
         assert not second.ok and second.counterexample is not None
         env = dict(second.counterexample.items())
         _, own_names = solver_mod._walk_query(query)
-        _, first_names = solver_mod._walk_query(calls[0][1])
+        _, first_names = solver_mod._walk_query(calls[0][0])
         assert set(env) <= own_names and set(env).isdisjoint(first_names)
         prefix = "chk.r4!" if make_jit is RvJit else "chk86.r4!"
         assert any(name.startswith(prefix) for name in env)

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.core.store import VerdictStore
 from repro.smt import (
     Solver,
@@ -71,7 +72,7 @@ def _sat_query(prefix: str = "cq"):
 
 def _check(solver, terms):
     result = solver.check(*terms)
-    digest = solver.last_stats.get("digest")
+    digest = result.stats.get("digest")
     assert digest, "cache-backed check must record its digest"
     return result, digest
 
@@ -122,9 +123,9 @@ class TestEmission:
             check_certificate(cached_solver.cache.load_certificate(digest))
 
     def test_uncached_solver_emits_nothing(self, tmp_path):
-        solver = Solver()
-        assert solver.check(*_unsat_query("em_plain")).is_unsat
-        assert "cert" not in solver.last_stats
+        result = Solver().check(*_unsat_query("em_plain"))
+        assert result.is_unsat
+        assert "cert" not in result.stats
 
 
 class TestCheckerAccepts:
@@ -154,9 +155,9 @@ class TestCheckerAccepts:
         certificate is bound to the canonical digest, not the variable
         spelling of whichever run stored it."""
         _, digest_a = _check(cached_solver, _sat_query("alpha_one"))
-        _, digest_b = _check(cached_solver, _sat_query("alpha_two"))
+        second, digest_b = _check(cached_solver, _sat_query("alpha_two"))
         assert digest_a == digest_b
-        assert cached_solver.last_stats.get("cache_hit")
+        assert second.stats.get("cache_hit")
         check_certificate(cached_solver.cache.load_certificate(digest_b))
 
     def test_incremental_and_fresh_certificates_both_check(self, tmp_path):
@@ -169,8 +170,8 @@ class TestCheckerAccepts:
             # One store per query: the rounds' queries are alpha-equivalent
             # and would otherwise replay the first round's certificates.
             solver = Solver(cache=SolverCache(str(tmp_path / f"{label}_{kind}")))
-            _, digest = _check(solver, make(f"ifc_{label}_{kind}"))
-            assert not solver.last_stats.get("cache_hit")
+            result, digest = _check(solver, make(f"ifc_{label}_{kind}"))
+            assert not result.stats.get("cache_hit")
             cert = solver.cache.load_certificate(digest)
             assert cert is not None, f"{label}: no {kind} certificate emitted"
             assert cert["kind"] == kind and cert["mode"] == "incremental"
@@ -179,14 +180,19 @@ class TestCheckerAccepts:
         queries = (("drat", _hard_unsat_query), ("model", _sat_query))
         for kind, make in queries:
             reset_incremental_session()
-            check_certificate(emit("fresh", kind, make))
-            assert get_incremental_session().checks == 1
-        # Other queries warm the session before the second round.
-        Solver().check(*_unsat_query("ifc_filler_u"))
-        Solver().check(*_sat_query("ifc_filler_s"))
-        for kind, make in queries:
-            check_certificate(emit("warm", kind, make))
-        assert get_incremental_session().checks == 5
+            with obs.tracing() as col:
+                check_certificate(emit("fresh", kind, make))
+            assert col.counters["sat.incremental_hits"] == 1
+        session = get_incremental_session()
+        with obs.tracing() as col:
+            # Other queries warm the session before the second round.
+            Solver().check(*_unsat_query("ifc_filler_u"))
+            Solver().check(*_sat_query("ifc_filler_s"))
+            for kind, make in queries:
+                check_certificate(emit("warm", kind, make))
+        # Five solves in one session: the last fresh one, then four.
+        assert get_incremental_session() is session
+        assert col.counters["sat.incremental_hits"] == 4
 
 
 class TestTampering:

@@ -22,24 +22,27 @@ from repro.smt.sat import SAT, UNKNOWN, UNSAT, ArenaSolver
 from repro.smt.solver import (
     Solver,
     SolverCache,
-    SolverTimeout,
     get_incremental_session,
     reset_incremental_session,
 )
 from repro.smt.terms import (
     fresh_var,
+    mk_and,
     mk_bv,
     mk_bvadd,
     mk_bvand,
     mk_bvmul,
     mk_bvxor,
     mk_eq,
+    mk_not,
+    mk_true,
     mk_ule,
     mk_ult,
     mk_var,
     mk_zext,
 )
 from repro.smt.sorts import bv_sort
+from repro.sym import prove
 
 
 @pytest.fixture(autouse=True)
@@ -79,25 +82,27 @@ class TestLearnedRetention:
         x = mk_var("x", bv_sort(16))
         y = mk_var("y", bv_sort(16))
         shared = mk_eq(mk_bvmul(x, y), mk_bv(391, 16))
-        s1 = Solver()
-        r1 = s1.check(shared, mk_ule(x, mk_bv(100, 16)))
+        with obs.tracing() as first:
+            r1 = Solver().check(shared, mk_ule(x, mk_bv(100, 16)))
         assert r1.status == SAT
-        assert s1.last_stats["incremental"]
-        assert s1.last_stats["reused_clauses"] == 0
-        s2 = Solver()
-        r2 = s2.check(shared, mk_ule(y, mk_bv(100, 16)))
+        assert first.counters["sat.incremental_hits"] == 1
+        assert first.counters.get("sat.reused_clauses", 0) == 0
+        with obs.tracing() as second:
+            r2 = Solver().check(shared, mk_ule(y, mk_bv(100, 16)))
         assert r2.status == SAT
         # The multiplier circuit blasted for the first check is reused.
-        assert s2.last_stats["reused_clauses"] > 0
-        assert s2.last_stats["blasted_clauses"] < s1.last_stats["blasted_clauses"]
+        assert second.counters["sat.reused_clauses"] > 0
+        assert second.counters["bitblast.clauses"] < first.counters["bitblast.clauses"]
 
 
 class TestSessionLifecycle:
     def test_session_persists_across_solver_objects(self):
         a = get_incremental_session()
-        Solver().check(mk_eq(mk_var("p", bv_sort(4)), mk_bv(3, 4)))
+        query = mk_eq(mk_var("p", bv_sort(4)), mk_bv(3, 4))
+        with obs.tracing() as col:
+            Solver().check(query)
         assert get_incremental_session() is a
-        assert a.checks == 1
+        assert col.counters["sat.incremental_hits"] == 1
 
     def test_reset_on_crash(self, monkeypatch):
         """A check that blows up mid-blast drops the session; the next
@@ -184,11 +189,10 @@ class TestDeterminismIncremental:
         memo_hits = []
 
         def check(query):
-            solver = Solver()
-            result = solver.check(query)
+            result = Solver().check(query)
             if result.is_sat:
                 assert eval_term(query, dict(result.model.items())) is True, query
-            memo_hits.append(solver.last_stats.get("memo_hit", False))
+            memo_hits.append(result.stats.get("memo_hit", False))
             return result.status
 
         shared = [check(q) for q in queries]
@@ -256,92 +260,132 @@ def _square_query(tag):
     return [mk_eq(mk_bvmul(x, x), mk_bv(43, 8))]
 
 
-MEMO_HIT = {"memo_hit": True, "time_s": 0.0}
+def _prime_query(tag):
+    """16-bit factors greater than 1 of a 32-bit prime: UNSAT after
+    thousands of conflicts, so a spent deadline stops the search at the
+    SAT core's first deadline check (conflict 32)."""
+    x = mk_var(f"{tag}x", bv_sort(16))
+    y = mk_var(f"{tag}y", bv_sort(16))
+    product = mk_bvmul(mk_zext(x, 16), mk_zext(y, 16))
+    one = mk_bv(1, 16)
+    return [mk_eq(product, mk_bv(1_000_000_007, 32)), mk_ult(one, x), mk_ult(one, y)]
+
+
+class _Tier:
+    """The verdict tier every solver of a test uses: the session's memo
+    (``Solver()``), or one store (``Solver(cache=SolverCache(...))``)."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.name = "memo" if cache is None else "cache"
+        self.hit = f"{self.name}_hit"
+
+    def solver(self, **budget) -> Solver:
+        return Solver(cache=self.cache, **budget)
+
+    def assert_counters(self, counters: dict, **expected) -> None:
+        """The ``solver.<tier>.*`` counters are ``expected`` and the
+        other tier's are absent."""
+        other = "cache" if self.name == "memo" else "memo"
+        assert not any(name.startswith(f"solver.{other}.") for name in counters)
+        for key in ("hits", "misses"):
+            assert counters.get(f"solver.{self.name}.{key}", 0) == expected.get(key, 0), key
+
+
+@pytest.fixture(params=["memo", "store"])
+def tier(request, tmp_path):
+    return _Tier(SolverCache(str(tmp_path / "store")) if request.param == "store" else None)
 
 
 class TestVerdictMemo:
     """The session's verdict memo: cache-less checks of alpha-equivalent
-    queries share one solve per session."""
+    queries share one solve per session.  The cases that hold for every
+    verdict tier run on the memo and on a store alike."""
 
     @pytest.mark.parametrize("query", [_factor_query, _square_query], ids=["sat", "unsat"])
-    def test_alpha_renamed_repeat_is_a_memo_hit(self, query):
-        first = Solver()
-        verdict = first.check(*query("mfa")).status
-        assert "memo_hit" not in first.last_stats
-        assert "digest" not in first.last_stats
+    def test_alpha_renamed_repeat_hits(self, tier, query):
+        first = tier.solver().check(*query("mfa"))
+        assert tier.hit not in first.stats
+        digest = first.stats["digest"]
+        # Only a durable tier, the store, gets a certificate.
+        if tier.cache is None:
+            assert "cert" not in first.stats
+        else:
+            assert first.stats["cert"] and tier.cache.load_certificate(digest) is not None
         session = get_incremental_session()
         vars_before = session.sat.num_vars
+        renamed = query("mfb")
         with obs.tracing() as col:
-            second = Solver()
-            assert second.check(*query("mfb")).status == verdict
-        assert second.last_stats == MEMO_HIT
+            second = tier.solver().check(*renamed)
+        assert second.status == first.status
+        assert second.stats == {tier.hit: True, "time_s": 0.0, "digest": digest}
         assert get_incremental_session() is session
         assert session.sat.num_vars == vars_before
-        assert col.counters["solver.memo.hits"] == 1
-        assert "solver.memo.misses" not in col.counters
+        tier.assert_counters(col.counters, hits=1)
 
-    def test_sat_hit_replays_model_under_own_names(self):
-        Solver().check(*_factor_query("mma"))
+    def test_sat_hit_replays_model_under_own_names(self, tier):
+        digest = tier.solver().check(*_factor_query("mma")).stats["digest"]
         query = _factor_query("mmb")
-        solver = Solver()
-        result = solver.check(*query)
-        assert solver.last_stats == MEMO_HIT
+        result = tier.solver().check(*query)
+        assert result.stats == {tier.hit: True, "time_s": 0.0, "digest": digest}
         env = dict(result.model.items())
         assert sorted(env) == ["mmba", "mmbb"]
         assert all(eval_term(t, env) is True for t in query)
 
-    def test_assumption_sets_distinguish_memo_entries(self):
-        """Mirror of TestCacheKeys for the memo: the same goal under
-        different assumptions never hits."""
+    def test_assumption_sets_distinguish_entries(self, tier):
+        """The same goal under different assumptions never hits."""
         x = mk_var("mkx", bv_sort(8))
         goal = mk_eq(x, mk_bv(1, 8))
         with obs.tracing() as col:
-            s1 = Solver()
+            s1 = tier.solver()
             s1.add(mk_eq(x, mk_bv(1, 8)))
-            assert s1.check(goal).status == SAT
+            r1 = s1.check(goal)
+            assert r1.status == SAT
 
-            s2 = Solver()
+            s2 = tier.solver()
             s2.add(mk_eq(x, mk_bv(2, 8)))
-            assert s2.check(goal).status == UNSAT  # a key collision would replay SAT
-            assert "memo_hit" not in s2.last_stats
+            r2 = s2.check(goal)
+            assert r2.status == UNSAT  # a key collision would replay SAT
+            assert tier.hit not in r2.stats
+            assert r2.stats["digest"] != r1.stats["digest"]
 
-            s3 = Solver()
+            s3 = tier.solver()
             s3.add(mk_eq(x, mk_bv(1, 8)))
-            assert s3.check(goal).status == SAT
-            assert s3.last_stats == MEMO_HIT
-        assert col.counters["solver.memo.misses"] == 2
-        assert col.counters["solver.memo.hits"] == 1
+            r3 = s3.check(goal)
+            assert r3.status == SAT
+            assert r3.stats == {tier.hit: True, "time_s": 0.0, "digest": r1.stats["digest"]}
+        tier.assert_counters(col.counters, hits=1, misses=2)
 
     def test_unknown_and_timeouts_are_not_memoized(self):
         query = _wide_factor_query("mua")
         assert Solver(max_conflicts=1).check(*query).status == UNKNOWN
-        with pytest.raises(SolverTimeout):
-            Solver(timeout_s=0.0).check(*query)
-        solver = Solver()
-        assert solver.check(*query).status == SAT
-        assert "memo_hit" not in solver.last_stats
+        timed_out = Solver(timeout_s=0.0).check(*query)
+        assert timed_out.status == UNKNOWN and timed_out.stats["timed_out"]
+        result = Solver().check(*query)
+        assert result.status == SAT
+        assert "memo_hit" not in result.stats
         # Verdicts do not depend on the budget: a starved check of a
         # renamed copy is now answered from the memo.
-        starved = Solver(max_conflicts=1)
-        assert starved.check(*_wide_factor_query("mub")).status == SAT
-        assert starved.last_stats == MEMO_HIT
+        starved = Solver(max_conflicts=1).check(*_wide_factor_query("mub"))
+        assert starved.status == SAT
+        assert starved.stats == {"memo_hit": True, "time_s": 0.0, "digest": result.stats["digest"]}
 
     def test_reset_drops_the_memo(self):
         Solver().check(*_factor_query("mra"))
         reset_incremental_session()
-        solver = Solver()
-        assert solver.check(*_factor_query("mrb")).status == SAT
-        assert "memo_hit" not in solver.last_stats
+        result = Solver().check(*_factor_query("mrb"))
+        assert result.status == SAT
+        assert "memo_hit" not in result.stats
 
     def test_recycling_past_var_cap_drops_the_memo(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "_SESSION_MAX_VARS", 8)
         first = get_incremental_session()
         Solver().check(*_factor_query("mva"))
         assert first.memo and first.sat.num_vars > 8
-        solver = Solver()
-        assert solver.check(*_factor_query("mvb")).status == SAT
+        result = Solver().check(*_factor_query("mvb"))
+        assert result.status == SAT
         assert get_incremental_session() is not first
-        assert "memo_hit" not in solver.last_stats
+        assert "memo_hit" not in result.stats
 
     def test_cache_backed_check_bypasses_the_memo(self, tmp_path):
         """A memoized query checked with a cache still misses the store,
@@ -351,13 +395,59 @@ class TestVerdictMemo:
         memo_before = dict(session.memo)
         cache = SolverCache(str(tmp_path))
         with obs.tracing() as col:
-            solver = Solver(cache=cache)
-            assert solver.check(*_factor_query("mcb")).status == SAT
-        assert "memo_hit" not in solver.last_stats
-        digest = solver.last_stats["digest"]
+            result = Solver(cache=cache).check(*_factor_query("mcb"))
+        assert result.status == SAT
+        assert "memo_hit" not in result.stats
+        digest = result.stats["digest"]
         assert cache._read_entry(digest)["status"] == SAT
         assert cache.load_certificate(digest) is not None
         assert col.counters["solver.cache.misses"] == 1
         assert "solver.cache.hits" not in col.counters
         assert not any(name.startswith("solver.memo.") for name in col.counters)
         assert session.memo == memo_before
+
+
+class TestSpentDeadline:
+    """A spent deadline is an answer, ``unknown`` with ``timed_out``, at
+    every entry point, and no tier records it."""
+
+    def test_check_and_prove_answer_unknown(self, tmp_path):
+        result = Solver(timeout_s=0.0).check(*_prime_query("dlc"))
+        assert result.status == UNKNOWN and result.stats["timed_out"]
+        digest = result.stats["digest"]
+        proof = prove(mk_not(mk_and(*_prime_query("dlp"))), timeout_s=0.0)
+        assert proof.unknown and not proof.proved and proof.stats["timed_out"]
+        cache = SolverCache(str(tmp_path))
+        stored = Solver(timeout_s=0.0, cache=cache).check(*_prime_query("dls"))
+        assert stored.status == UNKNOWN and stored.stats["timed_out"]
+        assert stored.stats["digest"] == digest and "cert" not in stored.stats
+        assert digest not in get_incremental_session().memo
+        assert cache._read_entry(digest) is None and cache.load_certificate(digest) is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_obligations_answer_unknown_after_one_retry(self, jobs, tmp_path):
+        """The hard obligation times out twice, on a pool worker at
+        ``jobs=2`` (the trivial one is answered where it is dispatched);
+        its result names its digest, which neither the dispatching
+        process's memo nor the store holds afterwards."""
+        *roots, goal = _prime_query("dlr")
+        obligations = [
+            Obligation.from_terms("trivial", [mk_true()]),
+            Obligation.from_terms("hard", [mk_not(goal)], roots),
+        ]
+        store = str(tmp_path / "store")
+        for cache_dir in (None, store):
+            with obs.tracing() as col:
+                results, stats = run_obligations(
+                    obligations, jobs=jobs, cache_dir=cache_dir, timeout_s=0.0, retries=1
+                )
+            tracks = {e.tid for e in col.spans if e.cat == "scheduler" and e.name == "hard"}
+            assert tracks and all(t.startswith("worker-" if jobs == 2 else "main") for t in tracks)
+            trivial, hard = results
+            assert trivial.proved
+            assert hard.status == "unknown" and hard.stats["timed_out"]
+            assert (stats.retries, stats.timeouts) == (1, 2)
+            digest = hard.stats["digest"]
+            assert digest not in get_incremental_session().memo
+        cache = SolverCache(store)
+        assert cache._read_entry(digest) is None and cache.load_certificate(digest) is None

@@ -145,10 +145,9 @@ def test_packages_import_in_any_order(first):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_obligation_fingerprint_script_runs():
-    """``scripts/obligation_fingerprint.py`` reads the verifiers, the
-    grid table and the runner by name, so a rename fails here rather
-    than in the script."""
+@pytest.fixture(scope="module")
+def fingerprint() -> str:
+    """What ``scripts/obligation_fingerprint.py`` prints (about 2 s)."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "obligation_fingerprint.py")],
         capture_output=True,
@@ -156,13 +155,31 @@ def test_obligation_fingerprint_script_runs():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    images = re.findall(r"^image \w+ O[012] sha256=[0-9a-f]{64} boot=0x[0-9a-f]+$", proc.stdout, re.M)
+    return proc.stdout
+
+
+def test_obligation_fingerprint_script_runs(fingerprint):
+    """``scripts/obligation_fingerprint.py`` reads the verifiers, the
+    grid table and the runner by name, so a rename fails here rather
+    than in the script."""
+    images = re.findall(r"^image \w+ O[012] sha256=[0-9a-f]{64} boot=0x[0-9a-f]+$", fingerprint, re.M)
     assert len(images) == 6
     [count] = re.findall(
-        r"^obligations fig11-full O0-O2 count=(\d+) sha256=[0-9a-f]{64}$", proc.stdout, re.M
+        r"^obligations fig11-full O0-O2 count=(\d+) sha256=[0-9a-f]{64}$", fingerprint, re.M
     )
     assert int(count) > 0
     # One invariant-preservation obligation per spec call: CertiKOS^s
     # 4, Komodo^s 13, Keystone 5.
-    [count] = re.findall(r"^spec invariants count=(\d+) sha256=[0-9a-f]{64}$", proc.stdout, re.M)
+    [count] = re.findall(r"^spec invariants count=(\d+) sha256=[0-9a-f]{64}$", fingerprint, re.M)
     assert int(count) == 22
+
+
+def test_obligation_fingerprint_matches_pinned(fingerprint):
+    """Every image, obligation and spec invariant is the one pinned in
+    ``tests/data/obligation_fingerprint.txt``: equal lines mean equal
+    binaries and queries, hence equal digests, verdicts and store bytes.
+    A change that alters one on purpose updates the file in the same
+    commit and says why in CHANGES.md."""
+    with open(os.path.join(ROOT, "tests", "data", "obligation_fingerprint.txt")) as handle:
+        pinned = handle.read().splitlines()
+    assert fingerprint.splitlines() == pinned

@@ -100,8 +100,7 @@ def _seed(store_dir: str, prefixes) -> list[str]:
     digests = []
     for i, prefix in enumerate(prefixes):
         query = _sat_query(prefix) if i % 2 else _unsat_query(prefix)
-        solver.check(*query)
-        digests.append(solver.last_stats["digest"])
+        digests.append(solver.check(*query).stats["digest"])
     return digests
 
 
@@ -202,7 +201,7 @@ class TestReadThrough:
             with obs.tracing() as col:
                 result = solver.check(*_unsat_query("rt_warm"))
             assert result.is_unsat
-            assert solver.last_stats["cache_hit"]
+            assert result.stats["cache_hit"]
             assert col.counters["solver.cache.hits"] == 1
             assert "solver.cache.misses" not in col.counters
             assert col.counters["store.remote.hits"] == 1
@@ -371,9 +370,7 @@ class TestWriteBack:
         try:
             local_dir = str(tmp_path / "cli")
             local = RemoteVerdictStore(local_dir, server.url, async_flush=False)
-            solver = Solver(cache=local)
-            solver.check(*_unsat_query("wb_sync"))
-            digest = solver.last_stats["digest"]
+            digest = Solver(cache=local).check(*_unsat_query("wb_sync")).stats["digest"]
             assert local.spool_pending() == []  # flushed inline
             client = RemoteStoreClient(server.url)
             assert client.head_entry(digest)
@@ -385,9 +382,7 @@ class TestWriteBack:
         server = StoreServer(str(tmp_path / "srv")).start()
         try:
             local = RemoteVerdictStore(str(tmp_path / "cli"), server.url)
-            solver = Solver(cache=local)
-            solver.check(*_unsat_query("wb_async"))
-            digest = solver.last_stats["digest"]
+            digest = Solver(cache=local).check(*_unsat_query("wb_async")).stats["digest"]
             client = RemoteStoreClient(server.url)
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:

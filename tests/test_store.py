@@ -147,10 +147,9 @@ class TestNotAVerdict:
         # the re-solve overwrites it with the real verdict.
         with open(os.path.join(store.path, digest[:2], f"{digest}.json"), "wb") as handle:
             handle.write(junk)
-        solver = Solver(cache=store)
-        result = solver.check(query)
+        result = Solver(cache=store).check(query)
         assert result.is_sat and result.model["nav_sat_x"] == 7
-        assert not solver.last_stats.get("cache_hit")
+        assert not result.stats.get("cache_hit")
         assert store._read_entry(digest) == {"status": "sat", "model": {"v0": 7}}
 
 
