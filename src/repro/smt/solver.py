@@ -709,8 +709,8 @@ class Solver:
                 tid for tid in tids if tid in blaster._bool_cache or tid in blaster._bv_cache
             ]
             emit_before = {label: tuple(cell) for label, cell in blaster.emitted.items()}
-        vars_before = sat.num_vars
-        clauses_before = sat.added_clauses
+            vars_before = sat.num_vars
+            clauses_before = sat.added_clauses
         with obs_span("bitblast", cat="bitblast") as bargs:
             # Roots become assumptions, not unit clauses: nothing this
             # query asserts outlives it in the shared clause database.
